@@ -21,10 +21,6 @@ from .printing import format_poly
 from .rewrite import DEFAULT_FUEL
 from .scalar import Fraction, Scalar, curve_point_from_t, curve_point_validate
 
-SUITES = ("diamond", "basis", "growth", "freeness", "hopf", "coideal",
-          "identities", "alt", "galois", "units", "all")
-
-
 def _add_common(p):
     p.add_argument("--t", default=None, metavar="RATIONAL",
                    help="curve parameter t, giving (q,p) = (t^2-1, t(t^2-1)); default 2")
@@ -94,53 +90,57 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
+def _bound(value, default):
+    """A --max-len/--max-deg value, where only an absent option means default."""
+    return default if value is None else value
+
+
+class DiamondSummary:
+    """The diamond report as a suite prints it: counts and rule total, no entries."""
+
+    def __init__(self, alg):
+        self.report = alg.diamond_report
+        self.rules = len(alg.system.rules)
+
+    @property
+    def ok(self):
+        return self.report.ok
+
+    def to_json(self):
+        obj = self.report.to_json()
+        del obj["entries"]
+        obj.update(check="diamond", rules=self.rules)
+        return obj
+
+
+# suite name -> reports(alg, maps, args, fuel); "all" runs them in this order
+SUITE_RUNNERS = {
+    "diamond": lambda alg, maps, args, fuel: [DiamondSummary(alg)],
+    "basis": lambda alg, maps, args, fuel: [basis_census(alg, _bound(args.max_len, 6))],
+    "growth": lambda alg, maps, args, fuel: [growth(alg, _bound(args.max_len, 200))],
+    "freeness": lambda alg, maps, args, fuel: [freeness_check(
+        alg, _bound(args.max_len, 5), samples=100, seed=args.seed, fuel=fuel)],
+    "hopf": lambda alg, maps, args, fuel: [
+        hopf.check_welldefined(alg, maps, fuel),
+        hopf.check_hopf_axioms(alg, maps, samples=args.samples, seed=args.seed, fuel=fuel)],
+    "coideal": lambda alg, maps, args, fuel: [
+        hopf.check_coideal(alg, maps, _bound(args.max_deg, 6), fuel)],
+    "identities": lambda alg, maps, args, fuel: [hopf.check_identities(alg, fuel)],
+    "alt": lambda alg, maps, args, fuel: [hopf.check_alt_presentation(alg, fuel)],
+    "galois": lambda alg, maps, args, fuel: [
+        galois.recovery_check(alg, maps, _bound(args.max_deg, 6), fuel),
+        galois.witness_check(alg, fuel)],
+    "units": lambda alg, maps, args, fuel: [
+        hopf.units_suite(alg, max_len=_bound(args.max_len, 6), fuel=fuel)],
+}
+SUITES = (*SUITE_RUNNERS, "all")
+
+
 def run_suites(name, alg, args, fuel):
+    """Report objects (each with .ok and .to_json()) of one suite, or of all."""
     maps = hopf.StructureMaps(alg.point)
-    max_len = args.max_len
-    max_deg = args.max_deg if args.max_deg is not None else 6
-    reports = []
-    names = [name] if name != "all" else \
-        ["diamond", "basis", "growth", "freeness", "hopf", "coideal",
-         "identities", "alt", "galois", "units"]
-    for n in names:
-        if n == "diamond":
-            rep = alg.diamond_report.to_json()
-            rep["check"] = "diamond"
-            rep["rules"] = len(alg.system.rules)
-            rep.pop("entries", None)
-            reports.append(rep)
-        elif n == "basis":
-            reports.append(basis_census(alg, max_len or 6).to_json())
-        elif n == "growth":
-            rep = growth(alg, max_len or 200).to_json()
-            rep["status"] = "pass" if abs(rep["exponent"] - 3.0) <= 0.2 else "fail"
-            reports.append(rep)
-        elif n == "freeness":
-            reports.append(freeness_check(alg, max_len or 5, samples=100,
-                                          seed=args.seed, fuel=fuel).to_json())
-        elif n == "hopf":
-            reports.append(hopf.check_welldefined(alg, maps, fuel).to_json())
-            reports.append(hopf.check_hopf_axioms(
-                alg, maps, samples=args.samples, seed=args.seed, fuel=fuel).to_json())
-        elif n == "coideal":
-            reports.append(hopf.check_coideal(alg, maps, max_deg, fuel).to_json())
-        elif n == "identities":
-            reports.append(hopf.check_identities(alg, fuel).to_json())
-        elif n == "alt":
-            reports.append(hopf.check_alt_presentation(alg, fuel).to_json())
-        elif n == "galois":
-            reports.append(galois.recovery_check(alg, maps, max_deg, fuel).to_json())
-            reports.append(galois.witness_check(alg, fuel).to_json())
-        elif n == "units":
-            rep = hopf.units_suite(alg, max_len=max_len or 6, fuel=fuel).to_json()
-            # pass iff the group-like-times-scalar candidates invert and the rest do not
-            expected = {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
-                        "1+x": False, "x": False, "c": False, "1+y": False}
-            rep["status"] = ("pass" if all(
-                e["invertible"] == expected.get(e["element"])
-                for e in rep["entries"]) else "fail")
-            reports.append(rep)
-    return reports
+    names = SUITE_RUNNERS if name == "all" else [name]
+    return [rep for n in names for rep in SUITE_RUNNERS[n](alg, maps, args, fuel)]
 
 
 def main(argv=None):
@@ -175,7 +175,7 @@ def main(argv=None):
             return 0
         if args.command == "census":
             alg = build_algebra(point, fuel=fuel)
-            rep = basis_census(alg, args.max_len or 6)
+            rep = basis_census(alg, _bound(args.max_len, 6))
             _emit(args, rep.to_json(),
                   [f"L={i}: irreducible={a} pattern={b} enumerated={c}"
                    for i, (a, b, c) in enumerate(zip(
@@ -186,14 +186,12 @@ def main(argv=None):
         # suite
         alg = build_algebra(point, fuel=fuel)
         reports = run_suites(args.name, alg, args, fuel)
-        all_pass = all(r.get("status") != "fail" and r.get("ok", True)
-                       for r in reports)
+        all_pass = all(rep.ok for rep in reports)
+        report_json = [rep.to_json() for rep in reports]
         obj = {"point": point.to_json(), "suite": args.name, "seed": args.seed,
-               "status": "pass" if all_pass else "fail", "reports": reports}
-        lines = []
-        for r in reports:
-            status = r.get("status") or ("pass" if r.get("ok", True) else "fail")
-            lines.append(f"[{status.upper():4}] {r.get('check', args.name)}")
+               "status": "pass" if all_pass else "fail", "reports": report_json}
+        lines = [f"[{'PASS' if rep.ok else 'FAIL'}] {r['check']}"
+                 for rep, r in zip(reports, report_json)]
         lines.append(f"suite {args.name}: {'pass' if all_pass else 'FAIL'}")
         _emit(args, obj, lines)
         return 0 if all_pass else 1

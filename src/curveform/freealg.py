@@ -1,10 +1,17 @@
-"""Words over the alphabet {x, y, a, g, b} and noncommutative polynomials.
+"""Words over the alphabet {x, y, a, g, b}, noncommutative polynomials, and
+the keyed sparse core they share.
 
 g stands for a^-1.  A Word is a plain Python string over the five letters;
 the empty string is the unit monomial.  Polynomials are sparse maps from
-words to nonzero Scalars, iterated in graded-lexicographic order (length
+words to nonzero Scalars, printed in graded-lexicographic order (length
 first, then letter order x < y < a < g < b) so printing and JSON output are
 deterministic.
+
+Every sparse map in the package (polynomials, tensors, quotient classes,
+coaction values, reduction caches, elimination rows) is summed by
+accumulate(), so the rule "add into an entry, drop it at zero" lives in one
+place.  Dict insertion order is part of the contract: a new key goes last,
+a surviving key keeps its place and a cancelled key is removed.
 """
 
 from __future__ import annotations
@@ -29,27 +36,89 @@ def check_word(w: str) -> str:
     return w
 
 
-class NcPoly:
-    """Finite Scalar-linear combination of free words; no zero coefficients stored."""
+def accumulate(acc: dict, pairs) -> dict:
+    """Add each (key, coeff) of pairs into acc, drop keys whose sum is zero,
+    and return acc.  Uses only + and truth value of the coefficients."""
+    for key, c in pairs:
+        old = acc.get(key)
+        if old is None:
+            if c:
+                acc[key] = c
+        else:
+            c = old + c
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+    return acc
+
+
+class Sparse:
+    """Immutable finite Scalar combination of keys; no zero stored.
+
+    Subclasses add their products, constructors and formatting.  Equality is
+    type-specific.  Results of operations are built by _new straight from a
+    canonical dict, bypassing the coercing constructor.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = c if isinstance(c, Scalar) else Scalar(c)
-                if c:
-                    acc = t.get(w)
-                    c = c if acc is None else acc + c
-                    if c:
-                        t[w] = c
-                    else:
-                        del t[w]
-        object.__setattr__(self, "terms", t)
+        object.__setattr__(self, "terms", accumulate({}, self._pairs(terms or ())))
+
+    def _pairs(self, terms):
+        """Constructor input as (key, Scalar) pairs."""
+        pairs = terms.items() if isinstance(terms, dict) else terms
+        return ((k, c if isinstance(c, Scalar) else Scalar(c)) for k, c in pairs)
+
+    def _new(self, terms):
+        """An element of the same type as self holding the canonical dict terms."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "terms", terms)
+        return new
 
     def __setattr__(self, name, value):
-        raise AttributeError("NcPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._new(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, Scalar) else Scalar(c)
+        if not c:
+            return self._new({})
+        return self._new({k: c * ck for k, ck in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+
+class NcPoly(Sparse):
+    """Finite Scalar-linear combination of free words."""
+
+    __slots__ = ()
+
+    # bound in the class body so that each class's own __dict__ holds them
+    # (bench/tracing.py wraps them per class)
+    __add__ = Sparse.__add__
+    scale = Sparse.scale
 
     # -- constructors ----------------------------------------------------
 
@@ -71,48 +140,17 @@ class NcPoly:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, ZERO) + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
-        return NcPoly(t)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "NcPoly":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return _ZERO_POLY
-        return NcPoly({w: c * cw for w, cw in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        if not isinstance(other, NcPoly):
+        if type(other) is not NcPoly:
             return NotImplemented
-        t = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u + v
-                s = t.get(w, ZERO) + cu * cv
-                if s:
-                    t[w] = s
-                else:
-                    del t[w]
-        return NcPoly(t)
+        return self._new(accumulate({}, ((u + v, cu * cv)
+                                         for u, cu in self.terms.items()
+                                         for v, cv in other.terms.items())))
 
     def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -125,18 +163,6 @@ class NcPoly:
         return result
 
     # -- queries ---------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, NcPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
 
     def coeff(self, w) -> Scalar:
         return self.terms.get(w, ZERO)
@@ -169,41 +195,41 @@ class NcPoly:
         return cls({check_word(e["word"]): Scalar.from_json(e["coeff"]) for e in obj})
 
 
+_SCALARS = (Scalar, int, Fraction)
 _ZERO_POLY = NcPoly()
 _ONE_POLY = NcPoly({"": ONE})
 
 
-class TensorPoly:
+class TensorPoly(Sparse):
     """Linear combination of k-tuples of words, k in {1, 2, 3}.
 
     Represents elements of A, A(x)A, A(x)A(x)A; the product is componentwise
     concatenation (no sign rule).
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity, terms=None):
         if arity not in (1, 2, 3):
             raise ValueError("TensorPoly arity must be 1, 2 or 3")
-        t = {}
-        if terms:
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                key = tuple(key)
-                if len(key) != arity:
-                    raise ArityMismatch(f"tuple {key} does not have arity {arity}")
-                c = c if isinstance(c, Scalar) else Scalar(c)
-                if c:
-                    acc = t.get(key)
-                    c = c if acc is None else acc + c
-                    if c:
-                        t[key] = c
-                    else:
-                        del t[key]
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", t)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorPoly is immutable")
+    def _pairs(self, terms):
+        for key, c in super()._pairs(terms):
+            key = tuple(key)
+            if len(key) != self.arity:
+                raise ArityMismatch(f"tuple {key} does not have arity {self.arity}")
+            yield key, c
+
+    def _new(self, terms):
+        new = super()._new(terms)
+        object.__setattr__(new, "arity", self.arity)
+        return new
+
+    def _check_arity(self, other):
+        if isinstance(other, TensorPoly) and self.arity != other.arity:
+            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
     @classmethod
     def one(cls, arity):
@@ -221,48 +247,20 @@ class TensorPoly:
         return result
 
     def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
-        t = dict(self.terms)
-        for key, c in other.terms.items():
-            s = t.get(key, ZERO) + c
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return TensorPoly(self.arity, t)
+        self._check_arity(other)
+        return Sparse.__add__(self, other)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorPoly(self.arity, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return TensorPoly(self.arity)
-        return TensorPoly(self.arity, {k: c * cv for k, cv in self.terms.items()})
+    scale = Sparse.scale
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        if not isinstance(other, TensorPoly):
+        if type(other) is not TensorPoly:
             return NotImplemented
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
-        t = {}
-        for ku, cu in self.terms.items():
-            for kv, cv in other.terms.items():
-                key = tuple(u + v for u, v in zip(ku, kv))
-                s = t.get(key, ZERO) + cu * cv
-                if s:
-                    t[key] = s
-                else:
-                    del t[key]
-        return TensorPoly(self.arity, t)
+        self._check_arity(other)
+        return self._new(accumulate({}, ((tuple(u + v for u, v in zip(ku, kv)), cu * cv)
+                                         for ku, cu in self.terms.items()
+                                         for kv, cv in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -275,14 +273,10 @@ class TensorPoly:
         return result
 
     def __eq__(self, other):
-        return (isinstance(other, TensorPoly) and self.arity == other.arity
-                and self.terms == other.terms)
+        return Sparse.__eq__(self, other) and self.arity == other.arity
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def sorted_terms(self):
         return [(k, self.terms[k]) for k in

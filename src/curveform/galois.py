@@ -12,55 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .freealg import NcPoly, word_key
+from .freealg import NcPoly, Sparse, accumulate, word_key
 from .hopf import StructureMaps, _delta_word
-from .nodal import NodalAlgebra, b_decompose, b_words
+from .nodal import NodalAlgebra, b_decompose, b_part, pattern_words
 from .scalar import ONE, Scalar, ZERO
 
 
-class CPoly:
+class CPoly(Sparse):
     """Element of C: a finite Scalar combination of tail-word classes."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = c if isinstance(c, Scalar) else Scalar(c)
-                if c:
-                    acc = t.get(w)
-                    c = c if acc is None else acc + c
-                    if c:
-                        t[w] = c
-                    else:
-                        del t[w]
-        object.__setattr__(self, "terms", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CPoly is immutable")
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, ZERO) + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
-        return CPoly(t)
-
-    def __eq__(self, other):
-        return isinstance(other, CPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def scale(self, c):
-        return CPoly({w: c * cw for w, cw in self.terms.items()})
+    __slots__ = ()
 
     def to_json(self):
         return [{"coeff": self.terms[w].to_json(), "tail": w}
@@ -98,32 +59,10 @@ def membership_bplus_a(f: NcPoly, alg: NodalAlgebra, fuel=None) -> bool:
     return not project_pi(f, alg, fuel)
 
 
-class CoactionValue:
+class CoactionValue(Sparse):
     """Element of C (x) A: Scalar combination of (tail class, word) pairs."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    acc = t.get(key)
-                    c = c if acc is None else acc + c
-                    if c:
-                        t[key] = c
-                    else:
-                        del t[key]
-        object.__setattr__(self, "terms", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoactionValue is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, CoactionValue) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    __slots__ = ()
 
     def to_json(self):
         keys = sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1])))
@@ -138,13 +77,7 @@ def coaction(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps,
     for w, c in f.terms.items():
         for (u, v), cd in _delta_word(w, alg, maps, fuel).terms.items():
             pu = project_pi(NcPoly.word(u), alg, fuel)
-            for tail, cp in pu.terms.items():
-                key = (tail, v)
-                s = acc.get(key, ZERO) + c * cd * cp
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+            accumulate(acc, (((tail, v), c * cd * cp) for tail, cp in pu.terms.items()))
     return CoactionValue(acc)
 
 
@@ -177,16 +110,12 @@ def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
     """On basis words: lambda(f) = 1-bar (x) f exactly for the B-side, and
     never for basis words with a nontrivial tail."""
     report = RecoveryReport(alg.point, 0, 0)
-    for bw in b_words(max_deg):
+    for bw in pattern_words(max_deg, b_part):
         report.b_checked += 1
         f = NcPoly.word(bw)
         if coaction(f, alg, maps, fuel) != trivial_coaction(f, alg, fuel):
             report.failures.append({"kind": "b_word", "word": bw})
-    from .hopf import all_basis_words
-
-    for w in all_basis_words(max_deg):
-        if all(ch in "xy" for ch in w):
-            continue
+    for w in pattern_words(max_deg, lambda i, j, l, m, n: l or m or n):  # nontrivial tail
         report.non_b_checked += 1
         f = NcPoly.word(w)
         if coaction(f, alg, maps, fuel) == trivial_coaction(f, alg, fuel):

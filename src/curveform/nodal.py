@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DiamondFailure
-from .freealg import ALPHABET, NcPoly, word_key
+from .freealg import ALPHABET, NcPoly, accumulate, word_key
 from .scalar import CurvePoint, ONE, Scalar
 from .rewrite import (DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem,
                       check_diamond, complete)
@@ -60,6 +60,31 @@ def index_word(i, j, l, m, n) -> str:
     """Inverse of basis_index."""
     mid = "a" * m if m >= 0 else "g" * (-m)
     return "x" * i + "y" * j + "ax" * l + mid + "b" * n
+
+
+def pattern_words(max_len: int, keep=None):
+    """Pattern words of length <= max_len, in graded-lex order, whose index
+    (i, j, l, m, n) satisfies keep (all of them when keep is None)."""
+    out = []
+    for i in range(max_len + 1):
+        for j in (0, 1):
+            for l in range((max_len - i - j) // 2 + 1):
+                for n in (0, 1):
+                    rem = max_len - i - j - 2 * l - n
+                    for m in range(-rem, rem + 1):
+                        if keep is None or keep(i, j, l, m, n):
+                            out.append(index_word(i, j, l, m, n))
+    return sorted(out, key=word_key)
+
+
+def b_part(i, j, l, m, n) -> bool:
+    """pattern_words filter for the B-basis words x^i y^j."""
+    return not (l or m or n)
+
+
+def tail_part(i, j, l, m, n) -> bool:
+    """pattern_words filter for the tail words (ax)^l a^m b^n."""
+    return not (i or j)
 
 
 def seed_rules(point: CurvePoint):
@@ -133,8 +158,9 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL, max_rules=64) -> NodalAl
 # -- census and growth ---------------------------------------------------
 
 def count_basis_words(length: int) -> int:
-    """Number of pattern words of exactly the given length, by direct tuple
-    enumeration over (j, n, l, m) with i determined."""
+    """Number of pattern words of exactly the given length, counted over
+    (j, n, l) with the 2 * rem + 1 choices of m (i makes up the rest), so
+    that growth at length 200 never lists the words."""
     total = 0
     for j in (0, 1):
         for n in (0, 1):
@@ -169,8 +195,7 @@ class CensusReport:
 def basis_census(alg: NodalAlgebra, max_len: int) -> CensusReport:
     """Exhaustively scan all words of each length <= max_len and confirm
     irreducible == pattern, cross-checked against tuple-enumeration counts."""
-    lhs_set = {r.lhs for r in alg.system.rules}
-    lhs_lens = sorted({len(s) for s in lhs_set})
+    match = alg.system.match
     irr_counts, scan_counts, enum_counts, mismatches = [], [], [], []
     ok = True
     for length in range(max_len + 1):
@@ -178,9 +203,7 @@ def basis_census(alg: NodalAlgebra, max_len: int) -> CensusReport:
         pat = 0
         for tup in product(ALPHABET, repeat=length):
             w = "".join(tup)
-            reducible = any(w[s:s + k] in lhs_set
-                            for k in lhs_lens if k <= length
-                            for s in range(length - k + 1))
+            reducible = match(w) is not None
             pattern = is_basis_word(w)
             if not reducible:
                 irr += 1
@@ -198,6 +221,11 @@ def basis_census(alg: NodalAlgebra, max_len: int) -> CensusReport:
     return CensusReport(max_len, irr_counts, scan_counts, enum_counts, mismatches, ok)
 
 
+# GK-dimension 3: the doubling exponent must land within 3.0 +- 0.2
+GROWTH_EXPONENT = 3.0
+GROWTH_TOLERANCE = 0.2
+
+
 @dataclass
 class GrowthReport:
     max_len: int
@@ -205,8 +233,12 @@ class GrowthReport:
     cumulative: list
     exponent: float
 
+    @property
+    def ok(self):
+        return abs(self.exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE
+
     def to_json(self):
-        return {"check": "growth", "status": "pass",
+        return {"check": "growth", "status": "pass" if self.ok else "fail",
                 "max_len": self.max_len, "counts": self.counts,
                 "cumulative": self.cumulative, "exponent": self.exponent}
 
@@ -244,15 +276,11 @@ class BDecomposition:
         self.coeffs = {t: f for t, f in coeffs.items() if f}
 
     def recompose(self) -> NcPoly:
-        total = NcPoly.zero()
-        for t, f in self.coeffs.items():
-            total = total + NcPoly({bw + t: c for bw, c in f.terms.items()})
-        return total
+        return NcPoly([(bw + t, c) for t, f in self.coeffs.items()
+                       for bw, c in f.terms.items()])
 
     def __add__(self, other):
-        tails = set(self.coeffs) | set(other.coeffs)
-        return BDecomposition({t: self.coeffs.get(t, NcPoly.zero())
-                               + other.coeffs.get(t, NcPoly.zero()) for t in tails})
+        return BDecomposition(accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __eq__(self, other):
         return isinstance(other, BDecomposition) and self.coeffs == other.coeffs
@@ -270,28 +298,6 @@ def b_decompose(f: NcPoly, alg: NodalAlgebra, fuel=None) -> BDecomposition:
         prefix, tail = split_pattern_word(w)
         coeffs.setdefault(tail, {})[prefix] = c
     return BDecomposition({t: NcPoly(d) for t, d in coeffs.items()})
-
-
-def b_words(max_deg: int):
-    """All B-basis words x^i y^j with i + j <= max_deg, shortest first."""
-    out = [""]
-    for deg in range(1, max_deg + 1):
-        out.append("x" * deg)
-        out.append("x" * (deg - 1) + "y")
-    return out
-
-
-def tail_words(max_len: int):
-    """All tail words (ax)^l a^m b^n of length <= max_len, sorted."""
-    out = []
-    for l in range(max_len // 2 + 1):
-        for n in (0, 1):
-            rem = max_len - 2 * l - n
-            if rem < 0:
-                continue
-            for m in range(-rem, rem + 1):
-                out.append(index_word(0, 0, l, m, n))
-    return sorted(set(out), key=word_key)
 
 
 @dataclass
@@ -313,13 +319,11 @@ class FreenessReport:
 def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
     """Seeded random free polynomial: up to max_terms uniform words of length
     <= max_len with coefficients drawn from coeff_pool."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    def term():
         length = rng.randint(0, max_len)
-        w = "".join(rng.choice(ALPHABET) for _ in range(length))
-        c = rng.choice(coeff_pool)
-        terms[w] = terms.get(w, Scalar(0)) + (c if isinstance(c, Scalar) else Scalar(c))
-    return NcPoly(terms)
+        return "".join(rng.choice(ALPHABET) for _ in range(length)), rng.choice(coeff_pool)
+
+    return NcPoly([term() for _ in range(rng.randint(1, max_terms))])
 
 
 def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
@@ -332,8 +336,8 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
 
     failures = []
     checked = 0
-    tails = tail_words(max_len)
-    for bw in b_words(max_len):
+    tails = pattern_words(max_len, tail_part)
+    for bw in pattern_words(max_len, b_part):
         for t in tails:
             if len(bw) + len(t) > max_len:
                 continue
@@ -348,8 +352,8 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
         if b_decompose(f, alg, fuel).recompose() != alg.nf(f, fuel):
             failures.append({"kind": "roundtrip", "poly": f.to_json()})
     right_pure = True
-    for bw in b_words(min(max_len, 4)):
-        for t in tail_words(min(max_len, 4)):
+    for bw in pattern_words(min(max_len, 4), b_part):
+        for t in pattern_words(min(max_len, 4), tail_part):
             if not bw or not t:
                 continue
             nf = alg.nf(NcPoly.word(t + bw), fuel)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
-from .freealg import NcPoly, word_key
-from .scalar import ONE, ZERO
+from .freealg import NcPoly, accumulate, word_key
+from .scalar import ONE
 
 DEFAULT_FUEL = 100_000
 
@@ -167,15 +167,8 @@ class RuleSystem:
             if missing:
                 stack.extend(missing)
                 continue
-            acc = {}
-            for cw, c in children:
-                for w2, c2 in cache[cw].items():
-                    s = acc.get(w2, ZERO) + c * c2
-                    if s:
-                        acc[w2] = s
-                    else:
-                        del acc[w2]
-            cache[cur] = acc
+            cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
+                                         for w2, c2 in cache[cw].items()))
             del pending[cur]
             stack.pop()
         return cache[w]
@@ -183,15 +176,8 @@ class RuleSystem:
     def normal_form(self, f: NcPoly, fuel=None) -> NcPoly:
         """Fully reduce f.  Deterministic; equals exhaustive reduce_once
         iteration whenever the system is confluent."""
-        acc = {}
-        for w, c in f.terms.items():
-            for w2, c2 in self.nf_word(w, fuel).items():
-                s = acc.get(w2, ZERO) + c * c2
-                if s:
-                    acc[w2] = s
-                else:
-                    del acc[w2]
-        return NcPoly(acc)
+        return f._new(accumulate({}, ((w2, c * c2) for w, c in f.terms.items()
+                                      for w2, c2 in self.nf_word(w, fuel).items())))
 
     def normal_form_strategy(self, f: NcPoly, leftmost=True, fuel=None) -> NcPoly:
         """Uncached reduction applying, in every reducible word, the match at

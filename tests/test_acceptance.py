@@ -12,6 +12,7 @@ at t = 0, 1; nonzero at t = 2, 3), that the report fails exactly where
 p != 0, and that the corrected relation bd = -db - 6p a^3 reduces to 0.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -152,11 +153,18 @@ def test_criterion_11_units(alg):
     verdict(11, "bounded units evidence matches the expected pattern", ok)
 
 
+# sha256 of `suite all --json --seed 42` at the default t = 2; a change to
+# these bytes across commits must be deliberate and update this digest
+SUITE_ALL_SHA256 = "b2ab199c0f8581e47b73585b48b23c87ad35e348d96a765ca585decfe17b9d57"
+
+
 def test_criterion_12_determinism():
     cmd = [sys.executable, "-m", "curveform.cli", "suite", "all",
            "--json", "--seed", "42"]
     runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    digest = hashlib.sha256(runs[0].stdout).hexdigest()
     ok = (runs[0].stdout == runs[1].stdout and runs[0].stdout
-          and json.loads(runs[0].stdout)["seed"] == 42)
-    verdict(12, "two seeded suite-all runs are byte-identical", bool(ok),
-            f"{len(runs[0].stdout)} bytes")
+          and json.loads(runs[0].stdout)["seed"] == 42
+          and digest == SUITE_ALL_SHA256)
+    verdict(12, "two seeded suite-all runs are byte-identical and match the "
+                "recorded digest", bool(ok), f"{len(runs[0].stdout)} bytes, sha256 {digest}")

@@ -79,6 +79,12 @@ class TestCensus:
         assert "L=3: irreducible=25 pattern=25 enumerated=25" in out
         assert "verdict: pass" in out
 
+    def test_max_len_zero_is_honoured(self, capsys):
+        code, out, _ = run(capsys, "census", "--max-len", "0")
+        assert code == 0
+        assert out.splitlines() == ["L=0: irreducible=1 pattern=1 enumerated=1",
+                                    "verdict: pass"]
+
 
 class TestSuites:
     def test_identities_pass(self, capsys):

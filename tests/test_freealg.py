@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curveform.errors import ArityMismatch
-from curveform.freealg import ALPHABET, NcPoly, TensorPoly, word_key
+from curveform.freealg import ALPHABET, NcPoly, Sparse, TensorPoly, accumulate, word_key
 from curveform.scalar import ONE, Scalar
 
 words = st.text(alphabet=ALPHABET, max_size=5)
@@ -52,6 +52,36 @@ def test_word_ordering_graded_lex():
     assert sorted(ws, key=word_key) == ["", "x", "a", "b", "xx", "xy"]
 
 
+def test_accumulate_order_and_cancellation():
+    acc = accumulate({}, [("x", ONE), ("y", Scalar(2)), ("x", Scalar(-1)),
+                          ("z", Scalar(0)), ("y", ONE), ("x", Scalar(5))])
+    # a cancelled key is removed and comes back last; a zero never lands
+    assert list(acc.items()) == [("y", Scalar(3)), ("x", Scalar(5))]
+
+
+def test_accumulate_polynomial_coefficients():
+    f = NcPoly.word("x")
+    acc = accumulate({"t": f}, [("t", -f), ("u", f)])
+    assert acc == {"u": f}
+
+
+def test_shared_base_keeps_types_apart():
+    from curveform.galois import CPoly
+
+    assert issubclass(NcPoly, Sparse) and issubclass(TensorPoly, Sparse)
+    terms = {"a": ONE}
+    assert CPoly(terms) != NcPoly(terms) and NcPoly(terms) == NcPoly(terms)
+    with pytest.raises(TypeError):
+        NcPoly(terms) + CPoly(terms)
+    with pytest.raises(AttributeError):
+        NcPoly(terms).terms = {}
+
+
+def test_constructor_coerces():
+    f = NcPoly({"x": 2, "": 0})
+    assert f.terms == {"x": Scalar(2)} and isinstance(f.terms["x"], Scalar)
+
+
 def test_json_round_trip():
     f = NcPoly({"xag": Scalar(-1, 2), "": Scalar(7)})
     assert NcPoly.from_json(f.to_json()) == f
@@ -75,6 +105,11 @@ class TestTensorPoly:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             TensorPoly.one(2) * TensorPoly.one(3)
+        with pytest.raises(ArityMismatch):
+            TensorPoly.one(2) + TensorPoly.one(3)
+        with pytest.raises(ArityMismatch):
+            TensorPoly(2, {("x",): ONE})
+        assert TensorPoly(2) != TensorPoly(3)
 
     @given(polys, polys)
     def test_legs_commute(self, f, h):

@@ -182,6 +182,13 @@ class TestUnits:
         assert verdicts == {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                             "1+x": False, "x": False, "c": False, "1+y": False}
 
+    def test_suite_verdict(self, alg):
+        assert units_suite(alg, max_len=6).to_json()["status"] == "pass"
+        # with support {1} not even a and b invert, so the pattern is missed
+        report = units_suite(alg, max_len=0)
+        assert not any(e.invertible for e in report.entries)
+        assert not report.ok and report.to_json()["status"] == "fail"
+
     def test_rejects_zero(self, alg):
         with pytest.raises(ValueError):
             units_bounded_check(alg, NcPoly.zero())

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from curveform.freealg import NcPoly
-from curveform.nodal import (b_decompose, b_words, basis_census, basis_index,
+from curveform.freealg import NcPoly, word_key
+from curveform.nodal import (b_decompose, b_part, basis_census, basis_index,
                              count_basis_words, freeness_check, growth,
-                             index_word, is_basis_word, random_poly,
-                             split_pattern_word, tail_words)
+                             index_word, is_basis_word, pattern_words,
+                             random_poly, split_pattern_word, tail_part)
 from curveform.scalar import ONE, Scalar
 
 
@@ -103,6 +103,13 @@ class TestCensus:
         for a in algebras.values():
             assert basis_census(a, max_len=3).ok
 
+    def test_count_matches_enumeration(self):
+        words = pattern_words(8)
+        assert words == sorted(set(words), key=word_key)
+        assert all(is_basis_word(w) for w in words)
+        for n in range(9):
+            assert count_basis_words(n) == sum(1 for w in words if len(w) == n)
+
 
 class TestGrowth:
     def test_cumulative_counts(self, alg):
@@ -112,6 +119,13 @@ class TestGrowth:
     def test_exponent_near_three(self, alg):
         report = growth(alg, max_len=200)
         assert abs(report.exponent - 3.0) <= 0.2
+        assert report.ok and report.to_json()["status"] == "pass"
+
+    def test_short_growth_fails(self, alg):
+        # at L = 2 the doubling exponent is log2(19/6) = 1.66, far from 3
+        report = growth(alg, max_len=2)
+        assert abs(report.exponent - 1.66) < 0.01
+        assert not report.ok and report.to_json()["status"] == "fail"
 
     def test_counts_quadratic_leading_term(self):
         # c(n) = 2n^2 + 2n + 1 for n >= 1 forces cubic cumulative growth
@@ -121,9 +135,9 @@ class TestGrowth:
 
 class TestBDecomposition:
     def test_word_lists(self):
-        assert b_words(2) == ["", "x", "y", "xx", "xy"]
-        assert "axb" in tail_words(3) and "ggg" in tail_words(3)
-        assert all(is_basis_word(t) for t in tail_words(4))
+        assert pattern_words(2, b_part) == ["", "x", "y", "xx", "xy"]
+        assert "axb" in pattern_words(3, tail_part) and "ggg" in pattern_words(3, tail_part)
+        assert all(is_basis_word(t) for t in pattern_words(4, tail_part))
 
     def test_decompose_recompose(self, alg):
         f = alg.parse_nf("x*a^2*b + y*a^2*b - 3*a^-1")
