@@ -129,7 +129,7 @@ SUITE_RUNNERS = {
     "alt": lambda alg, maps, args, fuel: [hopf.check_alt_presentation(alg, fuel)],
     "galois": lambda alg, maps, args, fuel: [
         galois.recovery_check(alg, maps, _bound(args.max_deg, 6), fuel),
-        galois.witness_check(alg, fuel)],
+        galois.witness_check(alg, maps, fuel)],
     "units": lambda alg, maps, args, fuel: [
         hopf.units_suite(alg, max_len=_bound(args.max_len, 6), fuel=fuel)],
 }

@@ -174,9 +174,6 @@ class NcPoly(Sparse):
     def max_len(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def constant(self) -> Scalar:
-        return self.terms.get("", ZERO)
-
     # -- formatting / JSON ----------------------------------------------
 
     def __str__(self):
@@ -263,14 +260,6 @@ class TensorPoly(Sparse):
                                          for kv, cv in other.terms.items())))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("TensorPoly power requires a nonnegative integer")
-        result = TensorPoly.one(self.arity)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         return Sparse.__eq__(self, other) and self.arity == other.arity

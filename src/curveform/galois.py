@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freealg import NcPoly, Sparse, accumulate, word_key
-from .hopf import StructureMaps, _delta_word
+from .hopf import StructureMaps, _delta_word, apply_counit
 from .nodal import NodalAlgebra, b_decompose, b_part, pattern_words
 from .scalar import ONE, Scalar, ZERO
 
@@ -146,7 +146,7 @@ class WitnessReport:
                 "projection": self.projection.to_json()}
 
 
-def witness_check(alg: NodalAlgebra, fuel=None) -> WitnessReport:
+def witness_check(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> WitnessReport:
     """a^2 (x - q) lies in AB+ (right factor in B+) but not in B+A, so the
     two one-sided ideals differ and C is not a Hopf quotient."""
     q = alg.point.q
@@ -159,7 +159,8 @@ def witness_check(alg: NodalAlgebra, fuel=None) -> WitnessReport:
     pi_f = project_pi(f, alg, fuel)
     # membership in AB+ holds by the factorization a^2 * (x - q) once the
     # right factor is checked to lie in B+ = B /\ ker eps
-    right_factor_in_bplus = (eps_b("x", alg) - q) == ZERO
+    right_factor_in_bplus = (all(ch in "xy" for w in x_minus_q.terms for ch in w)
+                             and not apply_counit(x_minus_q, maps))
     return WitnessReport(alg.point, nf, expected,
                          in_ab_plus=right_factor_in_bplus,
                          in_b_plus_a=membership_bplus_a(f, alg, fuel),

@@ -9,11 +9,13 @@ where B is the (commutative) subalgebra generated by x and y.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import DiamondFailure
 from .freealg import ALPHABET, NcPoly, accumulate, word_key
+from .parser import parse_expr
 from .scalar import CurvePoint, ONE, Scalar
 from .rewrite import (DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem,
                       check_diamond, complete)
@@ -131,8 +133,6 @@ class NodalAlgebra:
         return self.system.normal_form(f, fuel)
 
     def parse_nf(self, text: str, fuel=None) -> NcPoly:
-        from .parser import parse_expr
-
         return self.nf(parse_expr(text, self.point), fuel)
 
 
@@ -332,8 +332,6 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
     all combined lengths <= max_len, and decompose/recompose round-trips on
     random elements.  Also records (without asserting) whether the
     right-handed products NF(tail * b-word) stay tail-pure."""
-    import random
-
     failures = []
     checked = 0
     tails = pattern_words(max_len, tail_part)

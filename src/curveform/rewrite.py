@@ -108,9 +108,6 @@ class RuleSystem:
                     return (i, idx)
         return None
 
-    def is_reducible_word(self, w: str) -> bool:
-        return self.match(w) is not None
-
     def apply_at(self, w: str, pos: int, idx: int) -> NcPoly:
         """Substitute rules[idx].lhs -> rhs at the given position of w."""
         rule = self.rules[idx]

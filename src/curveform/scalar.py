@@ -8,18 +8,12 @@ Scalar is invertible and all arithmetic stays exact.
 
 from __future__ import annotations
 
-import fractions
-
-try:
-    from gmpy2 import mpq as Fraction  # much faster exact rationals
-except ImportError:  # pragma: no cover
-    from fractions import Fraction
+from fractions import Fraction
 
 from .errors import DivisionByZero, ParameterOffCurve
 
 Rational = Fraction
-_QT = type(Fraction(0))
-_RATIONAL_TYPES = (int, _QT, fractions.Fraction)
+_RATIONAL_TYPES = (int, Fraction)
 
 
 class Scalar:
@@ -28,8 +22,8 @@ class Scalar:
     __slots__ = ("c0", "c1")
 
     def __init__(self, c0=0, c1=0):
-        object.__setattr__(self, "c0", c0 if type(c0) is _QT else Fraction(c0))
-        object.__setattr__(self, "c1", c1 if type(c1) is _QT else Fraction(c1))
+        object.__setattr__(self, "c0", c0 if type(c0) is Fraction else Fraction(c0))
+        object.__setattr__(self, "c1", c1 if type(c1) is Fraction else Fraction(c1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -93,9 +87,6 @@ class Scalar:
 
     def __bool__(self):
         return bool(self.c0) or bool(self.c1)
-
-    def is_rational(self):
-        return self.c1 == 0
 
     # -- formatting ------------------------------------------------------
 

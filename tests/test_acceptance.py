@@ -104,7 +104,7 @@ def test_criterion_09_galois(algebras, maps_by_t):
     ok = True
     for t, a in algebras.items():
         rec = galois.recovery_check(a, maps_by_t[t], max_deg=6)
-        wit = galois.witness_check(a)
+        wit = galois.witness_check(a, maps_by_t[t])
         ok = ok and rec.ok and wit.ok and bool(wit.projection)
     verdict(9, "coaction recovers B; a^2(x-q) in AB+ but not B+A", ok)
 

@@ -2,6 +2,7 @@ from curveform.freealg import NcPoly
 from curveform.galois import (CPoly, CoactionValue, coaction, eps_b,
                               membership_bplus_a, project_pi, recovery_check,
                               trivial_coaction, witness_check)
+from curveform.hopf import StructureMaps
 from curveform.parser import parse_expr
 from curveform.scalar import ONE, Scalar, ZERO
 
@@ -75,22 +76,30 @@ class TestCoaction:
 
 
 class TestWitness:
-    def test_witness_at_reference_point(self, alg):
-        report = witness_check(alg)
+    def test_witness_at_reference_point(self, alg, maps):
+        report = witness_check(alg, maps)
         assert report.ok
         assert report.normal_form == NcPoly(
             {"aaa": Scalar(10), "axa": -ONE, "xaa": -ONE, "aa": Scalar(-4)})
         # nonzero class in C: the two one-sided ideals differ
         assert report.projection
 
-    def test_witness_all_points(self, algebras):
-        for a in algebras.values():
-            assert witness_check(a).ok
+    def test_witness_all_points(self, algebras, maps_by_t):
+        for t, a in algebras.items():
+            assert witness_check(a, maps_by_t[t]).ok
 
-    def test_witness_projection_value(self, algebras):
+    def test_witness_projection_value(self, algebras, maps_by_t):
         # pi(a^2 x) - q pi(a^2) has coefficient -(1+2q) on the class [a^2]
-        for a in algebras.values():
+        for t, a in algebras.items():
             q = a.point.q
-            report = witness_check(a)
+            report = witness_check(a, maps_by_t[t])
             got = report.projection.terms.get("aa", ZERO)
             assert got == -(ONE + 2 * q)
+
+    def test_witness_fails_when_right_factor_leaves_bplus(self, alg):
+        # with eps(x) = 4 at q = 3, x - q is no longer in B+ = B /\ ker eps
+        maps = StructureMaps(alg.point)
+        maps.counit_gen["x"] = Scalar(4)
+        report = witness_check(alg, maps)
+        assert not report.in_ab_plus
+        assert not report.ok

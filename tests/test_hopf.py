@@ -1,9 +1,9 @@
 import pytest
 
 from curveform.freealg import NcPoly, TensorPoly
-from curveform.hopf import (alt_generators, apply_antipode, apply_counit,
-                            apply_delta, check_alt_presentation, check_coideal,
-                            check_hopf_axioms, check_identities,
+from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
+                            apply_counit, apply_delta, check_alt_presentation,
+                            check_coideal, check_hopf_axioms, check_identities,
                             check_welldefined, relation_polys, tensor_nf,
                             units_bounded_check, units_suite, _solve_sparse)
 from curveform.parser import parse_expr
@@ -81,6 +81,16 @@ class TestAxioms:
             report = check_hopf_axioms(algebras[t], maps_by_t[t], samples=5,
                                        max_len=4, seed=1)
             assert report.ok
+
+    def test_coassociativity_catches_a_delta_off_the_relations(self, alg):
+        # delta(y) = 1 (x) y + y (x) b is coassociative on every generator
+        # but does not respect by + yb = 2p b^2, so random elements expose it
+        maps = StructureMaps(alg.point)
+        maps.delta_gen["y"] = TensorPoly(2, {("", "y"): ONE, ("y", "b"): ONE})
+        report = check_hopf_axioms(alg, maps, samples=60, seed=42)
+        coassoc = [e for e in report.entries if e.name.startswith("coassoc ")]
+        assert all(e.ok for e in coassoc if e.name.startswith("coassoc gen "))
+        assert any(not e.ok for e in coassoc if e.name.startswith("coassoc random "))
 
 
 class TestIdentities:
