@@ -30,12 +30,15 @@ class ParseError(CurveformError, ValueError):
 
 
 class FuelExhausted(CurveformError, RuntimeError):
-    """Reduction ran out of fuel; carries the partially reduced element and step count."""
+    """Reduction ran out of fuel; carries the partially reduced element, the
+    steps taken and the step budget."""
 
-    def __init__(self, partial, steps):
+    def __init__(self, partial, steps, budget):
         self.partial = partial
         self.steps = steps
-        super().__init__(f"reduction fuel exhausted after {steps} steps")
+        self.budget = budget
+        super().__init__(f"reduction of {partial} exhausted its fuel: "
+                         f"{steps} steps taken, budget {budget}")
 
 
 class NonOrientable(CurveformError, RuntimeError):

@@ -143,7 +143,7 @@ class RuleSystem:
         while stack:
             steps += 1
             if steps > budget:
-                raise FuelExhausted(NcPoly.word(w), steps - 1)
+                raise FuelExhausted(NcPoly.word(w), steps - 1, budget)
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
@@ -193,7 +193,7 @@ class RuleSystem:
                 return f
             steps += 1
             if steps > budget:
-                raise FuelExhausted(f, steps - 1)
+                raise FuelExhausted(f, steps - 1, budget)
             w, (pos, idx) = target
             c = f.terms[w]
             rest = NcPoly({u: cu for u, cu in f.terms.items() if u != w})
@@ -347,12 +347,12 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64, fuel=None)
         log.rounds += 1
         current = RuleSystem(rules, rs.fuel_default)
         candidates = []  # (lhs_rank, witness, Rule)
-        stuck = []
+        stuck = []  # (witness, FuelExhausted)
         for amb in current.find_ambiguities():
             try:
                 diff = branch_difference(current, amb, fuel)
-            except FuelExhausted:
-                stuck.append(amb)
+            except FuelExhausted as exc:
+                stuck.append((amb.witness, exc))
                 continue
             if diff:
                 rule = orient.orient(diff)
@@ -365,7 +365,8 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64, fuel=None)
                                    amb.witness, rule))
         if not candidates:
             if stuck:
-                raise FuelExhausted(NcPoly.word(stuck[0].witness), 0)
+                witness, exc = stuck[0]
+                raise FuelExhausted(NcPoly.word(witness), exc.steps, exc.budget) from exc
             return current, log
         if len(rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")

@@ -4,6 +4,10 @@ r satisfies r^2 = r - 1 (equivalently r^2 - r + 1 = 0, so r + 1/r = 1).
 A Scalar stores c0 + c1*r with c0, c1 rational; the norm form
 c0^2 + c0*c1 + c1^2 is positive definite over Q, so every nonzero
 Scalar is invertible and all arithmetic stays exact.
+
+A coordinate is stored as an int when it is integral and as a Fraction
+only when it is not, so the common integral case runs on plain int
+arithmetic and the representation of each value is unique.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ class Scalar:
     __slots__ = ("c0", "c1")
 
     def __init__(self, c0=0, c1=0):
-        object.__setattr__(self, "c0", c0 if type(c0) is Fraction else Fraction(c0))
-        object.__setattr__(self, "c1", c1 if type(c1) is Fraction else Fraction(c1))
+        _set_c0(self, c0 if type(c0) is int else _rational(c0))
+        _set_c1(self, c1 if type(c1) is int else _rational(c1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -31,13 +35,15 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         return Scalar(self.c0 + other.c0, self.c1 + other.c1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         return Scalar(self.c0 - other.c0, self.c1 - other.c1)
 
     def __rsub__(self, other):
@@ -47,7 +53,8 @@ class Scalar:
         return Scalar(-self.c0, -self.c1)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         a1, b1 = self.c1, other.c1
         if not a1 and not b1:
             return Scalar(self.c0 * other.c0)
@@ -61,8 +68,9 @@ class Scalar:
         n = self.norm()
         if n == 0:
             raise DivisionByZero("division by zero Scalar")
-        # (c0 + c1 r)^-1 = (c0 + c1 - c1 r) / (c0^2 + c0 c1 + c1^2)
-        return Scalar((self.c0 + self.c1) / n, -self.c1 / n)
+        # (c0 + c1 r)^-1 = (c0 + c1 - c1 r) / (c0^2 + c0 c1 + c1^2);
+        # Fraction, not /, which would give a float on two ints
+        return Scalar(Fraction(self.c0 + self.c1, n), Fraction(-self.c1, n))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -76,10 +84,10 @@ class Scalar:
     # -- comparison / hashing --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, _RATIONAL_TYPES):
+        if type(other) is not Scalar:
+            if not isinstance(other, _RATIONAL_TYPES):
+                return NotImplemented
             other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return self.c0 == other.c0 and self.c1 == other.c1
 
     def __hash__(self):
@@ -105,11 +113,29 @@ class Scalar:
     # -- JSON ------------------------------------------------------------
 
     def to_json(self):
-        return {"c0": _frac_str(self.c0), "c1": _frac_str(self.c1)}
+        # str of an int or Fraction is "n" or "n/d"
+        return {"c0": str(self.c0), "c1": str(self.c1)}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(Fraction(obj["c0"]), Fraction(obj["c1"]))
+        return cls(obj["c0"], obj["c1"])
+
+
+# the slot setters: __init__ writes through them, past the __setattr__
+# that keeps Scalar immutable
+_set_c0 = Scalar.c0.__set__
+_set_c1 = Scalar.c1.__set__
+
+
+def _rational(v):
+    """The stored form of a coordinate: an int when v is integral, else a
+    Fraction.  Accepts int, Fraction and their str forms ("-2/3"); refuses
+    float, whose binary value is rarely the rational meant."""
+    if type(v) is not Fraction:
+        if isinstance(v, float):
+            raise TypeError(f"Scalar coordinates must be exact, got float {v!r}")
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _coerce(v):
@@ -118,12 +144,6 @@ def _coerce(v):
     if isinstance(v, _RATIONAL_TYPES):
         return Scalar(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to Scalar")
-
-
-def _frac_str(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 ZERO = Scalar(0)

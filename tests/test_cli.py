@@ -1,4 +1,7 @@
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +142,19 @@ class TestSuites:
         _, second, _ = run(capsys, "suite", "identities", "--json", "--seed", "42")
         assert first == second
 
+    # sha256 of `suite all --json --seed 42` stdout and its exit code at the
+    # reference points other than t = 2 (criterion 12 pins t = 2); t = 7/5
+    # mixes integral and non-integral coefficients
+    @pytest.mark.parametrize("t, digest, exit_code", [
+        ("3", "c50b292b13a03544009bc0a9e2fd77e46b87b45191f7f7678f45e326b5930aeb", 1),
+        ("1", "038a8a13f89d5d0bb857c7404febf2206659832bec028f8ba3de99272f351d97", 0),
+        ("7/5", "92a303a27b55035277dd0c795dd9710a0377d0e4359a9229d7c816a90b1b35fb", 1),
+    ])
+    def test_suite_all_digest(self, capsys, t, digest, exit_code):
+        code, out, _ = run(capsys, "suite", "all", "--json", "--seed", "42", "--t", t)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestArgHandling:
     def test_t_and_q_conflict(self, capsys):
@@ -148,6 +164,11 @@ class TestArgHandling:
     def test_rational_t(self, capsys):
         code, out, _ = run(capsys, "nf", "y^2 - x^2 - x^3", "--t", "1/2")
         assert code == 0 and out.strip() == "0"
+
+    def test_module_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "curveform", "nf", "b*b"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "a^3"
 
     def test_fuel_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CURVEFORM_FUEL", "200000")

@@ -105,6 +105,21 @@ class TestReduction:
             rs.normal_form(NcPoly.word("x"), fuel=50)
         assert exc.value.steps == 50
 
+    def test_fuel_exhaustion_names_element_and_budget(self):
+        rs = RuleSystem([Rule("x", NcPoly.word("xx"))])
+        with pytest.raises(FuelExhausted) as exc:
+            rs.normal_form(NcPoly.word("x"), fuel=50)
+        assert exc.value.budget == 50
+        assert exc.value.partial == NcPoly.word("x")
+        assert str(exc.value) == "reduction of x exhausted its fuel: 50 steps taken, budget 50"
+
+    def test_strategy_fuel_exhaustion_carries_partial(self):
+        rs = RuleSystem([Rule("yx", NcPoly.word("xy")), Rule("xy", NcPoly.word("yx"))])
+        with pytest.raises(FuelExhausted) as exc:
+            rs.normal_form_strategy(NcPoly.word("yx"), fuel=7)
+        assert (exc.value.steps, exc.value.budget) == (7, 7)
+        assert exc.value.partial == NcPoly.word("xy")
+
     def test_cache_consistency(self):
         rs = commutator_system()
         first = rs.normal_form(NcPoly.word("yxyx"))
@@ -216,3 +231,13 @@ class TestCompletion:
         policy = OrientationPolicy(is_basis_word)
         rs, log = complete(commutator_system(), policy)
         assert len(rs.rules) == 2 and not log.added
+
+    def test_stuck_witness_reports_its_fuel(self):
+        # xy -> yx and yx -> xy loop on both overlap witnesses, xyx and yxy
+        policy = OrientationPolicy(is_basis_word)
+        looping = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy"))])
+        with pytest.raises(FuelExhausted) as exc:
+            complete(looping, policy, fuel=40)
+        assert (exc.value.steps, exc.value.budget) == (40, 40)
+        assert exc.value.partial == NcPoly.word("xyx")
+        assert "budget 40" in str(exc.value)

@@ -66,6 +66,61 @@ def test_accepts_stdlib_fractions():
     assert Scalar(StdFraction(1, 2)) + Scalar(StdFraction(1, 2)) == ONE
 
 
+def test_refuses_float():
+    with pytest.raises(TypeError):
+        Scalar(0.1)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)
+    with pytest.raises(TypeError):
+        Scalar(1) + 0.5
+
+
+def test_accepts_rational_strings():
+    assert Scalar("1/2", "-3") == Scalar(StdFraction(1, 2), -3)
+    assert type(Scalar("4/2").c0) is int
+
+
+class TestRepresentation:
+    """Integral coordinates are stored as int, the others as Fraction."""
+
+    def test_integral_results_are_int(self):
+        assert type((Scalar(StdFraction(1, 2)) * 2).c0) is int
+        assert type(Scalar(StdFraction(3, 1)).c0) is int
+        assert type((Scalar(StdFraction(1, 3), StdFraction(2, 3))
+                     + Scalar(StdFraction(2, 3), StdFraction(1, 3))).c1) is int
+        assert type(Scalar(StdFraction(1, 2)).c0) is StdFraction
+
+    def test_inverse_is_exact(self):
+        inv = Scalar(2).inverse()
+        assert type(inv.c0) is StdFraction and inv.c0 == StdFraction(1, 2)
+        assert type(inv.c1) is int and inv.c1 == 0
+        assert type(Scalar(-1).inverse().c0) is int
+
+    def test_integral_fraction_and_int_agree(self):
+        a, b = Scalar(StdFraction(3, 1)), Scalar(3)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == "Scalar(3, 0)"
+        assert a.to_json() == b.to_json() == {"c0": "3", "c1": "0"}
+
+    @given(st.lists(st.one_of(st.integers(-50, 50), rationals), min_size=4, max_size=4))
+    def test_matches_fraction_reference(self, coords):
+        # reference arithmetic on pairs of Fractions, r^2 = r - 1
+        a0, a1, b0, b1 = (StdFraction(c) for c in coords)
+        a, b = Scalar(coords[0], coords[1]), Scalar(coords[2], coords[3])
+
+        def same(s, ref):
+            return (s.c0, s.c1) == ref and all(
+                type(c) is (int if c == int(c) else StdFraction) for c in (s.c0, s.c1))
+
+        assert same(a + b, (a0 + b0, a1 + b1))
+        assert same(a - b, (a0 - b0, a1 - b1))
+        assert same(a * b, (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 + a1 * b1))
+        n = a0 * a0 + a0 * a1 + a1 * a1
+        if n:
+            assert same(a.inverse(), ((a0 + a1) / n, -a1 / n))
+
+
 def test_json_round_trip():
     s = Scalar(Rational(-7, 3), Rational(22, 5))
     assert Scalar.from_json(s.to_json()) == s
