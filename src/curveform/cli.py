@@ -3,7 +3,8 @@
 Subcommands: nf, mul, suite, rules, census.  The curve point comes from
 --t (rational parameter, default 2) or from an explicit --q/--p pair, which
 must satisfy p^2 = q^2 + q^3 exactly.  CURVEFORM_FUEL overrides the default
-reduction fuel.
+reduction fuel.  Malformed input is a usage error and exits 2; a failing
+check exits 1.
 """
 
 from __future__ import annotations
@@ -14,18 +15,36 @@ import os
 import sys
 
 from . import galois, hopf
-from .errors import CurveformError
+from .errors import CurveformError, UsageError
 from .nodal import basis_census, build_algebra, growth, freeness_check
 from .parser import parse_expr
 from .printing import format_poly
 from .rewrite import DEFAULT_FUEL
-from .scalar import Fraction, Scalar, curve_point_from_t, curve_point_validate
+from .scalar import Fraction, curve_point_from_t, curve_point_validate
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _rational(text):
+    """argparse type of --t/--q/--p: an exact rational such as 2, -1/2 or 1.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
 
 def _add_common(p):
-    p.add_argument("--t", default=None, metavar="RATIONAL",
+    p.add_argument("--t", type=_rational, default=None, metavar="RATIONAL",
                    help="curve parameter t, giving (q,p) = (t^2-1, t(t^2-1)); default 2")
-    p.add_argument("--q", default=None, metavar="RATIONAL", help="explicit q coordinate")
-    p.add_argument("--p", default=None, metavar="RATIONAL", help="explicit p coordinate")
+    p.add_argument("--q", type=_rational, default=None, metavar="RATIONAL",
+                   help="explicit q coordinate")
+    p.add_argument("--p", type=_rational, default=None, metavar="RATIONAL",
+                   help="explicit p coordinate")
     p.add_argument("--fuel", type=int, default=None,
                    help=f"reduction step budget (default {DEFAULT_FUEL}, "
                         "or CURVEFORM_FUEL)")
@@ -40,7 +59,7 @@ def _add_common(p):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="curveform",
         description="Exact rewriting kernel and verification suite for the "
                     "Hopf algebra of the nodal cubic y^2 = x^2 + x^3.")
@@ -67,24 +86,28 @@ def build_parser():
 
 
 def resolve_point(args):
-    if args.q is not None or args.p is not None:
-        if args.t is not None or args.q is None or args.p is None:
-            raise SystemExit("point selection: give either --t, or both --q and --p")
-        return curve_point_validate(Scalar(Fraction(args.q)), Scalar(Fraction(args.p)))
-    t = Fraction(args.t) if args.t is not None else Fraction(2)
-    return curve_point_from_t(t)
+    """The curve point of the parsed options; main has refused mixed forms."""
+    if args.q is not None:
+        return curve_point_validate(args.q, args.p)
+    return curve_point_from_t(Fraction(2) if args.t is None else args.t)
 
 
 def resolve_fuel(args):
     if args.fuel is not None:
         return args.fuel
     env = os.environ.get("CURVEFORM_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    if not env:
+        return DEFAULT_FUEL
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"CURVEFORM_FUEL must be an integer step budget, "
+                         f"got {env!r}") from None
 
 
 def _emit(args, obj, text_lines):
     if args.json:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -144,7 +167,10 @@ def run_suites(name, alg, args, fuel):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if (args.q is None) != (args.p is None) or (args.t is not None and args.q is not None):
+        ap.error("point selection: give either --t, or both --q and --p")
     try:
         point = resolve_point(args)
         fuel = resolve_fuel(args)

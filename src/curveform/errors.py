@@ -17,6 +17,10 @@ class ParameterOffCurve(CurveformError, ValueError):
         super().__init__(f"point is off the curve, residual p^2 - q^2 - q^3 = {residual}")
 
 
+class UsageError(CurveformError, ValueError):
+    """Malformed input from the command line or the environment."""
+
+
 class ArityMismatch(CurveformError, ValueError):
     pass
 

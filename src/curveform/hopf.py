@@ -319,9 +319,9 @@ def _solve_sparse(columns, target):
         if pivot is None:
             continue
         pcols, prhs = row_items.pop(pivot)
-        pval = pcols[j]
-        pcols = {k: v / pval for k, v in pcols.items()}
-        prhs = prhs / pval
+        inv = pcols[j].inverse()
+        pcols = {k: v * inv for k, v in pcols.items()}
+        prhs = prhs * inv
         new_rows = []
         for cols, rhs in row_items:
             factor = cols.get(j)

@@ -231,11 +231,12 @@ class GrowthReport:
     max_len: int
     counts: list       # words of each exact length
     cumulative: list
-    exponent: float
+    exponent: float | None  # None below max_len 2, where no doubling exists
 
     @property
     def ok(self):
-        return abs(self.exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE
+        return (self.exponent is not None
+                and abs(self.exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE)
 
     def to_json(self):
         return {"check": "growth", "status": "pass" if self.ok else "fail",
@@ -253,7 +254,7 @@ def growth(alg: NodalAlgebra, max_len: int) -> GrowthReport:
         running += c
         cumulative.append(running)
     half = max_len // 2
-    exponent = math.log2(cumulative[2 * half] / cumulative[half]) if half >= 1 else float("nan")
+    exponent = math.log2(cumulative[2 * half] / cumulative[half]) if half >= 1 else None
     return GrowthReport(max_len, counts, cumulative, exponent)
 
 

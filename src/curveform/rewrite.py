@@ -4,6 +4,14 @@ Implements deterministic single-step reduction, fuelled normal forms with a
 word-level cache, overlap/inclusion ambiguity enumeration, diamond-lemma
 checking, and pattern-guided Knuth-Bendix-style completion.
 
+Normal forms are K-linear in the reduced element, so the word-level
+reduction runs over the field of definition of the rules: a rule
+coefficient without an r-part is kept as its rational int or Fraction, and
+K = Q(r) arithmetic enters only where an element's own Scalar coefficients
+multiply the cached normal forms of its words.  A word rewritten by a rule
+whose rhs is a single word with coefficient 1 shares that word's cached
+normal form instead of a copy.
+
 No global monomial order is assumed: termination is enforced by fuel, and
 confluence is established a posteriori by the ambiguity checks.
 """
@@ -14,9 +22,14 @@ from dataclasses import dataclass, field
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
 from .freealg import NcPoly, accumulate, word_key
-from .scalar import ONE
 
 DEFAULT_FUEL = 100_000
+
+
+def _field_coeff(c):
+    """A rule coefficient in its field of definition: the rational c0 (int
+    or Fraction) when c has no r-part, else the Scalar c itself."""
+    return c if c.c1 else c.c0
 
 
 class Rule:
@@ -91,7 +104,9 @@ class RuleSystem:
         for idx, r in enumerate(rules):
             by_first.setdefault(r.lhs[0], []).append((-len(r.lhs), idx))
         self._by_first = {ch: sorted(v) for ch, v in by_first.items()}
-        self._max_lhs = max((len(r.lhs) for r in rules), default=0)
+        # each rule's rhs as (word, coefficient) pairs for nf_word
+        self._rhs = [tuple((t, _field_coeff(c)) for t, c in r.rhs.terms.items())
+                     for r in rules]
         self._nf_cache = {}
 
     # -- matching --------------------------------------------------------
@@ -131,7 +146,16 @@ class RuleSystem:
         return None
 
     def nf_word(self, w: str, fuel=None) -> dict:
-        """Normal form of a single word as a dict {word: Scalar}; cached."""
+        """Normal form of a single word as a dict {word: coefficient}; cached.
+
+        Coefficients lie in the field of definition of the rules: int or
+        Fraction, and a Scalar only where a rule coefficient with an r-part
+        enters.
+        A word whose leftmost rule rewrites it to a single word with
+        coefficient 1 is cached as that word's dict itself, not a copy.
+        Cached dicts are therefore shared and must never be mutated once
+        inserted; callers read them and build their own results.
+        """
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
@@ -152,20 +176,22 @@ class RuleSystem:
             if children is None:
                 m = self.match(cur)
                 if m is None:
-                    cache[cur] = {cur: ONE}
+                    cache[cur] = {cur: 1}
                     stack.pop()
                     continue
                 pos, idx = m
-                rule = self.rules[idx]
-                pre, suf = cur[:pos], cur[pos + len(rule.lhs):]
-                children = [(pre + t + suf, c) for t, c in rule.rhs.terms.items()]
+                pre, suf = cur[:pos], cur[pos + len(self.rules[idx].lhs):]
+                children = [(pre + t + suf, c) for t, c in self._rhs[idx]]
                 pending[cur] = children
             missing = [cw for cw, _ in children if cw not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
-                                         for w2, c2 in cache[cw].items()))
+            if len(children) == 1 and children[0][1] == 1:
+                cache[cur] = cache[children[0][0]]
+            else:
+                cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
+                                             for w2, c2 in cache[cw].items()))
             del pending[cur]
             stack.pop()
         return cache[w]

@@ -54,6 +54,8 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is not Scalar:
+            if type(other) is int or type(other) is Fraction:
+                return Scalar(self.c0 * other, self.c1 * other)
             other = _coerce(other)
         a1, b1 = self.c1, other.c1
         if not a1 and not b1:

@@ -156,6 +156,21 @@ class TestSuites:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestGrowthUndefined:
+    @pytest.mark.parametrize("max_len", ["0", "1"])
+    def test_exponent_is_null(self, capsys, max_len):
+        code, out, _ = run(capsys, "suite", "growth", "--json", "--max-len", max_len)
+        rep = strict_json(out)["reports"][0]
+        assert code == 1 and rep["exponent"] is None and rep["status"] == "fail"
+
+
 class TestArgHandling:
     def test_t_and_q_conflict(self, capsys):
         with pytest.raises(SystemExit):
@@ -174,3 +189,19 @@ class TestArgHandling:
         monkeypatch.setenv("CURVEFORM_FUEL", "200000")
         code, out, _ = run(capsys, "nf", "b*b")
         assert code == 0 and out.strip() == "a^3"
+
+    @pytest.mark.parametrize("argv", [["--t", "abc"], ["--t", "1/0"],
+                                      ["--q", "1.5.2", "--p", "1"], ["--q", "3"]],
+                             ids=["t-abc", "t-1/0", "q-1.5.2", "q-without-p"])
+    def test_malformed_point_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "x", *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+
+    def test_malformed_fuel_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CURVEFORM_FUEL", "lots")
+        code, out, err = run(capsys, "nf", "b*b")
+        assert code == 2 and out == ""
+        assert err == "error: CURVEFORM_FUEL must be an integer step budget, got 'lots'\n"

@@ -1,11 +1,17 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveform.errors import FuelExhausted, NonOrientable
 from curveform.freealg import NcPoly
 from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
                                branch_difference, check_diamond, complete)
-from curveform.scalar import ONE, Scalar, curve_point_from_t
-from curveform.nodal import is_basis_word, seed_rules
+from curveform.scalar import ONE, R, Scalar, curve_point_from_t
+from curveform.hopf import tensor_nf
+from curveform.freealg import TensorPoly
+from curveform.nodal import build_algebra, is_basis_word, seed_rules
+from curveform.parser import parse_expr
 
 
 def commutator_system():
@@ -241,3 +247,73 @@ class TestCompletion:
         assert (exc.value.steps, exc.value.budget) == (40, 40)
         assert exc.value.partial == NcPoly.word("xyx")
         assert "budget 40" in str(exc.value)
+
+
+# -- reduction over the rules' field of definition -------------------------
+
+def r_coeff_system():
+    # ba -> r ab + 1/2 a and yx -> (2 - r) xy: no overlaps, so confluent
+    return RuleSystem([Rule("ba", NcPoly({"ab": R, "a": Scalar(Fraction(1, 2))})),
+                       Rule("yx", NcPoly.word("xy", Scalar(2, -1)))])
+
+
+# coefficients with a nonzero r-part, so that K-arithmetic enters at the boundary
+r_scalars = st.builds(Scalar, st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7)),
+                      st.integers(-5, 5).filter(bool))
+
+
+def polys(letters, max_len):
+    return st.dictionaries(st.text(letters, max_size=max_len), r_scalars,
+                           min_size=1, max_size=4).map(NcPoly)
+
+
+def cached_coeffs(rs):
+    return [c for nf in rs._nf_cache.values() for c in nf.values()]
+
+
+@pytest.fixture(scope="module")
+def alg75():
+    return build_algebra(curve_point_from_t(Fraction(7, 5)))
+
+
+class TestFieldOfDefinition:
+    @settings(max_examples=40, deadline=None)
+    @given(f=polys("xyagb", 4))
+    def test_matches_uncached_reduction_at_seven_fifths(self, alg75, f):
+        rs = alg75.system
+        assert rs.normal_form(f) == rs.normal_form_strategy(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=polys("xyab", 6))
+    def test_r_coefficient_rules(self, f):
+        rs = r_coeff_system()
+        assert rs.normal_form(f) == rs.normal_form_strategy(f)
+        assert rs.normal_form(f) == rs.normal_form_strategy(f, leftmost=False)
+
+    def test_r_coefficient_word(self):
+        rs = r_coeff_system()
+        # b a a -> r ab a + 1/2 aa -> r a (r ab + 1/2 a) + 1/2 aa
+        assert rs.normal_form(NcPoly.word("baa")) == NcPoly(
+            {"aab": R * R, "aa": R * Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 2))})
+        assert rs.nf_word("yx") == {"xy": Scalar(2, -1)}
+
+    def test_cached_coefficients_are_rational(self, algebras, alg75):
+        exprs = ["b*y*x*a^-1*y", "y^3*b^2*x", "a^-2*x*b*y*a"]
+        for alg, kinds in ((algebras[2], {int}), (alg75, {int, Fraction})):
+            for e in exprs:
+                nf = alg.nf(parse_expr(e, alg.point) * parse_expr("1 + r*x", alg.point))
+                assert all(type(c) is Scalar for c in nf.terms.values())
+            seen = {type(c) for c in cached_coeffs(alg.system)}
+            assert seen == kinds
+
+    def test_tensor_nf_returns_scalars(self, alg):
+        tp = TensorPoly(2, {("yx", "ba"): R, ("bx", "ag"): Scalar(3)})
+        out = tensor_nf(tp, alg)
+        assert out and all(type(c) is Scalar for c in out.terms.values())
+
+    def test_monomial_step_shares_child_dict(self, alg):
+        rs = alg.system
+        assert rs.nf_word("bx") is rs.nf_word("xb")
+        terms = alg.nf(NcPoly.word("bx")).terms
+        assert terms == {"xb": ONE}
+        assert not any(terms is nf for nf in rs._nf_cache.values())
