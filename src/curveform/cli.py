@@ -19,6 +19,7 @@ from .errors import CurveformError, UsageError
 from .nodal import basis_census, build_algebra, growth, freeness_check
 from .parser import parse_expr
 from .printing import format_poly
+from .report import Report
 from .rewrite import DEFAULT_FUEL
 from .scalar import Fraction, curve_point_from_t, curve_point_validate
 
@@ -38,6 +39,22 @@ def _rational(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _int_at_least(low):
+    """argparse type of an integer option whose values start at low; argparse
+    reports the ValueError of text that is not an integer as an invalid int."""
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    convert.__name__ = "int"
+    return convert
+
+
+_count = _int_at_least(0)
+_budget = _int_at_least(1)
+
+
 def _add_common(p):
     p.add_argument("--t", type=_rational, default=None, metavar="RATIONAL",
                    help="curve parameter t, giving (q,p) = (t^2-1, t(t^2-1)); default 2")
@@ -45,16 +62,16 @@ def _add_common(p):
                    help="explicit q coordinate")
     p.add_argument("--p", type=_rational, default=None, metavar="RATIONAL",
                    help="explicit p coordinate")
-    p.add_argument("--fuel", type=int, default=None,
+    p.add_argument("--fuel", type=_budget, default=None,
                    help=f"reduction step budget (default {DEFAULT_FUEL}, "
                         "or CURVEFORM_FUEL)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--max-len", type=_count, default=None,
                    help="word-length bound for census/freeness/units")
-    p.add_argument("--max-deg", type=int, default=None,
+    p.add_argument("--max-deg", type=_count, default=None,
                    help="degree bound for coideal/galois checks")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_count, default=200,
                    help="random elements for the Hopf axiom check")
 
 
@@ -99,10 +116,13 @@ def resolve_fuel(args):
     if not env:
         return DEFAULT_FUEL
     try:
-        return int(env)
+        fuel = int(env)
     except ValueError:
         raise UsageError(f"CURVEFORM_FUEL must be an integer step budget, "
                          f"got {env!r}") from None
+    if fuel < 1:
+        raise UsageError(f"CURVEFORM_FUEL must be a positive step budget, got {env!r}")
+    return fuel
 
 
 def _emit(args, obj, text_lines):
@@ -118,27 +138,17 @@ def _bound(value, default):
     return default if value is None else value
 
 
-class DiamondSummary:
-    """The diamond report as a suite prints it: counts and rule total, no entries."""
-
-    def __init__(self, alg):
-        self.report = alg.diamond_report
-        self.rules = len(alg.system.rules)
-
-    @property
-    def ok(self):
-        return self.report.ok
-
-    def to_json(self):
-        obj = self.report.to_json()
-        del obj["entries"]
-        obj.update(check="diamond", rules=self.rules)
-        return obj
+def _diamond_summary(alg):
+    """The diamond report as a suite prints it: its fields without the
+    entries, plus the verdict under "ok"."""
+    rep = alg.diamond_report
+    fields = {k: v for k, v in rep.fields.items() if k != "entries"}
+    return Report("diamond", {**fields, "ok": rep.ok}, rep.ok)
 
 
 # suite name -> reports(alg, maps, args, fuel); "all" runs them in this order
 SUITE_RUNNERS = {
-    "diamond": lambda alg, maps, args, fuel: [DiamondSummary(alg)],
+    "diamond": lambda alg, maps, args, fuel: [_diamond_summary(alg)],
     "basis": lambda alg, maps, args, fuel: [basis_census(alg, _bound(args.max_len, 6))],
     "growth": lambda alg, maps, args, fuel: [growth(alg, _bound(args.max_len, 200))],
     "freeness": lambda alg, maps, args, fuel: [freeness_check(
@@ -160,7 +170,7 @@ SUITES = (*SUITE_RUNNERS, "all")
 
 
 def run_suites(name, alg, args, fuel):
-    """Report objects (each with .ok and .to_json()) of one suite, or of all."""
+    """The reports of one suite, or of all."""
     maps = hopf.StructureMaps(alg.point)
     names = SUITE_RUNNERS if name == "all" else [name]
     return [rep for n in names for rep in SUITE_RUNNERS[n](alg, maps, args, fuel)]
@@ -205,19 +215,18 @@ def main(argv=None):
             _emit(args, rep.to_json(),
                   [f"L={i}: irreducible={a} pattern={b} enumerated={c}"
                    for i, (a, b, c) in enumerate(zip(
-                       rep.irreducible_counts, rep.pattern_scan_counts,
-                       rep.pattern_enum_counts))]
+                       rep.fields["irreducible_counts"], rep.fields["pattern_scan_counts"],
+                       rep.fields["pattern_enum_counts"]))]
                   + [f"verdict: {'pass' if rep.ok else 'fail'}"])
             return 0 if rep.ok else 1
         # suite
         alg = build_algebra(point, fuel=fuel)
         reports = run_suites(args.name, alg, args, fuel)
         all_pass = all(rep.ok for rep in reports)
-        report_json = [rep.to_json() for rep in reports]
         obj = {"point": point.to_json(), "suite": args.name, "seed": args.seed,
-               "status": "pass" if all_pass else "fail", "reports": report_json}
-        lines = [f"[{'PASS' if rep.ok else 'FAIL'}] {r['check']}"
-                 for rep, r in zip(reports, report_json)]
+               "status": "pass" if all_pass else "fail",
+               "reports": [rep.to_json() for rep in reports]}
+        lines = [f"[{'PASS' if rep.ok else 'FAIL'}] {rep.check}" for rep in reports]
         lines.append(f"suite {args.name}: {'pass' if all_pass else 'FAIL'}")
         _emit(args, obj, lines)
         return 0 if all_pass else 1

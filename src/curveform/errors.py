@@ -58,6 +58,12 @@ class LimitExceeded(CurveformError, RuntimeError):
 
 
 class DiamondFailure(CurveformError, RuntimeError):
+    """The diamond check left ambiguities unresolved; carries the report and
+    names the first unresolved ambiguity."""
+
     def __init__(self, report):
         self.report = report
-        super().__init__("diamond lemma check failed: unresolved ambiguities remain")
+        first = next(e.name for e in report.entries if not e.ok)
+        super().__init__(f"diamond lemma check failed: {report.fields['unresolved']} of "
+                         f"{report.fields['ambiguities']} ambiguities unresolved, "
+                         f"first {first}")

@@ -271,6 +271,9 @@ class TensorPoly(Sparse):
         return [(k, self.terms[k]) for k in
                 sorted(self.terms, key=lambda key: tuple(word_key(w) for w in key))]
 
+    def to_json(self):
+        return [{"coeff": c.to_json(), "words": list(k)} for k, c in self.sorted_terms()]
+
     def as_poly(self) -> NcPoly:
         if self.arity != 1:
             raise ArityMismatch("only arity-1 TensorPoly converts to NcPoly")

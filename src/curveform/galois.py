@@ -6,15 +6,15 @@ Left-freeness of A over B gives B+A as the direct sum over tails t of
 B+ * t, so the class of an element in C is computed exactly: decompose into
 B-coefficients times tails and evaluate each coefficient at (q, p).  The
 classes of the tail words (ax)^l a^m b^n form a basis of C.
+The recovery and witness checks each return a report.Report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .freealg import NcPoly, Sparse, accumulate, word_key
 from .hopf import StructureMaps, _delta_word, apply_counit
 from .nodal import NodalAlgebra, b_decompose, b_part, pattern_words
+from .report import Report
 from .scalar import ONE, Scalar, ZERO
 
 
@@ -86,67 +86,26 @@ def trivial_coaction(f: NcPoly, alg: NodalAlgebra, fuel=None) -> CoactionValue:
     return CoactionValue({("", w): c for w, c in alg.nf(f, fuel).terms.items()})
 
 
-@dataclass
-class RecoveryReport:
-    point: object
-    b_checked: int
-    non_b_checked: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_json(self):
-        return {"check": "galois_recovery", "point": self.point.to_json(),
-                "status": "pass" if self.ok else "fail",
-                "b_words_checked": self.b_checked,
-                "non_b_words_checked": self.non_b_checked,
-                "failures": self.failures[:20]}
-
-
 def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
-                   fuel=None) -> RecoveryReport:
+                   fuel=None) -> Report:
     """On basis words: lambda(f) = 1-bar (x) f exactly for the B-side, and
     never for basis words with a nontrivial tail."""
-    report = RecoveryReport(alg.point, 0, 0)
-    for bw in pattern_words(max_deg, b_part):
-        report.b_checked += 1
-        f = NcPoly.word(bw)
-        if coaction(f, alg, maps, fuel) != trivial_coaction(f, alg, fuel):
-            report.failures.append({"kind": "b_word", "word": bw})
-    for w in pattern_words(max_deg, lambda i, j, l, m, n: l or m or n):  # nontrivial tail
-        report.non_b_checked += 1
-        f = NcPoly.word(w)
-        if coaction(f, alg, maps, fuel) == trivial_coaction(f, alg, fuel):
-            report.failures.append({"kind": "non_b_word", "word": w})
-    return report
+    b_words = pattern_words(max_deg, b_part)
+    non_b_words = pattern_words(max_deg, lambda i, j, l, m, n: l or m or n)
+    failures = []
+    for kind, words, trivial in (("b_word", b_words, True),
+                                 ("non_b_word", non_b_words, False)):
+        for w in words:
+            f = NcPoly.word(w)
+            if (coaction(f, alg, maps, fuel) == trivial_coaction(f, alg, fuel)) != trivial:
+                failures.append({"kind": kind, "word": w})
+    return Report("galois_recovery", {"point": alg.point,
+                                      "b_words_checked": len(b_words),
+                                      "non_b_words_checked": len(non_b_words),
+                                      "failures": failures[:20]}, not failures)
 
 
-@dataclass
-class WitnessReport:
-    point: object
-    normal_form: NcPoly
-    expected: NcPoly
-    in_ab_plus: bool
-    in_b_plus_a: bool
-    projection: CPoly
-
-    @property
-    def ok(self):
-        return (self.normal_form == self.expected and self.in_ab_plus
-                and not self.in_b_plus_a)
-
-    def to_json(self):
-        return {"check": "galois_witness", "point": self.point.to_json(),
-                "status": "pass" if self.ok else "fail",
-                "element": "a^2*(x - q)",
-                "normal_form": self.normal_form.to_json(),
-                "in_AB+": self.in_ab_plus, "in_B+A": self.in_b_plus_a,
-                "projection": self.projection.to_json()}
-
-
-def witness_check(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> WitnessReport:
+def witness_check(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> Report:
     """a^2 (x - q) lies in AB+ (right factor in B+) but not in B+A, so the
     two one-sided ideals differ and C is not a Hopf quotient."""
     q = alg.point.q
@@ -156,12 +115,13 @@ def witness_check(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> WitnessR
     nf = alg.nf(f, fuel)
     expected = NcPoly({"xaa": -ONE, "axa": -ONE, "aa": -(ONE + q),
                        "aaa": ONE + 3 * q})
-    pi_f = project_pi(f, alg, fuel)
     # membership in AB+ holds by the factorization a^2 * (x - q) once the
     # right factor is checked to lie in B+ = B /\ ker eps
-    right_factor_in_bplus = (all(ch in "xy" for w in x_minus_q.terms for ch in w)
-                             and not apply_counit(x_minus_q, maps))
-    return WitnessReport(alg.point, nf, expected,
-                         in_ab_plus=right_factor_in_bplus,
-                         in_b_plus_a=membership_bplus_a(f, alg, fuel),
-                         projection=pi_f)
+    in_ab_plus = (all(ch in "xy" for w in x_minus_q.terms for ch in w)
+                  and not apply_counit(x_minus_q, maps))
+    in_b_plus_a = membership_bplus_a(f, alg, fuel)
+    return Report("galois_witness", {"point": alg.point, "element": "a^2*(x - q)",
+                                     "normal_form": nf, "in_AB+": in_ab_plus,
+                                     "in_B+A": in_b_plus_a,
+                                     "projection": project_pi(f, alg, fuel)},
+                  nf == expected and in_ab_plus and not in_b_plus_a)

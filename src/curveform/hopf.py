@@ -12,17 +12,18 @@ delta and S are cached per word.  The Hopf axioms are checked as
 compositions of these word maps on one coproduct delta(f): coassociativity
 applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
+Every check returns a report.Report whose entries are named residuals.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .freealg import NcPoly, TensorPoly, accumulate
 from .nodal import NodalAlgebra, b_part, pattern_words, random_poly
 from .parser import parse_expr
+from .report import Report
 from .scalar import CurvePoint, ONE, R, Scalar, ZERO
 
 
@@ -116,45 +117,6 @@ def apply_antipode(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps,
                   for s, cs in _antipode_word(w, alg, maps, fuel).terms.items())
 
 
-# -- reports -------------------------------------------------------------
-
-@dataclass
-class CheckEntry:
-    name: str
-    ok: bool
-    residual: object = None  # NcPoly | TensorPoly | Scalar | None
-
-    def to_json(self):
-        res = None
-        if self.residual is not None and self.residual:
-            if isinstance(self.residual, TensorPoly):
-                res = [{"coeff": c.to_json(), "words": list(k)}
-                       for k, c in self.residual.sorted_terms()]
-            else:
-                res = self.residual.to_json()
-        return {"name": self.name, "status": "pass" if self.ok else "fail",
-                "residual": res}
-
-
-@dataclass
-class CheckReport:
-    check: str
-    point: CurvePoint
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, residual):
-        self.entries.append(CheckEntry(name, not residual, residual))
-
-    def to_json(self):
-        return {"check": self.check, "point": self.point.to_json(),
-                "status": "pass" if self.ok else "fail",
-                "entries": [e.to_json() for e in self.entries]}
-
-
 def relation_polys(point: CurvePoint):
     """The 13 defining relations as free polynomials lhs - rhs (both inverse
     relations included; by-relation in its unfolded form)."""
@@ -176,10 +138,10 @@ def relation_polys(point: CurvePoint):
     return [(name, parse_expr(text, point)) for name, text in exprs]
 
 
-def check_welldefined(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> CheckReport:
+def check_welldefined(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> Report:
     """delta, eps and S kill every defining relation: the maps are well
     defined on the quotient algebra."""
-    report = CheckReport("welldefined", alg.point)
+    report = Report("welldefined", {"point": alg.point, "entries": []})
     for name, rel in relation_polys(alg.point):
         report.add(f"delta({name})", apply_delta(rel, alg, maps, fuel))
         report.add(f"eps({name})", apply_counit(rel, maps))
@@ -188,12 +150,12 @@ def check_welldefined(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> Chec
 
 
 def check_hopf_axioms(alg: NodalAlgebra, maps: StructureMaps, samples=200,
-                      max_len=6, seed=0, fuel=None) -> CheckReport:
+                      max_len=6, seed=0, fuel=None) -> Report:
     """Coassociativity, counit and both antipode identities, on every
     generator and on seeded random elements, each composed from the word
     maps on the one coproduct d = delta(f): (delta (x) id) d and
     (id (x) delta) d apply delta to the normal-form legs of d."""
-    report = CheckReport("hopf_axioms", alg.point)
+    report = Report("hopf_axioms", {"point": alg.point, "entries": []})
     rng = random.Random(seed)
     pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
     elements = [("gen " + ch, NcPoly.word(ch)) for ch in "xyagb"]
@@ -222,9 +184,9 @@ def check_hopf_axioms(alg: NodalAlgebra, maps: StructureMaps, samples=200,
     return report
 
 
-def check_identities(alg: NodalAlgebra, fuel=None) -> CheckReport:
+def check_identities(alg: NodalAlgebra, fuel=None) -> Report:
     """The three displayed consequences of the commutation relations."""
-    report = CheckReport("identities", alg.point)
+    report = Report("identities", {"point": alg.point, "entries": []})
     checks = [
         ("(y-pb)^2 = y^2 - p^2 b^2",
          "(y - p*b)^2 - y^2 + p^2*b^2"),
@@ -239,10 +201,10 @@ def check_identities(alg: NodalAlgebra, fuel=None) -> CheckReport:
 
 
 def check_coideal(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
-                  fuel=None) -> CheckReport:
+                  fuel=None) -> Report:
     """delta(B) is contained in B (x) A: every left tensor leg of delta on a
     B-basis word is a word in x, y only."""
-    report = CheckReport("coideal", alg.point)
+    report = Report("coideal", {"point": alg.point, "entries": []})
     for bw in pattern_words(max_deg, b_part):
         dw = _delta_word(bw, alg, maps, fuel)
         bad = TensorPoly(2, {k: c for k, c in dw.terms.items()
@@ -260,9 +222,9 @@ def alt_generators(alg: NodalAlgebra, fuel=None):
     return c, d, e
 
 
-def check_alt_presentation(alg: NodalAlgebra, fuel=None) -> CheckReport:
+def check_alt_presentation(alg: NodalAlgebra, fuel=None) -> Report:
     """All 14 relations of the presentation in a, a^-1, b, c, d, e."""
-    report = CheckReport("alt_presentation", alg.point)
+    report = Report("alt_presentation", {"point": alg.point, "entries": []})
     c, d, e = alt_generators(alg, fuel)
     a, g, b = NcPoly.word("a"), NcPoly.word("g"), NcPoly.word("b")
     one = NcPoly.one()
@@ -344,64 +306,33 @@ def _solve_sparse(columns, target):
     return [a if a is not None else ZERO for a in assignments]
 
 
-@dataclass
-class UnitsEntry:
-    element: str
-    invertible: bool
-    witness: NcPoly | None
-
-    def to_json(self):
-        return {"element": self.element, "invertible": self.invertible,
-                "witness": self.witness.to_json() if self.witness else None}
-
-
 # the group-likes times scalars invert; the rest admit no bounded inverse
 EXPECTED_UNITS = {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                   "1+x": False, "x": False, "c": False, "1+y": False}
 
 
-@dataclass
-class UnitsReport:
-    point: CurvePoint
-    max_len: int
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(e.invertible == EXPECTED_UNITS.get(e.element) for e in self.entries)
-
-    def to_json(self):
-        return {"check": "units", "point": self.point.to_json(),
-                "status": "pass" if self.ok else "fail", "max_len": self.max_len,
-                "note": "non-invertibility is bounded evidence only "
-                        f"(inverse support searched up to length {self.max_len})",
-                "entries": [e.to_json() for e in self.entries]}
-
-
-def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6,
-                        fuel=None) -> UnitsEntry:
+def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6, fuel=None):
     """Search for u with f*u = 1 supported on basis words of length <=
-    max_len, as an exact linear system.  Absence of a solution is evidence of
-    non-invertibility at the chosen bound, not a proof."""
+    max_len, as an exact linear system; return u, or None if there is none.
+    Absence of a solution is evidence of non-invertibility at the chosen
+    bound, not a proof."""
     if not f:
         raise ValueError("cannot invert the zero element")
     support = pattern_words(max_len)
     columns = [alg.nf(f * NcPoly.word(w), fuel).terms for w in support]
     solution = _solve_sparse(columns, {"": ONE})
     if solution is None:
-        return UnitsEntry(str(f), False, None)
+        return None
     witness = NcPoly({w: c for w, c in zip(support, solution)})
     # elimination can return a least-squares-like artifact only if the system
     # was inconsistent, which _solve_sparse already rejects; verify anyway
-    if alg.nf(f * witness, fuel) != NcPoly.one():
-        return UnitsEntry(str(f), False, None)
-    return UnitsEntry(str(f), True, witness)
+    return witness if alg.nf(f * witness, fuel) == NcPoly.one() else None
 
 
-def units_suite(alg: NodalAlgebra, max_len=6, fuel=None) -> UnitsReport:
+def units_suite(alg: NodalAlgebra, max_len=6, fuel=None) -> Report:
     """The reference sample: a, b, a^2 b, a^-1 b are units; 1+x, x, c,
-    1+y admit no inverse with bounded support."""
-    report = UnitsReport(alg.point, max_len)
+    1+y admit no inverse with bounded support.  The verdict is that every
+    candidate matches EXPECTED_UNITS."""
     c, _, _ = alt_generators(alg, fuel)
     candidates = [
         ("a", NcPoly.word("a")), ("b", NcPoly.word("b")),
@@ -409,8 +340,11 @@ def units_suite(alg: NodalAlgebra, max_len=6, fuel=None) -> UnitsReport:
         ("1+x", NcPoly.one() + NcPoly.word("x")), ("x", NcPoly.word("x")),
         ("c", c), ("1+y", NcPoly.one() + NcPoly.word("y")),
     ]
-    for name, f in candidates:
-        entry = units_bounded_check(alg, f, max_len, fuel)
-        entry.element = name
-        report.entries.append(entry)
-    return report
+    inverses = [(name, units_bounded_check(alg, f, max_len, fuel)) for name, f in candidates]
+    entries = [{"element": name, "invertible": inv is not None, "witness": inv}
+               for name, inv in inverses]
+    ok = all((inv is not None) == EXPECTED_UNITS[name] for name, inv in inverses)
+    return Report("units", {"point": alg.point, "max_len": max_len,
+                            "note": "non-invertibility is bounded evidence only "
+                                    f"(inverse support searched up to length {max_len})",
+                            "entries": entries}, ok)

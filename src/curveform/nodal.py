@@ -4,18 +4,19 @@ Owns the normal-form pattern x^i y^j (ax)^l a^m b^n (with a^m meaning g^-m
 for m < 0, j and n in {0, 1}), the seed relations, basis/growth counting,
 and the decomposition of elements into B-coefficients times tail words,
 where B is the (commutative) subalgebra generated by x and y.
+The census, growth and freeness checks each return a report.Report.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DiamondFailure
 from .freealg import ALPHABET, NcPoly, accumulate, word_key
 from .parser import parse_expr
+from .report import Report
 from .scalar import CurvePoint, ONE, Scalar
 from .rewrite import (DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem,
                       check_diamond, complete)
@@ -174,30 +175,11 @@ def count_basis_words(length: int) -> int:
     return total
 
 
-@dataclass
-class CensusReport:
-    max_len: int
-    irreducible_counts: list
-    pattern_scan_counts: list
-    pattern_enum_counts: list
-    mismatches: list
-    ok: bool
-
-    def to_json(self):
-        return {"check": "census", "status": "pass" if self.ok else "fail",
-                "max_len": self.max_len,
-                "irreducible_counts": self.irreducible_counts,
-                "pattern_scan_counts": self.pattern_scan_counts,
-                "pattern_enum_counts": self.pattern_enum_counts,
-                "mismatches": self.mismatches[:20]}
-
-
-def basis_census(alg: NodalAlgebra, max_len: int) -> CensusReport:
+def basis_census(alg: NodalAlgebra, max_len: int) -> Report:
     """Exhaustively scan all words of each length <= max_len and confirm
     irreducible == pattern, cross-checked against tuple-enumeration counts."""
     match = alg.system.match
     irr_counts, scan_counts, enum_counts, mismatches = [], [], [], []
-    ok = True
     for length in range(max_len + 1):
         irr = 0
         pat = 0
@@ -210,15 +192,15 @@ def basis_census(alg: NodalAlgebra, max_len: int) -> CensusReport:
             if pattern:
                 pat += 1
             if reducible == pattern:
-                ok = False
                 mismatches.append(w)
-        enum = count_basis_words(length)
         irr_counts.append(irr)
         scan_counts.append(pat)
-        enum_counts.append(enum)
-        if not (irr == pat == enum):
-            ok = False
-    return CensusReport(max_len, irr_counts, scan_counts, enum_counts, mismatches, ok)
+        enum_counts.append(count_basis_words(length))
+    ok = not mismatches and irr_counts == scan_counts == enum_counts
+    return Report("census", {"max_len": max_len, "irreducible_counts": irr_counts,
+                             "pattern_scan_counts": scan_counts,
+                             "pattern_enum_counts": enum_counts,
+                             "mismatches": mismatches[:20]}, ok)
 
 
 # GK-dimension 3: the doubling exponent must land within 3.0 +- 0.2
@@ -226,27 +208,10 @@ GROWTH_EXPONENT = 3.0
 GROWTH_TOLERANCE = 0.2
 
 
-@dataclass
-class GrowthReport:
-    max_len: int
-    counts: list       # words of each exact length
-    cumulative: list
-    exponent: float | None  # None below max_len 2, where no doubling exists
-
-    @property
-    def ok(self):
-        return (self.exponent is not None
-                and abs(self.exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE)
-
-    def to_json(self):
-        return {"check": "growth", "status": "pass" if self.ok else "fail",
-                "max_len": self.max_len, "counts": self.counts,
-                "cumulative": self.cumulative, "exponent": self.exponent}
-
-
-def growth(alg: NodalAlgebra, max_len: int) -> GrowthReport:
+def growth(alg: NodalAlgebra, max_len: int) -> Report:
     """Pattern-word counts up to max_len and the doubling-based growth
-    exponent log2(c(2L)/c(L)) at the largest available L."""
+    exponent log2(c(2L)/c(L)) at the largest available L, which must lie
+    within GROWTH_TOLERANCE of GROWTH_EXPONENT (None, below L = 2, fails)."""
     counts = [count_basis_words(length) for length in range(max_len + 1)]
     cumulative = []
     running = 0
@@ -255,7 +220,9 @@ def growth(alg: NodalAlgebra, max_len: int) -> GrowthReport:
         cumulative.append(running)
     half = max_len // 2
     exponent = math.log2(cumulative[2 * half] / cumulative[half]) if half >= 1 else None
-    return GrowthReport(max_len, counts, cumulative, exponent)
+    ok = exponent is not None and abs(exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE
+    return Report("growth", {"max_len": max_len, "counts": counts,
+                             "cumulative": cumulative, "exponent": exponent}, ok)
 
 
 # -- B-module decomposition ----------------------------------------------
@@ -301,22 +268,6 @@ def b_decompose(f: NcPoly, alg: NodalAlgebra, fuel=None) -> BDecomposition:
     return BDecomposition({t: NcPoly(d) for t, d in coeffs.items()})
 
 
-@dataclass
-class FreenessReport:
-    checked_products: int
-    roundtrip_samples: int
-    failures: list
-    right_tail_pure: bool
-    ok: bool
-
-    def to_json(self):
-        return {"check": "freeness", "status": "pass" if self.ok else "fail",
-                "checked_products": self.checked_products,
-                "roundtrip_samples": self.roundtrip_samples,
-                "right_tail_pure": self.right_tail_pure,
-                "failures": self.failures[:20]}
-
-
 def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
     """Seeded random free polynomial: up to max_terms uniform words of length
     <= max_len with coefficients drawn from coeff_pool."""
@@ -328,7 +279,7 @@ def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
 
 
 def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
-                   fuel=None) -> FreenessReport:
+                   fuel=None) -> Report:
     """Left-freeness evidence: NF(b-word * tail) is the concatenated word for
     all combined lengths <= max_len, and decompose/recompose round-trips on
     random elements.  Also records (without asserting) whether the
@@ -359,4 +310,6 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
             tails_seen = {split_pattern_word(w)[1] for w in nf.terms}
             if tails_seen != {t}:
                 right_pure = False
-    return FreenessReport(checked, samples, failures, right_pure, not failures)
+    return Report("freeness", {"checked_products": checked, "roundtrip_samples": samples,
+                               "right_tail_pure": right_pure,
+                               "failures": failures[:20]}, not failures)

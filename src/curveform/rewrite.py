@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
 from .freealg import NcPoly, accumulate, word_key
+from .report import Entry, Report
 
 DEFAULT_FUEL = 100_000
 
@@ -77,11 +78,6 @@ class Ambiguity:
     rule_right: int
     witness: str
     pos_right: int
-
-    def to_json(self):
-        return {"kind": self.kind, "rule_left": self.rule_left,
-                "rule_right": self.rule_right, "witness": self.witness,
-                "pos_right": self.pos_right}
 
 
 class RuleSystem:
@@ -263,34 +259,6 @@ class RuleSystem:
         return [r.to_json() for r in self.rules]
 
 
-@dataclass
-class DiamondEntry:
-    ambiguity: Ambiguity
-    resolved: bool
-    difference: NcPoly
-    error: str | None = None
-
-    def to_json(self):
-        obj = self.ambiguity.to_json()
-        obj["resolved"] = self.resolved
-        obj["difference"] = self.difference.to_json()
-        if self.error:
-            obj["error"] = self.error
-        return obj
-
-
-@dataclass
-class DiamondReport:
-    entries: list
-    ok: bool
-
-    def to_json(self):
-        return {"ok": self.ok,
-                "ambiguities": len(self.entries),
-                "unresolved": sum(1 for e in self.entries if not e.resolved),
-                "entries": [e.to_json() for e in self.entries]}
-
-
 def branch_difference(rs: RuleSystem, amb: Ambiguity, fuel=None):
     """NF(left branch) - NF(right branch) for an ambiguity's witness."""
     w = amb.witness
@@ -299,21 +267,23 @@ def branch_difference(rs: RuleSystem, amb: Ambiguity, fuel=None):
     return rs.normal_form(left, fuel) - rs.normal_form(right, fuel)
 
 
-def check_diamond(rs: RuleSystem, fuel=None) -> DiamondReport:
+def check_diamond(rs: RuleSystem, fuel=None) -> Report:
     """Reduce every ambiguity witness along both branches; the verdict is ok
-    iff all differences vanish (local confluence)."""
+    iff all differences vanish (local confluence).  Each entry is named by
+    its ambiguity; one whose reduction runs out of fuel fails with the error
+    message as its residual."""
+    rules = rs.rules
     entries = []
-    ok = True
     for amb in rs.find_ambiguities():
+        name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
+                f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
         try:
-            diff = branch_difference(rs, amb, fuel)
-            resolved = not diff
-            entries.append(DiamondEntry(amb, resolved, diff))
+            entries.append(Entry(name, branch_difference(rs, amb, fuel)))
         except FuelExhausted as exc:
-            entries.append(DiamondEntry(amb, False, NcPoly.zero(), error=str(exc)))
-            resolved = False
-        ok = ok and resolved
-    return DiamondReport(entries, ok)
+            entries.append(Entry(name, str(exc), ok=False))
+    return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
+                              "unresolved": sum(1 for e in entries if not e.ok),
+                              "entries": entries})
 
 
 class OrientationPolicy:

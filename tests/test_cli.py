@@ -142,14 +142,23 @@ class TestSuites:
         _, second, _ = run(capsys, "suite", "identities", "--json", "--seed", "42")
         assert first == second
 
+    def test_every_report_prints_status(self, capsys):
+        code, out, _ = run(capsys, "suite", "all", "--json", "--seed", "42")
+        obj = json.loads(out)
+        reports = obj["reports"]
+        assert len(reports) == 12
+        assert all(r["check"] and r["status"] in ("pass", "fail") for r in reports)
+        failed = any(r["status"] == "fail" for r in reports)
+        assert obj["status"] == ("fail" if failed else "pass") and code == int(failed)
+
     # sha256 of `suite all --json --seed 42` stdout and its exit code at the
     # reference points other than t = 2 (criterion 12 pins t = 2); t = 7/5
     # mixes integral and non-integral coefficients
     @pytest.mark.parametrize("t, digest, exit_code", [
-        ("3", "c50b292b13a03544009bc0a9e2fd77e46b87b45191f7f7678f45e326b5930aeb", 1),
-        ("1", "038a8a13f89d5d0bb857c7404febf2206659832bec028f8ba3de99272f351d97", 0),
-        ("7/5", "92a303a27b55035277dd0c795dd9710a0377d0e4359a9229d7c816a90b1b35fb", 1),
-    ])
+        ("3", "09981d985e47cf029e2cfd8da8b9986241976bf4f4268a73d33cf5c31e5c64b3", 1),
+        ("1", "e81506e0de1ff216bf8ad234153abeb69b3409b0e0aae333c2a3d1f16cb2dc9b", 0),
+        ("7/5", "cd53fcad4569e6ecd867b4fafd9ba624a51d0fd462f6e5098a92ab8d7903409b", 1),
+    ], ids=["3", "1", "7/5"])
     def test_suite_all_digest(self, capsys, t, digest, exit_code):
         code, out, _ = run(capsys, "suite", "all", "--json", "--seed", "42", "--t", t)
         assert code == exit_code
@@ -199,6 +208,33 @@ class TestArgHandling:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "basis", "--max-len", "-1"], ["census", "--max-len", "-2"],
+        ["suite", "freeness", "--max-len", "-1"], ["suite", "coideal", "--max-deg", "-1"],
+        ["suite", "galois", "--max-deg", "-1"], ["suite", "hopf", "--samples", "-1"],
+        ["nf", "x", "--fuel", "-5"], ["nf", "x", "--fuel", "0"]],
+        ids=["basis-max-len", "census-max-len", "freeness-max-len", "coideal-max-deg",
+             "galois-max-deg", "hopf-samples", "fuel-negative", "fuel-zero"])
+    def test_out_of_range_bound_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert len(out.err.splitlines()) == 1 and "error:" in out.err
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("env", ["-5", "0"])
+    def test_non_positive_fuel_env_is_usage_error(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("CURVEFORM_FUEL", env)
+        code, out, err = run(capsys, "nf", "b*b")
+        assert code == 2 and out == ""
+        assert err == f"error: CURVEFORM_FUEL must be a positive step budget, got {env!r}\n"
+
+    def test_zero_samples_is_honoured(self, capsys):
+        code, out, _ = run(capsys, "suite", "hopf", "--samples", "0", "--json")
+        entries = json.loads(out)["reports"][1]["entries"]
+        assert code == 0 and len(entries) == 5 * 5
 
     def test_malformed_fuel_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CURVEFORM_FUEL", "lots")

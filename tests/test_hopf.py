@@ -7,6 +7,7 @@ from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
                             check_welldefined, relation_polys, tensor_nf,
                             units_bounded_check, units_suite, _solve_sparse)
 from curveform.parser import parse_expr
+from curveform.report import Entry, Report
 from curveform.scalar import ONE, Scalar, ZERO
 
 
@@ -58,6 +59,26 @@ class TestStructureMaps:
         y = NcPoly.word("y")
         s2 = apply_antipode(apply_antipode(y, alg, maps), alg, maps)
         assert s2 != alg.nf(y)
+
+
+class TestReport:
+    def test_explicit_verdict_overrides_entries(self):
+        report = Report("demo", {"entries": [Entry("zero", NcPoly.zero())]}, ok=False)
+        assert not report.ok and report.to_json()["status"] == "fail"
+        assert Report("demo", {"entries": []}).to_json()["status"] == "pass"
+
+    def test_vanishing_residual_prints_null(self):
+        report = Report("demo", {"entries": []})
+        report.add("zero", NcPoly.zero())
+        report.add("scalar zero", ZERO)
+        assert report.ok
+        assert [e["residual"] for e in report.to_json()["entries"]] == [None, None]
+
+    def test_tensor_residual_prints_coeff_and_words(self):
+        residual = TensorPoly(2, {("x", "a"): Scalar(2)})
+        obj = Entry("tensor", residual).to_json()
+        assert obj["status"] == "fail"
+        assert obj["residual"] == [{"coeff": {"c0": "2", "c1": "0"}, "words": ["x", "a"]}]
 
 
 class TestWelldefined:
@@ -175,20 +196,18 @@ class TestUnits:
     def test_group_like_units(self, alg):
         for name, inverse in (("a", "a^-1"), ("b", "a^-3*b"), ("a^2*b", "a^-5*b")):
             f = parse_expr(name, alg.point)
-            entry = units_bounded_check(alg, alg.nf(f), max_len=6)
-            assert entry.invertible
-            assert alg.nf(f * entry.witness) == NcPoly.one()
-            assert entry.witness == alg.parse_nf(inverse)
+            witness = units_bounded_check(alg, alg.nf(f), max_len=6)
+            assert alg.nf(f * witness) == NcPoly.one()
+            assert witness == alg.parse_nf(inverse)
 
     def test_non_units_at_bound(self, alg):
         for text in ("x", "1 + x"):
-            entry = units_bounded_check(alg, alg.parse_nf(text), max_len=4)
-            assert not entry.invertible and entry.witness is None
+            assert units_bounded_check(alg, alg.parse_nf(text), max_len=4) is None
 
     def test_suite_expected_pattern(self, alg):
         # a^2 b needs the length-6 inverse a^-5 b, so bound at 6
         report = units_suite(alg, max_len=6)
-        verdicts = {e.element: e.invertible for e in report.entries}
+        verdicts = {e["element"]: e["invertible"] for e in report.entries}
         assert verdicts == {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                             "1+x": False, "x": False, "c": False, "1+y": False}
 
@@ -196,7 +215,7 @@ class TestUnits:
         assert units_suite(alg, max_len=6).to_json()["status"] == "pass"
         # with support {1} not even a and b invert, so the pattern is missed
         report = units_suite(alg, max_len=0)
-        assert not any(e.invertible for e in report.entries)
+        assert not any(e["invertible"] for e in report.entries)
         assert not report.ok and report.to_json()["status"] == "fail"
 
     def test_rejects_zero(self, alg):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveform.errors import FuelExhausted, NonOrientable
+from curveform.errors import DiamondFailure, FuelExhausted, NonOrientable
 from curveform.freealg import NcPoly
 from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
                                branch_difference, check_diamond, complete)
@@ -178,13 +178,21 @@ class TestDiamond:
                          Rule("ba", NcPoly.word("y"))])
         report = check_diamond(rs)
         assert not report.ok
-        bad = [e for e in report.entries if not e.resolved]
-        assert bad and all(e.difference for e in bad)
+        bad = [e for e in report.entries if not e.ok]
+        assert bad and all(e.residual for e in bad)
+
+    def test_failure_names_the_unresolved_ambiguity(self):
+        rs = RuleSystem([Rule("ab", NcPoly.word("x")),
+                         Rule("ba", NcPoly.word("y"))])
+        # both overlaps, aba and bab, stay unresolved
+        assert str(DiamondFailure(check_diamond(rs))) == (
+            "diamond lemma check failed: 2 of 2 ambiguities unresolved, "
+            "first overlap aba (ab@0, ba@1)")
 
     def test_report_json_counts(self):
         report = check_diamond(commutator_system())
         obj = report.to_json()
-        assert obj["ok"] and obj["unresolved"] == 0
+        assert obj["status"] == "pass" and obj["unresolved"] == 0
         assert obj["ambiguities"] == len(report.entries)
 
 
@@ -231,7 +239,7 @@ class TestCompletion:
     def test_completed_system_confluent(self, algebras):
         for a in algebras.values():
             assert a.diamond_report.ok
-            assert all(e.resolved for e in a.diamond_report.entries)
+            assert all(e.ok for e in a.diamond_report.entries)
 
     def test_already_confluent_adds_nothing(self):
         policy = OrientationPolicy(is_basis_word)
