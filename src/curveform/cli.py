@@ -184,15 +184,14 @@ def main(argv=None):
     try:
         point = resolve_point(args)
         fuel = resolve_fuel(args)
+        alg = build_algebra(point, fuel=fuel)
         if args.command == "nf":
-            alg = build_algebra(point, fuel=fuel)
             nf = alg.nf(parse_expr(args.expr, point), fuel)
             _emit(args, {"input": args.expr, "normal_form": nf.to_json(),
                          "point": point.to_json(), "rendered": format_poly(nf)},
                   [format_poly(nf)])
             return 0
         if args.command == "mul":
-            alg = build_algebra(point, fuel=fuel)
             prod = parse_expr(args.exprs[0], point)
             for e in args.exprs[1:]:
                 prod = prod * parse_expr(e, point)
@@ -202,7 +201,6 @@ def main(argv=None):
                   [format_poly(nf)])
             return 0
         if args.command == "rules":
-            alg = build_algebra(point, fuel=fuel)
             obj = {"point": point.to_json(), "rules": alg.system.to_json(),
                    "completion": alg.completion_log.to_json()}
             lines = [f"{r.lhs} -> {format_poly(r.rhs)}   [{r.origin}]"
@@ -210,7 +208,6 @@ def main(argv=None):
             _emit(args, obj, lines)
             return 0
         if args.command == "census":
-            alg = build_algebra(point, fuel=fuel)
             rep = basis_census(alg, _bound(args.max_len, 6))
             _emit(args, rep.to_json(),
                   [f"L={i}: irreducible={a} pattern={b} enumerated={c}"
@@ -220,7 +217,6 @@ def main(argv=None):
                   + [f"verdict: {'pass' if rep.ok else 'fail'}"])
             return 0 if rep.ok else 1
         # suite
-        alg = build_algebra(point, fuel=fuel)
         reports = run_suites(args.name, alg, args, fuel)
         all_pass = all(rep.ok for rep in reports)
         obj = {"point": point.to_json(), "suite": args.name, "seed": args.seed,

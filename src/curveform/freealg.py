@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch
-from .scalar import ONE, Scalar, ZERO
+from .scalar import ONE, Scalar
 
 ALPHABET = "xyagb"
 _ORD = str.maketrans(ALPHABET, "01234")
@@ -164,15 +164,9 @@ class NcPoly(Sparse):
 
     # -- queries ---------------------------------------------------------
 
-    def coeff(self, w) -> Scalar:
-        return self.terms.get(w, ZERO)
-
     def sorted_terms(self):
         """Terms in ascending graded-lex word order."""
         return [(w, self.terms[w]) for w in sorted(self.terms, key=word_key)]
-
-    def max_len(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     # -- formatting / JSON ----------------------------------------------
 

@@ -4,6 +4,7 @@ Owns the normal-form pattern x^i y^j (ax)^l a^m b^n (with a^m meaning g^-m
 for m < 0, j and n in {0, 1}), the seed relations, basis/growth counting,
 and the decomposition of elements into B-coefficients times tail words,
 where B is the (commutative) subalgebra generated by x and y.
+The pattern is the regular expression PATTERN, one group per factor.
 The census, growth and freeness checks each return a report.Report.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import product
 
 from .errors import DiamondFailure
@@ -22,41 +24,21 @@ from .rewrite import (DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem,
                       check_diamond, complete)
 
 
+# groups: x^i, y^j, (ax)^l, a^m or g^-m, b^n
+PATTERN = re.compile(r"(x*)(y?)((?:ax)*)(a*|g*)(b?)")
+
+
 def basis_index(w: str):
     """Index (i, j, l, m, n) of a pattern word, or None if w does not match."""
-    k = 0
-    n_len = len(w)
-    while k < n_len and w[k] == "x":
-        k += 1
-    i = k
-    j = 0
-    if k < n_len and w[k] == "y":
-        j = 1
-        k += 1
-    l = 0
-    while w.startswith("ax", k):
-        l += 1
-        k += 2
-    m = 0
-    if k < n_len and w[k] == "a":
-        while k < n_len and w[k] == "a":
-            m += 1
-            k += 1
-    elif k < n_len and w[k] == "g":
-        while k < n_len and w[k] == "g":
-            m -= 1
-            k += 1
-    n = 0
-    if k < n_len and w[k] == "b":
-        n = 1
-        k += 1
-    if k != n_len:
+    match = PATTERN.fullmatch(w)
+    if match is None:
         return None
-    return (i, j, l, m, n)
+    xs, y, ax, mid, b = match.groups()
+    return (len(xs), len(y), len(ax) // 2, -len(mid) if mid[:1] == "g" else len(mid), len(b))
 
 
 def is_basis_word(w: str) -> bool:
-    return basis_index(w) is not None
+    return PATTERN.fullmatch(w) is not None
 
 
 def index_word(i, j, l, m, n) -> str:
@@ -229,11 +211,11 @@ def growth(alg: NodalAlgebra, max_len: int) -> Report:
 
 def split_pattern_word(w: str):
     """Split a pattern word into (B-prefix x^i y^j, tail (ax)^l a^m b^n)."""
-    idx = basis_index(w)
-    if idx is None:
+    match = PATTERN.fullmatch(w)
+    if match is None:
         raise ValueError(f"{w!r} is not a pattern word")
-    i, j, _, _, _ = idx
-    return w[:i + j], w[i + j:]
+    cut = match.end(2)
+    return w[:cut], w[cut:]
 
 
 class BDecomposition:

@@ -4,6 +4,11 @@ Implements deterministic single-step reduction, fuelled normal forms with a
 word-level cache, overlap/inclusion ambiguity enumeration, diamond-lemma
 checking, and pattern-guided Knuth-Bendix-style completion.
 
+A rule applies at the leftmost position where some lhs occurs, and there
+the longest such lhs wins.  The lhs of a system are distinct, so this
+choice is unique; it is made by one compiled regular expression, the
+alternation of the lhs ordered longest first.
+
 Normal forms are K-linear in the reduced element, so the word-level
 reduction runs over the field of definition of the rules: a rule
 coefficient without an r-part is kept as its rational int or Fraction, and
@@ -18,10 +23,11 @@ confluence is established a posteriori by the ambiguity checks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
-from .freealg import NcPoly, accumulate, word_key
+from .freealg import NcPoly, accumulate, check_word, word_key
 from .report import Entry, Report
 
 DEFAULT_FUEL = 100_000
@@ -41,6 +47,7 @@ class Rule:
     def __init__(self, lhs: str, rhs: NcPoly, origin: str = "given"):
         if not lhs:
             raise ValueError("rule lhs must be a nonempty word")
+        check_word(lhs)
         if lhs in rhs.terms:
             raise ValueError(f"rule is not monic: lhs {lhs!r} occurs in rhs")
         if origin not in ("given", "folded", "completed"):
@@ -88,18 +95,15 @@ class RuleSystem:
 
     def __init__(self, rules, fuel_default=DEFAULT_FUEL):
         rules = tuple(rules)
-        seen = set()
-        for r in rules:
-            if r.lhs in seen:
+        self._lhs_index = {}
+        for idx, r in enumerate(rules):
+            if self._lhs_index.setdefault(r.lhs, idx) != idx:
                 raise ValueError(f"duplicate rule lhs {r.lhs!r}")
-            seen.add(r.lhs)
         self.rules = rules
         self.fuel_default = fuel_default
-        # lhs lookup bucketed by first letter, longest lhs first, ties by rule order
-        by_first = {}
-        for idx, r in enumerate(rules):
-            by_first.setdefault(r.lhs[0], []).append((-len(r.lhs), idx))
-        self._by_first = {ch: sorted(v) for ch, v in by_first.items()}
+        # alternatives are tried in order, so longest first; (?!) never matches
+        self._lhs_re = re.compile("|".join(sorted(self._lhs_index, key=len, reverse=True))
+                                  or "(?!)")
         # each rule's rhs as (word, coefficient) pairs for nf_word
         self._rhs = [tuple((t, _field_coeff(c)) for t, c in r.rhs.terms.items())
                      for r in rules]
@@ -108,16 +112,10 @@ class RuleSystem:
     # -- matching --------------------------------------------------------
 
     def match(self, w: str):
-        """Leftmost match; ties at a position broken by longest lhs then rule
-        order.  Returns (position, rule_index) or None."""
-        rules = self.rules
-        by_first = self._by_first
-        for i, ch in enumerate(w):
-            for _, idx in by_first.get(ch, ()):
-                lhs = rules[idx].lhs
-                if w.startswith(lhs, i):
-                    return (i, idx)
-        return None
+        """Leftmost match, the longest lhs winning at that position.
+        Returns (position, rule_index) or None."""
+        m = self._lhs_re.search(w)
+        return None if m is None else (m.start(), self._lhs_index[m.group()])
 
     def apply_at(self, w: str, pos: int, idx: int) -> NcPoly:
         """Substitute rules[idx].lhs -> rhs at the given position of w."""
@@ -127,12 +125,12 @@ class RuleSystem:
 
     # -- reduction -------------------------------------------------------
 
-    def reduce_once(self, f: NcPoly):
+    def reduce_once(self, f: NcPoly, leftmost=True):
         """One deterministic step: scan stored words in graded-lex order and
-        rewrite the first reducible one at its leftmost position.  Returns the
-        new polynomial, or None if f is irreducible."""
+        rewrite the first reducible one at its leftmost (or rightmost)
+        match.  Returns the new polynomial, or None if f is irreducible."""
         for w in sorted(f.terms, key=word_key):
-            m = self.match(w)
+            m = self._match_directional(w, leftmost)
             if m is None:
                 continue
             pos, idx = m
@@ -205,30 +203,22 @@ class RuleSystem:
         budget = self.fuel_default if fuel is None else fuel
         steps = 0
         while True:
-            target = None
-            for w in sorted(f.terms, key=word_key):
-                m = self._match_directional(w, leftmost)
-                if m is not None:
-                    target = (w, m)
-                    break
-            if target is None:
+            g = self.reduce_once(f, leftmost)
+            if g is None:
                 return f
             steps += 1
             if steps > budget:
                 raise FuelExhausted(f, steps - 1, budget)
-            w, (pos, idx) = target
-            c = f.terms[w]
-            rest = NcPoly({u: cu for u, cu in f.terms.items() if u != w})
-            f = rest + self.apply_at(w, pos, idx).scale(c)
+            f = g
 
     def _match_directional(self, w, leftmost):
         if leftmost:
             return self.match(w)
-        rules = self.rules
+        at = self._lhs_re.match
         for i in range(len(w) - 1, -1, -1):
-            for _, idx in self._by_first.get(w[i], ()):
-                if w.startswith(rules[idx].lhs, i):
-                    return (i, idx)
+            m = at(w, i)
+            if m is not None:
+                return (i, self._lhs_index[m.group()])
         return None
 
     # -- ambiguities -----------------------------------------------------

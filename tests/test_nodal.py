@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from curveform.freealg import NcPoly, word_key
+from curveform.freealg import ALPHABET, NcPoly, word_key
 from curveform.nodal import (b_decompose, b_part, basis_census, basis_index,
                              count_basis_words, freeness_check, growth,
                              index_word, is_basis_word, pattern_words,
@@ -33,6 +34,12 @@ class TestPattern:
             w = index_word(i, j, l, m, n)
             assert basis_index(w) == (i, j, l, m, n)
             assert is_basis_word(w)
+
+    def test_recogniser_agrees_with_enumerator(self):
+        recognised = {"".join(letters) for length in range(8)
+                      for letters in product(ALPHABET, repeat=length)
+                      if is_basis_word("".join(letters))}
+        assert recognised == set(pattern_words(7))
 
     def test_split_pattern_word(self):
         assert split_pattern_word("xxyaxab") == ("xxy", "axab")

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveform.errors import DiamondFailure, FuelExhausted, NonOrientable
-from curveform.freealg import NcPoly
+from curveform.freealg import ALPHABET, NcPoly
 from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
                                branch_difference, check_diamond, complete)
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
@@ -33,6 +34,11 @@ class TestRule:
         with pytest.raises(ValueError):
             Rule("x", NcPoly.one(), origin="guessed")
 
+    def test_rejects_lhs_letter_outside_alphabet(self):
+        # inside the lhs alternation "." would match any letter
+        with pytest.raises(ValueError, match=r"'a\.'"):
+            Rule.from_json({"lhs": "a.", "rhs": [], "origin": "given"})
+
     def test_immutable(self):
         r = Rule("x", NcPoly.one())
         with pytest.raises(AttributeError):
@@ -56,6 +62,34 @@ class TestMatching:
 
     def test_no_match(self):
         assert commutator_system().match("xxab") is None
+
+    def test_empty_system_never_matches(self):
+        rs = RuleSystem([])
+        f = NcPoly({"xy": Scalar(2), "": ONE})
+        assert rs.match("xy") is None
+        assert rs.match("") is None
+        assert rs.normal_form(f) == f
+        assert rs.normal_form_strategy(f, leftmost=False) == f
+
+    @pytest.mark.parametrize("system", ["completed", "shared_prefix"])
+    def test_match_is_leftmost_then_longest(self, algebras, system):
+        rs = algebras[2].system if system == "completed" else RuleSystem(
+            [Rule("ba", NcPoly.word("ab")), Rule("bax", NcPoly.word("xab"))])
+
+        def by_definition(w, positions):
+            for i in positions:
+                hits = [(len(r.lhs), idx) for idx, r in enumerate(rs.rules)
+                        if w.startswith(r.lhs, i)]
+                if hits:
+                    return (i, max(hits)[1])
+            return None
+
+        for length in range(7):
+            for letters in product(ALPHABET, repeat=length):
+                w = "".join(letters)
+                assert rs.match(w) == by_definition(w, range(length))
+                assert rs._match_directional(w, False) == by_definition(
+                    w, range(length - 1, -1, -1))
 
     def test_apply_at(self):
         rs = commutator_system()
