@@ -2,9 +2,10 @@
 
 Subcommands: nf, mul, suite, rules, census.  The curve point comes from
 --t (rational parameter, default 2) or from an explicit --q/--p pair, which
-must satisfy p^2 = q^2 + q^3 exactly.  CURVEFORM_FUEL overrides the default
-reduction fuel.  Malformed input is a usage error and exits 2; a failing
-check exits 1.
+must satisfy p^2 = q^2 + q^3 exactly.  --fuel, else CURVEFORM_FUEL, else
+DEFAULT_FUEL sets the reduction budget of the algebra when it is built;
+every command on that algebra spends it.  Malformed input is a usage error
+and exits 2; a failing check exits 1.
 """
 
 from __future__ import annotations
@@ -146,34 +147,32 @@ def _diamond_summary(alg):
     return Report("diamond", {**fields, "ok": rep.ok}, rep.ok)
 
 
-# suite name -> reports(alg, maps, args, fuel); "all" runs them in this order
+# suite name -> reports(alg, maps, args); "all" runs them in this order
 SUITE_RUNNERS = {
-    "diamond": lambda alg, maps, args, fuel: [_diamond_summary(alg)],
-    "basis": lambda alg, maps, args, fuel: [basis_census(alg, _bound(args.max_len, 6))],
-    "growth": lambda alg, maps, args, fuel: [growth(alg, _bound(args.max_len, 200))],
-    "freeness": lambda alg, maps, args, fuel: [freeness_check(
-        alg, _bound(args.max_len, 5), samples=100, seed=args.seed, fuel=fuel)],
-    "hopf": lambda alg, maps, args, fuel: [
-        hopf.check_welldefined(alg, maps, fuel),
-        hopf.check_hopf_axioms(alg, maps, samples=args.samples, seed=args.seed, fuel=fuel)],
-    "coideal": lambda alg, maps, args, fuel: [
-        hopf.check_coideal(alg, maps, _bound(args.max_deg, 6), fuel)],
-    "identities": lambda alg, maps, args, fuel: [hopf.check_identities(alg, fuel)],
-    "alt": lambda alg, maps, args, fuel: [hopf.check_alt_presentation(alg, fuel)],
-    "galois": lambda alg, maps, args, fuel: [
-        galois.recovery_check(alg, maps, _bound(args.max_deg, 6), fuel),
-        galois.witness_check(alg, maps, fuel)],
-    "units": lambda alg, maps, args, fuel: [
-        hopf.units_suite(alg, max_len=_bound(args.max_len, 6), fuel=fuel)],
+    "diamond": lambda alg, maps, args: [_diamond_summary(alg)],
+    "basis": lambda alg, maps, args: [basis_census(alg, _bound(args.max_len, 6))],
+    "growth": lambda alg, maps, args: [growth(alg, _bound(args.max_len, 200))],
+    "freeness": lambda alg, maps, args: [freeness_check(
+        alg, _bound(args.max_len, 5), samples=100, seed=args.seed)],
+    "hopf": lambda alg, maps, args: [
+        hopf.check_welldefined(alg, maps),
+        hopf.check_hopf_axioms(alg, maps, samples=args.samples, seed=args.seed)],
+    "coideal": lambda alg, maps, args: [hopf.check_coideal(alg, maps, _bound(args.max_deg, 6))],
+    "identities": lambda alg, maps, args: [hopf.check_identities(alg)],
+    "alt": lambda alg, maps, args: [hopf.check_alt_presentation(alg)],
+    "galois": lambda alg, maps, args: [
+        galois.recovery_check(alg, maps, _bound(args.max_deg, 6)),
+        galois.witness_check(alg, maps)],
+    "units": lambda alg, maps, args: [hopf.units_suite(alg, max_len=_bound(args.max_len, 6))],
 }
 SUITES = (*SUITE_RUNNERS, "all")
 
 
-def run_suites(name, alg, args, fuel):
+def run_suites(name, alg, args):
     """The reports of one suite, or of all."""
     maps = hopf.StructureMaps(alg.point)
     names = SUITE_RUNNERS if name == "all" else [name]
-    return [rep for n in names for rep in SUITE_RUNNERS[n](alg, maps, args, fuel)]
+    return [rep for n in names for rep in SUITE_RUNNERS[n](alg, maps, args)]
 
 
 def main(argv=None):
@@ -183,10 +182,9 @@ def main(argv=None):
         ap.error("point selection: give either --t, or both --q and --p")
     try:
         point = resolve_point(args)
-        fuel = resolve_fuel(args)
-        alg = build_algebra(point, fuel=fuel)
+        alg = build_algebra(point, resolve_fuel(args))
         if args.command == "nf":
-            nf = alg.nf(parse_expr(args.expr, point), fuel)
+            nf = alg.nf(parse_expr(args.expr, point))
             _emit(args, {"input": args.expr, "normal_form": nf.to_json(),
                          "point": point.to_json(), "rendered": format_poly(nf)},
                   [format_poly(nf)])
@@ -195,7 +193,7 @@ def main(argv=None):
             prod = parse_expr(args.exprs[0], point)
             for e in args.exprs[1:]:
                 prod = prod * parse_expr(e, point)
-            nf = alg.nf(prod, fuel)
+            nf = alg.nf(prod)
             _emit(args, {"inputs": args.exprs, "normal_form": nf.to_json(),
                          "point": point.to_json(), "rendered": format_poly(nf)},
                   [format_poly(nf)])
@@ -217,7 +215,7 @@ def main(argv=None):
                   + [f"verdict: {'pass' if rep.ok else 'fail'}"])
             return 0 if rep.ok else 1
         # suite
-        reports = run_suites(args.name, alg, args, fuel)
+        reports = run_suites(args.name, alg, args)
         all_pass = all(rep.ok for rep in reports)
         obj = {"point": point.to_json(), "suite": args.name, "seed": args.seed,
                "status": "pass" if all_pass else "fail",

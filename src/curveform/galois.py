@@ -11,7 +11,7 @@ The recovery and witness checks each return a report.Report.
 
 from __future__ import annotations
 
-from .freealg import NcPoly, Sparse, accumulate, word_key
+from .freealg import NcPoly, Sparse, TensorPoly, accumulate, word_key
 from .hopf import StructureMaps, _delta_word, apply_counit
 from .nodal import NodalAlgebra, b_decompose, b_part, pattern_words
 from .report import Report
@@ -41,9 +41,9 @@ def eps_b(bword: str, alg: NodalAlgebra) -> Scalar:
     return v
 
 
-def project_pi(f: NcPoly, alg: NodalAlgebra, fuel=None) -> CPoly:
+def project_pi(f: NcPoly, alg: NodalAlgebra) -> CPoly:
     """pi(f): evaluate each B-coefficient of the decomposition at (q, p)."""
-    dec = b_decompose(f, alg, fuel)
+    dec = b_decompose(f, alg)
     out = {}
     for tail, coeff in dec.coeffs.items():
         v = ZERO
@@ -54,40 +54,28 @@ def project_pi(f: NcPoly, alg: NodalAlgebra, fuel=None) -> CPoly:
     return CPoly(out)
 
 
-def membership_bplus_a(f: NcPoly, alg: NodalAlgebra, fuel=None) -> bool:
+def membership_bplus_a(f: NcPoly, alg: NodalAlgebra) -> bool:
     """f lies in B+A iff its projection to C vanishes."""
-    return not project_pi(f, alg, fuel)
+    return not project_pi(f, alg)
 
 
-class CoactionValue(Sparse):
-    """Element of C (x) A: Scalar combination of (tail class, word) pairs."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        keys = sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1])))
-        return [{"coeff": self.terms[k].to_json(), "tail": k[0], "word": k[1]}
-                for k in keys]
-
-
-def coaction(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps,
-             fuel=None) -> CoactionValue:
-    """lambda(f) = (pi (x) id) delta(f), right legs in normal form."""
+def coaction(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps) -> TensorPoly:
+    """lambda(f) = (pi (x) id) delta(f) in C (x) A, keyed by (tail class,
+    word), right legs in normal form."""
     acc = {}
     for w, c in f.terms.items():
-        for (u, v), cd in _delta_word(w, alg, maps, fuel).terms.items():
-            pu = project_pi(NcPoly.word(u), alg, fuel)
+        for (u, v), cd in _delta_word(w, alg, maps).terms.items():
+            pu = project_pi(NcPoly.word(u), alg)
             accumulate(acc, (((tail, v), c * cd * cp) for tail, cp in pu.terms.items()))
-    return CoactionValue(acc)
+    return TensorPoly(2, acc)
 
 
-def trivial_coaction(f: NcPoly, alg: NodalAlgebra, fuel=None) -> CoactionValue:
+def trivial_coaction(f: NcPoly, alg: NodalAlgebra) -> TensorPoly:
     """The value 1-bar (x) f that characterizes membership in B."""
-    return CoactionValue({("", w): c for w, c in alg.nf(f, fuel).terms.items()})
+    return TensorPoly(2, {("", w): c for w, c in alg.nf(f).terms.items()})
 
 
-def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
-                   fuel=None) -> Report:
+def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6) -> Report:
     """On basis words: lambda(f) = 1-bar (x) f exactly for the B-side, and
     never for basis words with a nontrivial tail."""
     b_words = pattern_words(max_deg, b_part)
@@ -97,7 +85,7 @@ def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
                                  ("non_b_word", non_b_words, False)):
         for w in words:
             f = NcPoly.word(w)
-            if (coaction(f, alg, maps, fuel) == trivial_coaction(f, alg, fuel)) != trivial:
+            if (coaction(f, alg, maps) == trivial_coaction(f, alg)) != trivial:
                 failures.append({"kind": kind, "word": w})
     return Report("galois_recovery", {"point": alg.point,
                                       "b_words_checked": len(b_words),
@@ -105,21 +93,21 @@ def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6,
                                       "failures": failures[:20]}, not failures)
 
 
-def witness_check(alg: NodalAlgebra, maps: StructureMaps, fuel=None) -> Report:
+def witness_check(alg: NodalAlgebra, maps: StructureMaps) -> Report:
     """a^2 (x - q) lies in AB+ (right factor in B+) but not in B+A, so the
     two one-sided ideals differ and C is not a Hopf quotient."""
     q = alg.point.q
     a2 = NcPoly.word("aa")
     x_minus_q = NcPoly.word("x") - NcPoly.scalar(q)
     f = a2 * x_minus_q
-    nf = alg.nf(f, fuel)
+    nf = alg.nf(f)
     expected = NcPoly({"xaa": -ONE, "axa": -ONE, "aa": -(ONE + q),
                        "aaa": ONE + 3 * q})
     # membership in AB+ holds by the factorization a^2 * (x - q) once the
     # right factor is checked to lie in B+ = B /\ ker eps
     in_ab_plus = (all(ch in "xy" for w in x_minus_q.terms for ch in w)
                   and not apply_counit(x_minus_q, maps))
-    projection = project_pi(f, alg, fuel)
+    projection = project_pi(f, alg)
     in_b_plus_a = not projection
     return Report("galois_witness", {"point": alg.point, "element": "a^2*(x - q)",
                                      "normal_form": nf, "in_AB+": in_ab_plus,

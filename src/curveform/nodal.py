@@ -112,23 +112,24 @@ class NodalAlgebra:
         self.completion_log = completion_log
         self.diamond_report = diamond_report
 
-    def nf(self, f: NcPoly, fuel=None) -> NcPoly:
-        return self.system.normal_form(f, fuel)
+    def nf(self, f: NcPoly) -> NcPoly:
+        return self.system.normal_form(f)
 
-    def parse_nf(self, text: str, fuel=None) -> NcPoly:
-        return self.nf(parse_expr(text, self.point), fuel)
+    def parse_nf(self, text: str) -> NcPoly:
+        return self.nf(parse_expr(text, self.point))
 
 
-def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL, max_rules=64) -> NodalAlgebra:
+def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     """Seed, complete, and verify the rule system at a point.
 
+    fuel is the reduction budget of the rule system, spent by its completion,
+    its diamond check and every later reduction in the algebra.
     Raises DiamondFailure if any ambiguity of the completed system fails to
     resolve, and ValueError if some completed rhs leaves the pattern span.
     """
-    seed = RuleSystem(seed_rules(point), fuel_default=fuel)
-    policy = OrientationPolicy(is_basis_word)
-    completed, log = complete(seed, policy, max_rules=max_rules, fuel=fuel)
-    report = check_diamond(completed, fuel)
+    seed = RuleSystem(seed_rules(point), fuel)
+    completed, log = complete(seed, OrientationPolicy(is_basis_word))
+    report = check_diamond(completed)
     if not report.ok:
         raise DiamondFailure(report)
     for rule in completed.rules:
@@ -141,20 +142,9 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL, max_rules=64) -> NodalAl
 # -- census and growth ---------------------------------------------------
 
 def count_basis_words(length: int) -> int:
-    """Number of pattern words of exactly the given length, counted over
-    (j, n, l) with the 2 * rem + 1 choices of m (i makes up the rest), so
-    that growth at length 200 never lists the words."""
-    total = 0
-    for j in (0, 1):
-        for n in (0, 1):
-            rem_jn = length - j - n
-            l = 0
-            while 2 * l <= rem_jn:
-                rem = rem_jn - 2 * l
-                # m ranges over |m| <= rem (i makes up the rest)
-                total += 2 * rem + 1
-                l += 1
-    return total
+    """Number of pattern words of exactly the given length L >= 0, in closed
+    form: 2L^2 + 2L + 1, so that growth at length 200 never lists the words."""
+    return 2 * length * length + 2 * length + 1
 
 
 def basis_census(alg: NodalAlgebra, max_len: int) -> Report:
@@ -240,9 +230,9 @@ class BDecomposition:
                 for t in sorted(self.coeffs, key=word_key)]
 
 
-def b_decompose(f: NcPoly, alg: NodalAlgebra, fuel=None) -> BDecomposition:
+def b_decompose(f: NcPoly, alg: NodalAlgebra) -> BDecomposition:
     """Reduce f and group its words by tail; prefixes become B-coefficients."""
-    nf = alg.nf(f, fuel)
+    nf = alg.nf(f)
     coeffs = {}
     for w, c in nf.terms.items():
         prefix, tail = split_pattern_word(w)
@@ -260,8 +250,7 @@ def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
     return NcPoly([term() for _ in range(rng.randint(1, max_terms))])
 
 
-def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
-                   fuel=None) -> Report:
+def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Report:
     """Left-freeness evidence: NF(b-word * tail) is the concatenated word for
     all combined lengths <= max_len, and decompose/recompose round-trips on
     random elements.  Also records (without asserting) whether the
@@ -274,21 +263,21 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0,
             if len(bw) + len(t) > max_len:
                 continue
             checked += 1
-            nf = alg.nf(NcPoly.word(bw + t), fuel)
+            nf = alg.nf(NcPoly.word(bw + t))
             if nf != NcPoly.word(bw + t):
                 failures.append({"kind": "concat", "b": bw, "tail": t})
     rng = random.Random(seed)
     pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
-        if b_decompose(f, alg, fuel).recompose() != alg.nf(f, fuel):
+        if b_decompose(f, alg).recompose() != alg.nf(f):
             failures.append({"kind": "roundtrip", "poly": f.to_json()})
     right_pure = True
     for bw in pattern_words(min(max_len, 4), b_part):
         for t in pattern_words(min(max_len, 4), tail_part):
             if not bw or not t:
                 continue
-            nf = alg.nf(NcPoly.word(t + bw), fuel)
+            nf = alg.nf(NcPoly.word(t + bw))
             tails_seen = {split_pattern_word(w)[1] for w in nf.terms}
             if tails_seen != {t}:
                 right_pure = False

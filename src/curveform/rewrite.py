@@ -18,7 +18,9 @@ whose rhs is a single word with coefficient 1 shares that word's cached
 normal form instead of a copy.
 
 No global monomial order is assumed: termination is enforced by fuel, and
-confluence is established a posteriori by the ambiguity checks.
+confluence is established a posteriori by the ambiguity checks.  The fuel
+is a property of the rule system, fixed when it is built: every reduction
+of a word that is not cached yet may take at most RuleSystem.fuel steps.
 """
 
 from __future__ import annotations
@@ -90,17 +92,18 @@ class Ambiguity:
 class RuleSystem:
     """Ordered list of rules with reduction and ambiguity machinery.
 
-    Immutable after construction; normal forms of words are cached.
+    Immutable after construction; normal forms of words are cached.  fuel
+    is the step budget of every reduction made with the system.
     """
 
-    def __init__(self, rules, fuel_default=DEFAULT_FUEL):
+    def __init__(self, rules, fuel=DEFAULT_FUEL):
         rules = tuple(rules)
         self._lhs_index = {}
         for idx, r in enumerate(rules):
             if self._lhs_index.setdefault(r.lhs, idx) != idx:
                 raise ValueError(f"duplicate rule lhs {r.lhs!r}")
         self.rules = rules
-        self.fuel_default = fuel_default
+        self.fuel = fuel
         # alternatives are tried in order, so longest first; (?!) never matches
         self._lhs_re = re.compile("|".join(sorted(self._lhs_index, key=len, reverse=True))
                                   or "(?!)")
@@ -139,7 +142,7 @@ class RuleSystem:
             return rest + self.apply_at(w, pos, idx).scale(c)
         return None
 
-    def nf_word(self, w: str, fuel=None) -> dict:
+    def nf_word(self, w: str) -> dict:
         """Normal form of a single word as a dict {word: coefficient}; cached.
 
         Coefficients lie in the field of definition of the rules: int or
@@ -149,12 +152,14 @@ class RuleSystem:
         coefficient 1 is cached as that word's dict itself, not a copy.
         Cached dicts are therefore shared and must never be mutated once
         inserted; callers read them and build their own results.
+        Reducing a word that is not cached yet may visit at most self.fuel
+        words; the words cached on the way cost later calls nothing.
         """
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
             return hit
-        budget = self.fuel_default if fuel is None else fuel
+        budget = self.fuel
         steps = 0
         pending = {}
         stack = [w]
@@ -190,25 +195,24 @@ class RuleSystem:
             stack.pop()
         return cache[w]
 
-    def normal_form(self, f: NcPoly, fuel=None) -> NcPoly:
+    def normal_form(self, f: NcPoly) -> NcPoly:
         """Fully reduce f.  Deterministic; equals exhaustive reduce_once
         iteration whenever the system is confluent."""
         return f._new(accumulate({}, ((w2, c * c2) for w, c in f.terms.items()
-                                      for w2, c2 in self.nf_word(w, fuel).items())))
+                                      for w2, c2 in self.nf_word(w).items())))
 
-    def normal_form_strategy(self, f: NcPoly, leftmost=True, fuel=None) -> NcPoly:
+    def normal_form_strategy(self, f: NcPoly, leftmost=True) -> NcPoly:
         """Uncached reduction applying, in every reducible word, the match at
         the leftmost (or rightmost) position.  Used for strategy-independence
         checks; no memoization so the chosen order is genuinely exercised."""
-        budget = self.fuel_default if fuel is None else fuel
         steps = 0
         while True:
             g = self.reduce_once(f, leftmost)
             if g is None:
                 return f
             steps += 1
-            if steps > budget:
-                raise FuelExhausted(f, steps - 1, budget)
+            if steps > self.fuel:
+                raise FuelExhausted(f, steps - 1, self.fuel)
             f = g
 
     def _match_directional(self, w, leftmost):
@@ -249,15 +253,15 @@ class RuleSystem:
         return [r.to_json() for r in self.rules]
 
 
-def branch_difference(rs: RuleSystem, amb: Ambiguity, fuel=None):
+def branch_difference(rs: RuleSystem, amb: Ambiguity):
     """NF(left branch) - NF(right branch) for an ambiguity's witness."""
     w = amb.witness
     left = rs.apply_at(w, 0, amb.rule_left)
     right = rs.apply_at(w, amb.pos_right, amb.rule_right)
-    return rs.normal_form(left, fuel) - rs.normal_form(right, fuel)
+    return rs.normal_form(left) - rs.normal_form(right)
 
 
-def check_diamond(rs: RuleSystem, fuel=None) -> Report:
+def check_diamond(rs: RuleSystem) -> Report:
     """Reduce every ambiguity witness along both branches; the verdict is ok
     iff all differences vanish (local confluence).  Each entry is named by
     its ambiguity; one whose reduction runs out of fuel fails with the error
@@ -268,7 +272,7 @@ def check_diamond(rs: RuleSystem, fuel=None) -> Report:
         name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
                 f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
         try:
-            entries.append(Entry(name, branch_difference(rs, amb, fuel)))
+            entries.append(Entry(name, branch_difference(rs, amb)))
         except FuelExhausted as exc:
             entries.append(Entry(name, str(exc), ok=False))
     return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
@@ -314,7 +318,7 @@ class CompletionLog:
                 "added": [{"witness": w, "rule": r.to_json()} for w, r in self.added]}
 
 
-def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64, fuel=None):
+def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     """Knuth-Bendix-style completion.
 
     Each round reduces every ambiguity witness along both branches and
@@ -323,7 +327,8 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64, fuel=None)
     small rules first keeps intermediate systems from spiralling into ever
     longer left-hand sides.  A witness whose reduction exhausts its fuel
     under the current (possibly non-terminating) intermediate system is
-    skipped for the round and retried after the next rule lands.
+    skipped for the round and retried after the next rule lands.  Every
+    intermediate system, and the result, keeps the fuel of rs.
 
     Returns (RuleSystem, CompletionLog).
     """
@@ -331,12 +336,12 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64, fuel=None)
     log = CompletionLog()
     while True:
         log.rounds += 1
-        current = RuleSystem(rules, rs.fuel_default)
+        current = RuleSystem(rules, rs.fuel)
         candidates = []  # (lhs_rank, witness, Rule)
         stuck = []  # (witness, FuelExhausted)
         for amb in current.find_ambiguities():
             try:
-                diff = branch_difference(current, amb, fuel)
+                diff = branch_difference(current, amb)
             except FuelExhausted as exc:
                 stuck.append((amb.witness, exc))
                 continue

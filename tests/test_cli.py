@@ -241,3 +241,20 @@ class TestArgHandling:
         code, out, err = run(capsys, "nf", "b*b")
         assert code == 2 and out == ""
         assert err == "error: CURVEFORM_FUEL must be an integer step budget, got 'lots'\n"
+
+    # building the algebra takes 92 steps, reducing b^6*x^6 takes 4,717
+    @pytest.mark.parametrize("source", ["option", "env"])
+    def test_fuel_bounds_every_reduction(self, capsys, monkeypatch, source):
+        argv = ["nf", "b^6*x^6"]
+        if source == "option":
+            argv += ["--fuel", "200"]
+        else:
+            monkeypatch.setenv("CURVEFORM_FUEL", "200")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: reduction of b^6*x^6 exhausted its fuel: "
+                       "200 steps taken, budget 200\n")
+
+    def test_fuel_option_large_enough(self, capsys):
+        code, out, _ = run(capsys, "nf", "b^6*x^6", "--fuel", "10000")
+        assert code == 0 and out.strip() == "x^6*a^9"

@@ -1,5 +1,5 @@
-from curveform.freealg import NcPoly
-from curveform.galois import (CPoly, CoactionValue, coaction, eps_b,
+from curveform.freealg import NcPoly, TensorPoly
+from curveform.galois import (CPoly, coaction, eps_b,
                               membership_bplus_a, project_pi, recovery_check,
                               trivial_coaction, witness_check)
 from curveform.hopf import StructureMaps
@@ -54,7 +54,7 @@ class TestCoaction:
     def test_grouplike_tail(self, alg, maps):
         # lambda(a) = [a] (x) a
         val = coaction(NcPoly.word("a"), alg, maps)
-        assert val == CoactionValue({("a", "a"): ONE})
+        assert val == TensorPoly(2, {("a", "a"): ONE})
 
     def test_b_element_is_trivial(self, alg, maps):
         f = parse_expr("x^2*y - 3*x + 1", alg.point)

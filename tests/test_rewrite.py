@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveform.errors import DiamondFailure, FuelExhausted, NonOrientable
+from curveform.errors import DiamondFailure, FuelExhausted, LimitExceeded, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly
 from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
                                branch_difference, check_diamond, complete)
@@ -140,23 +140,24 @@ class TestReduction:
         assert left == right == rs.normal_form(f)
 
     def test_fuel_exhaustion(self):
-        rs = RuleSystem([Rule("x", NcPoly.word("xx"))])
+        rs = RuleSystem([Rule("x", NcPoly.word("xx"))], fuel=50)
         with pytest.raises(FuelExhausted) as exc:
-            rs.normal_form(NcPoly.word("x"), fuel=50)
+            rs.normal_form(NcPoly.word("x"))
         assert exc.value.steps == 50
 
     def test_fuel_exhaustion_names_element_and_budget(self):
-        rs = RuleSystem([Rule("x", NcPoly.word("xx"))])
+        rs = RuleSystem([Rule("x", NcPoly.word("xx"))], fuel=50)
         with pytest.raises(FuelExhausted) as exc:
-            rs.normal_form(NcPoly.word("x"), fuel=50)
+            rs.normal_form(NcPoly.word("x"))
         assert exc.value.budget == 50
         assert exc.value.partial == NcPoly.word("x")
         assert str(exc.value) == "reduction of x exhausted its fuel: 50 steps taken, budget 50"
 
     def test_strategy_fuel_exhaustion_carries_partial(self):
-        rs = RuleSystem([Rule("yx", NcPoly.word("xy")), Rule("xy", NcPoly.word("yx"))])
+        rs = RuleSystem([Rule("yx", NcPoly.word("xy")), Rule("xy", NcPoly.word("yx"))],
+                        fuel=7)
         with pytest.raises(FuelExhausted) as exc:
-            rs.normal_form_strategy(NcPoly.word("yx"), fuel=7)
+            rs.normal_form_strategy(NcPoly.word("yx"))
         assert (exc.value.steps, exc.value.budget) == (7, 7)
         assert exc.value.partial == NcPoly.word("xy")
 
@@ -283,12 +284,24 @@ class TestCompletion:
     def test_stuck_witness_reports_its_fuel(self):
         # xy -> yx and yx -> xy loop on both overlap witnesses, xyx and yxy
         policy = OrientationPolicy(is_basis_word)
-        looping = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy"))])
+        looping = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy"))],
+                             fuel=40)
         with pytest.raises(FuelExhausted) as exc:
-            complete(looping, policy, fuel=40)
+            complete(looping, policy)
         assert (exc.value.steps, exc.value.budget) == (40, 40)
         assert exc.value.partial == NcPoly.word("xyx")
         assert "budget 40" in str(exc.value)
+
+    def test_rule_cap_raises(self):
+        # the thirteen seed rules are not confluent, so a cap of 13 is hit
+        # before the first completed rule lands
+        seed = RuleSystem(seed_rules(curve_point_from_t(2)))
+        with pytest.raises(LimitExceeded) as exc:
+            complete(seed, OrientationPolicy(is_basis_word), max_rules=13)
+        assert str(exc.value) == "completion exceeded max_rules=13"
+
+    def test_completed_system_keeps_the_seed_fuel(self):
+        assert build_algebra(curve_point_from_t(2), fuel=200).system.fuel == 200
 
 
 # -- reduction over the rules' field of definition -------------------------
