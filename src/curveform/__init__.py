@@ -13,8 +13,7 @@ from .hopf import (StructureMaps, apply_antipode, apply_counit, apply_delta,
                    check_alt_presentation, check_coideal, check_hopf_axioms,
                    check_identities, check_welldefined, units_bounded_check,
                    units_suite)
-from .galois import (CPoly, coaction, membership_bplus_a, project_pi,
-                     recovery_check, witness_check)
+from .galois import CPoly, coaction, project_pi, recovery_check, witness_check
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,6 @@ __all__ = [
     "check_diamond", "check_hopf_axioms", "check_identities",
     "check_welldefined", "coaction", "complete", "curve_point_from_t",
     "curve_point_validate", "freeness_check", "growth", "is_basis_word",
-    "membership_bplus_a", "parse_expr", "project_pi", "recovery_check",
-    "units_bounded_check", "units_suite", "witness_check",
+    "parse_expr", "project_pi", "recovery_check", "units_bounded_check",
+    "units_suite", "witness_check",
 ]

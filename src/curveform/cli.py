@@ -155,14 +155,14 @@ SUITE_RUNNERS = {
     "freeness": lambda alg, maps, args: [freeness_check(
         alg, _bound(args.max_len, 5), samples=100, seed=args.seed)],
     "hopf": lambda alg, maps, args: [
-        hopf.check_welldefined(alg, maps),
-        hopf.check_hopf_axioms(alg, maps, samples=args.samples, seed=args.seed)],
-    "coideal": lambda alg, maps, args: [hopf.check_coideal(alg, maps, _bound(args.max_deg, 6))],
+        hopf.check_welldefined(maps),
+        hopf.check_hopf_axioms(maps, samples=args.samples, seed=args.seed)],
+    "coideal": lambda alg, maps, args: [hopf.check_coideal(maps, _bound(args.max_deg, 6))],
     "identities": lambda alg, maps, args: [hopf.check_identities(alg)],
     "alt": lambda alg, maps, args: [hopf.check_alt_presentation(alg)],
     "galois": lambda alg, maps, args: [
-        galois.recovery_check(alg, maps, _bound(args.max_deg, 6)),
-        galois.witness_check(alg, maps)],
+        galois.recovery_check(maps, _bound(args.max_deg, 6)),
+        galois.witness_check(maps)],
     "units": lambda alg, maps, args: [hopf.units_suite(alg, max_len=_bound(args.max_len, 6))],
 }
 SUITES = (*SUITE_RUNNERS, "all")
@@ -170,7 +170,7 @@ SUITES = (*SUITE_RUNNERS, "all")
 
 def run_suites(name, alg, args):
     """The reports of one suite, or of all."""
-    maps = hopf.StructureMaps(alg.point)
+    maps = hopf.StructureMaps(alg)
     names = SUITE_RUNNERS if name == "all" else [name]
     return [rep for n in names for rep in SUITE_RUNNERS[n](alg, maps, args)]
 

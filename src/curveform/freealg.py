@@ -226,17 +226,6 @@ class TensorPoly(Sparse):
     def one(cls, arity):
         return cls(arity, {("",) * arity: ONE})
 
-    @classmethod
-    def of_polys(cls, *legs):
-        """Tensor product of NcPoly legs, e.g. of_polys(f, h) = f (x) h."""
-        arity = len(legs)
-        result = cls.one(arity)
-        for i, leg in enumerate(legs):
-            lifted = cls(arity, {tuple("" if j != i else w for j in range(arity)): c
-                                 for w, c in leg.terms.items()})
-            result = result * lifted
-        return result
-
     def __add__(self, other):
         self._check_arity(other)
         return Sparse.__add__(self, other)
@@ -267,11 +256,6 @@ class TensorPoly(Sparse):
 
     def to_json(self):
         return [{"coeff": c.to_json(), "words": list(k)} for k, c in self.sorted_terms()]
-
-    def as_poly(self) -> NcPoly:
-        if self.arity != 1:
-            raise ArityMismatch("only arity-1 TensorPoly converts to NcPoly")
-        return NcPoly({k[0]: c for k, c in self.terms.items()})
 
     def __repr__(self):
         parts = [f"{c} * {' (x) '.join(w or '1' for w in k)}" for k, c in self.sorted_terms()]

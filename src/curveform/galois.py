@@ -1,21 +1,23 @@
 """The quotient coalgebra C = A/B+A, projection, coaction and the
 B+A != AB+ witness.
 
-B+ is the augmentation ideal of the commutative subalgebra B = k[x, y].
-Left-freeness of A over B gives B+A as the direct sum over tails t of
-B+ * t, so the class of an element in C is computed exactly: decompose into
-B-coefficients times tails and evaluate each coefficient at (q, p).  The
-classes of the tail words (ax)^l a^m b^n form a basis of C.
+B = k[x, y] is a commutative right coideal subalgebra and B+ = B cap ker eps
+its augmentation ideal.  Left-freeness of A over B gives B+A as the direct
+sum over tails t of B+ * t, so the class of an element in C is computed
+exactly through the counit: pi sends each normal-form word x^i y^j * t to
+eps(x^i y^j) [t] = q^i p^j [t].  The classes of the tail words
+(ax)^l a^m b^n form a basis of C.  Every map reads through one
+hopf.StructureMaps, which is bound to its algebra.
 The recovery and witness checks each return a report.Report.
 """
 
 from __future__ import annotations
 
-from .freealg import NcPoly, Sparse, TensorPoly, accumulate, word_key
-from .hopf import StructureMaps, _delta_word, apply_counit
-from .nodal import NodalAlgebra, b_decompose, b_part, pattern_words
+from .freealg import NcPoly, Sparse, TensorPoly, word_key
+from .hopf import StructureMaps, _counit_word, _delta_word, apply_counit
+from .nodal import NodalAlgebra, b_part, pattern_words, split_pattern_word
 from .report import Report
-from .scalar import ONE, Scalar, ZERO
+from .scalar import ONE
 
 
 class CPoly(Sparse):
@@ -33,41 +35,26 @@ class CPoly(Sparse):
         return "CPoly<" + (" + ".join(parts) or "0") + ">"
 
 
-def eps_b(bword: str, alg: NodalAlgebra) -> Scalar:
-    """Counit of B on a word x^i y^j: q^i p^j."""
-    v = ONE
-    for ch in bword:
-        v = v * (alg.point.q if ch == "x" else alg.point.p)
-    return v
+def project_pi(f: NcPoly, maps: StructureMaps) -> CPoly:
+    """pi(f): each normal-form word prefix * tail of f goes to
+    eps(prefix) [tail]."""
+    pairs = []
+    for w, c in maps.alg.nf(f).terms.items():
+        prefix, tail = split_pattern_word(w)
+        pairs.append((tail, c * _counit_word(prefix, maps)))
+    return CPoly(pairs)
 
 
-def project_pi(f: NcPoly, alg: NodalAlgebra) -> CPoly:
-    """pi(f): evaluate each B-coefficient of the decomposition at (q, p)."""
-    dec = b_decompose(f, alg)
-    out = {}
-    for tail, coeff in dec.coeffs.items():
-        v = ZERO
-        for bw, c in coeff.terms.items():
-            v = v + c * eps_b(bw, alg)
-        if v:
-            out[tail] = v
-    return CPoly(out)
-
-
-def membership_bplus_a(f: NcPoly, alg: NodalAlgebra) -> bool:
-    """f lies in B+A iff its projection to C vanishes."""
-    return not project_pi(f, alg)
-
-
-def coaction(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps) -> TensorPoly:
+def coaction(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     """lambda(f) = (pi (x) id) delta(f) in C (x) A, keyed by (tail class,
-    word), right legs in normal form."""
-    acc = {}
+    word), right legs in normal form.  The left legs of delta are normal-form
+    words already, so pi splits each one without reducing it."""
+    pairs = []
     for w, c in f.terms.items():
-        for (u, v), cd in _delta_word(w, alg, maps).terms.items():
-            pu = project_pi(NcPoly.word(u), alg)
-            accumulate(acc, (((tail, v), c * cd * cp) for tail, cp in pu.terms.items()))
-    return TensorPoly(2, acc)
+        for (u, v), cd in _delta_word(w, maps).terms.items():
+            prefix, tail = split_pattern_word(u)
+            pairs.append(((tail, v), c * cd * _counit_word(prefix, maps)))
+    return TensorPoly(2, pairs)
 
 
 def trivial_coaction(f: NcPoly, alg: NodalAlgebra) -> TensorPoly:
@@ -75,9 +62,10 @@ def trivial_coaction(f: NcPoly, alg: NodalAlgebra) -> TensorPoly:
     return TensorPoly(2, {("", w): c for w, c in alg.nf(f).terms.items()})
 
 
-def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6) -> Report:
+def recovery_check(maps: StructureMaps, max_deg=6) -> Report:
     """On basis words: lambda(f) = 1-bar (x) f exactly for the B-side, and
     never for basis words with a nontrivial tail."""
+    alg = maps.alg
     b_words = pattern_words(max_deg, b_part)
     non_b_words = pattern_words(max_deg, lambda i, j, l, m, n: l or m or n)
     failures = []
@@ -85,7 +73,7 @@ def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6) -> Report:
                                  ("non_b_word", non_b_words, False)):
         for w in words:
             f = NcPoly.word(w)
-            if (coaction(f, alg, maps) == trivial_coaction(f, alg)) != trivial:
+            if (coaction(f, maps) == trivial_coaction(f, alg)) != trivial:
                 failures.append({"kind": kind, "word": w})
     return Report("galois_recovery", {"point": alg.point,
                                       "b_words_checked": len(b_words),
@@ -93,9 +81,10 @@ def recovery_check(alg: NodalAlgebra, maps: StructureMaps, max_deg=6) -> Report:
                                       "failures": failures[:20]}, not failures)
 
 
-def witness_check(alg: NodalAlgebra, maps: StructureMaps) -> Report:
+def witness_check(maps: StructureMaps) -> Report:
     """a^2 (x - q) lies in AB+ (right factor in B+) but not in B+A, so the
     two one-sided ideals differ and C is not a Hopf quotient."""
+    alg = maps.alg
     q = alg.point.q
     a2 = NcPoly.word("aa")
     x_minus_q = NcPoly.word("x") - NcPoly.scalar(q)
@@ -107,7 +96,7 @@ def witness_check(alg: NodalAlgebra, maps: StructureMaps) -> Report:
     # right factor is checked to lie in B+ = B /\ ker eps
     in_ab_plus = (all(ch in "xy" for w in x_minus_q.terms for ch in w)
                   and not apply_counit(x_minus_q, maps))
-    projection = project_pi(f, alg)
+    projection = project_pi(f, maps)
     in_b_plus_a = not projection
     return Report("galois_witness", {"point": alg.point, "element": "a^2*(x - q)",
                                      "normal_form": nf, "in_AB+": in_ab_plus,

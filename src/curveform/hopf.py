@@ -6,12 +6,14 @@ The generator values are:
     delta(y) = 1 (x) (y - p b) + y (x) b     eps(y) = p    S(y) = p - (y - p) b^-1
     delta(a) = a (x) a,  delta(b) = b (x) b, eps(a) = eps(b) = 1
 
-with b^-1 realized in the generators as a^-3 b (from b^2 = a^3).  delta
-extends multiplicatively, eps multiplicatively, S anti-multiplicatively;
-delta and S are cached per word.  The Hopf axioms are checked as
-compositions of these word maps on one coproduct delta(f): coassociativity
-applies delta to its normal-form legs, so it can fail for a delta that is
-coassociative on the generators but does not respect the relations.
+with b^-1 realized in the generators as a^-3 b (from b^2 = a^3).  The maps
+are bound to their algebra, StructureMaps(alg).  delta extends
+multiplicatively, eps multiplicatively, S anti-multiplicatively; delta and
+S are each one memoised recursion over words, reduced in that algebra.  The
+Hopf axioms are checked as compositions of these word maps on one coproduct
+delta(f): coassociativity applies delta to its normal-form legs, so it can
+fail for a delta that is coassociative on the generators but does not
+respect the relations.
 Every check returns a report.Report whose entries are named residuals.
 """
 
@@ -28,13 +30,14 @@ from .scalar import CurvePoint, ONE, R, Scalar, ZERO
 
 
 class StructureMaps:
-    """Generator assignments for delta, eps, S at a curve point, with caches
-    for the word-level extensions of delta and S (both reduce to normal
-    form); every Hopf-axiom check is built from these two caches."""
+    """delta, eps and S of one algebra: generator assignments at its curve
+    point, and caches of the word-level extensions of delta and S, each
+    reduced to normal form in that algebra.  Every Hopf-axiom check and the
+    Galois layer are built from these word maps."""
 
-    def __init__(self, point: CurvePoint):
-        q, p = point.q, point.p
-        self.point = point
+    def __init__(self, alg: NodalAlgebra):
+        q, p = alg.point.q, alg.point.p
+        self.alg = alg
         self.delta_gen = {
             "x": TensorPoly(2, {("", "x"): ONE, ("", "a"): -q, ("x", "a"): ONE}),
             "y": TensorPoly(2, {("", "y"): ONE, ("", "b"): -p, ("y", "b"): ONE}),
@@ -51,7 +54,7 @@ class StructureMaps:
             "g": NcPoly.word("a"),
             "b": NcPoly.word("gggb"),
         }
-        self._delta_cache = {}
+        self._delta_cache = {"": TensorPoly.one(2)}
         self._antipode_cache = {"": NcPoly.one()}
 
 
@@ -69,21 +72,20 @@ def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
     return tp._new(acc)
 
 
-def _delta_word(w: str, alg, maps) -> TensorPoly:
+def _delta_word(w: str, maps: StructureMaps) -> TensorPoly:
+    """delta on a word, multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1])."""
     cache = maps._delta_cache
     hit = cache.get(w)
     if hit is None:
-        out = TensorPoly.one(2)
-        for ch in w:
-            out = tensor_nf(out * maps.delta_gen[ch], alg)
-        cache[w] = hit = out
+        head = _delta_word(w[:-1], maps)
+        cache[w] = hit = tensor_nf(head * maps.delta_gen[w[-1]], maps.alg)
     return hit
 
 
-def apply_delta(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps) -> TensorPoly:
+def apply_delta(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     """Coproduct of f, with both tensor legs reduced to normal form."""
     return TensorPoly(2, ((k, c * cd) for w, c in f.terms.items()
-                          for k, cd in _delta_word(w, alg, maps).terms.items()))
+                          for k, cd in _delta_word(w, maps).terms.items()))
 
 
 def _counit_word(w: str, maps: StructureMaps) -> Scalar:
@@ -94,25 +96,22 @@ def _counit_word(w: str, maps: StructureMaps) -> Scalar:
 
 
 def apply_counit(f: NcPoly, maps: StructureMaps) -> Scalar:
-    total = ZERO
-    for w, c in f.terms.items():
-        total = total + c * _counit_word(w, maps)
-    return total
+    return sum((c * _counit_word(w, maps) for w, c in f.terms.items()), ZERO)
 
 
-def _antipode_word(w: str, alg, maps) -> NcPoly:
-    """S on a word, anti-multiplicatively: S(w) = S(w[-1]) ... S(w[0])."""
+def _antipode_word(w: str, maps: StructureMaps) -> NcPoly:
+    """S on a word, anti-multiplicatively: S(w) = S(w[1:]) S(w[0])."""
     cache = maps._antipode_cache
     hit = cache.get(w)
     if hit is None:
-        tail = _antipode_word(w[1:], alg, maps)
-        cache[w] = hit = alg.nf(tail * maps.antipode_gen[w[0]])
+        tail = _antipode_word(w[1:], maps)
+        cache[w] = hit = maps.alg.nf(tail * maps.antipode_gen[w[0]])
     return hit
 
 
-def apply_antipode(f: NcPoly, alg: NodalAlgebra, maps: StructureMaps) -> NcPoly:
+def apply_antipode(f: NcPoly, maps: StructureMaps) -> NcPoly:
     return NcPoly((s, c * cs) for w, c in f.terms.items()
-                  for s, cs in _antipode_word(w, alg, maps).terms.items())
+                  for s, cs in _antipode_word(w, maps).terms.items())
 
 
 def relation_polys(point: CurvePoint):
@@ -136,23 +135,24 @@ def relation_polys(point: CurvePoint):
     return [(name, parse_expr(text, point)) for name, text in exprs]
 
 
-def check_welldefined(alg: NodalAlgebra, maps: StructureMaps) -> Report:
+def check_welldefined(maps: StructureMaps) -> Report:
     """delta, eps and S kill every defining relation: the maps are well
     defined on the quotient algebra."""
-    report = Report("welldefined", {"point": alg.point, "entries": []})
-    for name, rel in relation_polys(alg.point):
-        report.add(f"delta({name})", apply_delta(rel, alg, maps))
+    point = maps.alg.point
+    report = Report("welldefined", {"point": point, "entries": []})
+    for name, rel in relation_polys(point):
+        report.add(f"delta({name})", apply_delta(rel, maps))
         report.add(f"eps({name})", apply_counit(rel, maps))
-        report.add(f"S({name})", apply_antipode(rel, alg, maps))
+        report.add(f"S({name})", apply_antipode(rel, maps))
     return report
 
 
-def check_hopf_axioms(alg: NodalAlgebra, maps: StructureMaps, samples=200,
-                      max_len=6, seed=0) -> Report:
+def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Report:
     """Coassociativity, counit and both antipode identities, on every
     generator and on seeded random elements, each composed from the word
     maps on the one coproduct d = delta(f): (delta (x) id) d and
     (id (x) delta) d apply delta to the normal-form legs of d."""
+    alg = maps.alg
     report = Report("hopf_axioms", {"point": alg.point, "entries": []})
     rng = random.Random(seed)
     pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
@@ -160,20 +160,20 @@ def check_hopf_axioms(alg: NodalAlgebra, maps: StructureMaps, samples=200,
     elements += [(f"random {i}", random_poly(rng, pool, max_len=max_len))
                  for i in range(samples)]
     for name, f in elements:
-        d = apply_delta(f, alg, maps).terms.items()
+        d = apply_delta(f, maps).terms.items()
         nf_f = alg.nf(f)
         eps_f = NcPoly.scalar(apply_counit(f, maps))
         coassoc = TensorPoly(3, chain(
             (((u1, u2, v), c * cu) for (u, v), c in d
-             for (u1, u2), cu in _delta_word(u, alg, maps).terms.items()),
+             for (u1, u2), cu in _delta_word(u, maps).terms.items()),
             (((u, v1, v2), -c * cv) for (u, v), c in d
-             for (v1, v2), cv in _delta_word(v, alg, maps).terms.items())))
+             for (v1, v2), cv in _delta_word(v, maps).terms.items())))
         counit_l = NcPoly((v, c * _counit_word(u, maps)) for (u, v), c in d)
         counit_r = NcPoly((u, c * _counit_word(v, maps)) for (u, v), c in d)
         antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
-                            for s, cs in _antipode_word(u, alg, maps).terms.items())
+                            for s, cs in _antipode_word(u, maps).terms.items())
         antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
-                            for s, cs in _antipode_word(v, alg, maps).terms.items())
+                            for s, cs in _antipode_word(v, maps).terms.items())
         report.add(f"coassoc {name}", coassoc)
         report.add(f"counit-left {name}", counit_l - nf_f)
         report.add(f"counit-right {name}", counit_r - nf_f)
@@ -198,12 +198,12 @@ def check_identities(alg: NodalAlgebra) -> Report:
     return report
 
 
-def check_coideal(alg: NodalAlgebra, maps: StructureMaps, max_deg=6) -> Report:
+def check_coideal(maps: StructureMaps, max_deg=6) -> Report:
     """delta(B) is contained in B (x) A: every left tensor leg of delta on a
     B-basis word is a word in x, y only."""
-    report = Report("coideal", {"point": alg.point, "entries": []})
+    report = Report("coideal", {"point": maps.alg.point, "entries": []})
     for bw in pattern_words(max_deg, b_part):
-        dw = _delta_word(bw, alg, maps)
+        dw = _delta_word(bw, maps)
         bad = TensorPoly(2, {k: c for k, c in dw.terms.items()
                              if any(ch not in "xy" for ch in k[0])})
         report.add(f"delta({bw or '1'}) left legs in B", bad)

@@ -16,7 +16,7 @@ import re
 from itertools import product
 
 from .errors import DiamondFailure
-from .freealg import ALPHABET, NcPoly, accumulate, word_key
+from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
 from .scalar import CurvePoint, ONE, Scalar
@@ -208,36 +208,16 @@ def split_pattern_word(w: str):
     return w[:cut], w[cut:]
 
 
-class BDecomposition:
-    """Grouping of a normal form into commutative B-coefficients times tails."""
-
-    def __init__(self, coeffs):
-        # dict tail-word -> NcPoly supported on words x^i y^j
-        self.coeffs = {t: f for t, f in coeffs.items() if f}
-
-    def recompose(self) -> NcPoly:
-        return NcPoly([(bw + t, c) for t, f in self.coeffs.items()
-                       for bw, c in f.terms.items()])
-
-    def __add__(self, other):
-        return BDecomposition(accumulate(dict(self.coeffs), other.coeffs.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, BDecomposition) and self.coeffs == other.coeffs
-
-    def to_json(self):
-        return [{"tail": t, "coeff": self.coeffs[t].to_json()}
-                for t in sorted(self.coeffs, key=word_key)]
-
-
-def b_decompose(f: NcPoly, alg: NodalAlgebra) -> BDecomposition:
-    """Reduce f and group its words by tail; prefixes become B-coefficients."""
-    nf = alg.nf(f)
+def b_decompose(f: NcPoly, alg: NodalAlgebra) -> dict:
+    """Reduce f and group its words by tail: {tail: B-coefficient}, each
+    coefficient an NcPoly in the words x^i y^j.  Left freeness of A over B
+    says f is the sum in A of coefficient * tail, with these coefficients
+    unique."""
     coeffs = {}
-    for w, c in nf.terms.items():
+    for w, c in alg.nf(f).terms.items():
         prefix, tail = split_pattern_word(w)
         coeffs.setdefault(tail, {})[prefix] = c
-    return BDecomposition({t: NcPoly(d) for t, d in coeffs.items()})
+    return {t: NcPoly(d) for t, d in coeffs.items()}
 
 
 def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
@@ -252,8 +232,9 @@ def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
 
 def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Report:
     """Left-freeness evidence: NF(b-word * tail) is the concatenated word for
-    all combined lengths <= max_len, and decompose/recompose round-trips on
-    random elements.  Also records (without asserting) whether the
+    all combined lengths <= max_len, and on random elements f the
+    decomposition multiplies back in A: sum over tails t of NF(coeff_t * t)
+    is NF(f).  Also records (without asserting) whether the
     right-handed products NF(tail * b-word) stay tail-pure."""
     failures = []
     checked = 0
@@ -270,7 +251,9 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
     pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
-        if b_decompose(f, alg).recompose() != alg.nf(f):
+        back = sum((alg.nf(coeff * NcPoly.word(t)) for t, coeff in
+                    b_decompose(f, alg).items()), NcPoly.zero())
+        if back != alg.nf(f):
             failures.append({"kind": "roundtrip", "poly": f.to_json()})
     right_pure = True
     for bw in pattern_words(min(max_len, 4), b_part):

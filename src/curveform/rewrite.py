@@ -328,7 +328,9 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     longer left-hand sides.  A witness whose reduction exhausts its fuel
     under the current (possibly non-terminating) intermediate system is
     skipped for the round and retried after the next rule lands.  Every
-    intermediate system, and the result, keeps the fuel of rs.
+    intermediate system, and the result, keeps the fuel of rs.  If the rule
+    cap is reached while witnesses are stuck, the LimitExceeded names how
+    many and chains from the first FuelExhausted.
 
     Returns (RuleSystem, CompletionLog).
     """
@@ -360,7 +362,9 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
                 raise FuelExhausted(NcPoly.word(witness), exc.steps, exc.budget) from exc
             return current, log
         if len(rules) >= max_rules:
-            raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
+            first = stuck[0][1] if stuck else None
+            detail = f" with {len(stuck)} witnesses out of fuel, first: {first}" if stuck else ""
+            raise LimitExceeded(f"completion exceeded max_rules={max_rules}{detail}") from first
         candidates.sort(key=lambda c: (c[0], word_key(c[1])))
         _, witness, rule = candidates[0]
         log.added.append((witness, rule))

@@ -26,9 +26,9 @@ def alg(algebras):
 
 @pytest.fixture(scope="session")
 def maps(alg):
-    return StructureMaps(alg.point)
+    return StructureMaps(alg)
 
 
 @pytest.fixture(scope="session")
 def maps_by_t(algebras):
-    return {t: StructureMaps(a.point) for t, a in algebras.items()}
+    return {t: StructureMaps(a) for t, a in algebras.items()}

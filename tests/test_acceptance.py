@@ -42,20 +42,19 @@ def test_criterion_01_diamond(algebras):
             f"{len(algebras)} points, {time.time() - t0:.1f}s")
 
 
-def test_criterion_02_welldefined(algebras, maps_by_t):
+def test_criterion_02_welldefined(maps_by_t):
     ok = True
-    for t, a in algebras.items():
-        report = hopf.check_welldefined(a, maps_by_t[t])
+    for maps in maps_by_t.values():
+        report = hopf.check_welldefined(maps)
         ok = ok and report.ok and len(report.entries) == 39
     verdict(2, "delta/eps/S kill all 13 relations at all points", ok)
 
 
-def test_criterion_03_hopf_axioms(algebras, maps_by_t):
+def test_criterion_03_hopf_axioms(maps_by_t):
     t0 = time.time()
     ok = True
-    for t, a in algebras.items():
-        report = hopf.check_hopf_axioms(a, maps_by_t[t], samples=200,
-                                        max_len=6, seed=42)
+    for maps in maps_by_t.values():
+        report = hopf.check_hopf_axioms(maps, samples=200, max_len=6, seed=42)
         ok = ok and report.ok
     verdict(3, "Hopf axioms on generators and 200 random elements per point",
             ok, f"{time.time() - t0:.1f}s")
@@ -94,18 +93,18 @@ def test_criterion_07_freeness(alg):
             f"{report.fields['checked_products']} products")
 
 
-def test_criterion_08_coideal(algebras, maps_by_t):
+def test_criterion_08_coideal(maps_by_t):
     ok = True
-    for t, a in algebras.items():
-        ok = ok and hopf.check_coideal(a, maps_by_t[t], max_deg=6).ok
+    for maps in maps_by_t.values():
+        ok = ok and hopf.check_coideal(maps, max_deg=6).ok
     verdict(8, "delta(B) has left legs in B up to degree 6", ok)
 
 
-def test_criterion_09_galois(algebras, maps_by_t):
+def test_criterion_09_galois(maps_by_t):
     ok = True
-    for t, a in algebras.items():
-        rec = galois.recovery_check(a, maps_by_t[t], max_deg=6)
-        wit = galois.witness_check(a, maps_by_t[t])
+    for maps in maps_by_t.values():
+        rec = galois.recovery_check(maps, max_deg=6)
+        wit = galois.witness_check(maps)
         ok = ok and rec.ok and wit.ok and bool(wit.fields["projection"])
     verdict(9, "coaction recovers B; a^2(x-q) in AB+ but not B+A", ok)
 

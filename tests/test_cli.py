@@ -255,6 +255,13 @@ class TestArgHandling:
         assert err == ("error: reduction of b^6*x^6 exhausted its fuel: "
                        "200 steps taken, budget 200\n")
 
+    def test_tiny_fuel_is_reported_at_the_rule_cap(self, capsys):
+        # completion stops at its rule cap with witnesses out of fuel, and
+        # the error names the first of them
+        code, out, err = run(capsys, "nf", "x", "--fuel", "1")
+        assert code == 2 and out == ""
+        assert "max_rules=64" in err and "budget 1" in err
+
     def test_fuel_option_large_enough(self, capsys):
         code, out, _ = run(capsys, "nf", "b^6*x^6", "--fuel", "10000")
         assert code == 0 and out.strip() == "x^6*a^9"

@@ -113,10 +113,8 @@ class TestTensorPoly:
 
     @given(polys, polys)
     def test_legs_commute(self, f, h):
-        left = TensorPoly.of_polys(f, NcPoly.one())
-        right = TensorPoly.of_polys(NcPoly.one(), h)
-        assert left * right == right * left == TensorPoly.of_polys(f, h)
-
-    def test_as_poly(self):
-        f = NcPoly({"xa": Scalar(3)})
-        assert TensorPoly.of_polys(f).as_poly() == f
+        left = TensorPoly(2, {(u, ""): c for u, c in f.terms.items()})
+        right = TensorPoly(2, {("", v): c for v, c in h.terms.items()})
+        both = TensorPoly(2, {(u, v): cu * cv for u, cu in f.terms.items()
+                              for v, cv in h.terms.items()})
+        assert left * right == right * left == both
