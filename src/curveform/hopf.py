@@ -9,11 +9,12 @@ The generator values are:
 with b^-1 realized in the generators as a^-3 b (from b^2 = a^3).  The maps
 are bound to their algebra, StructureMaps(alg).  delta extends
 multiplicatively, eps multiplicatively, S anti-multiplicatively; delta and
-S are each one memoised recursion over words, reduced in that algebra.  The
-Hopf axioms are checked as compositions of these word maps on one coproduct
-delta(f): coassociativity applies delta to its normal-form legs, so it can
-fail for a delta that is coassociative on the generators but does not
-respect the relations.
+S are each one memoised recursion over words, reduced in that algebra and
+run as a loop from the longest cached prefix (for S, suffix), so a long
+word costs no recursion depth.  The Hopf axioms are checked as
+compositions of these word maps on one coproduct delta(f): coassociativity
+applies delta to its normal-form legs, so it can fail for a delta that is
+coassociative on the generators but does not respect the relations.
 Every check returns a report.Report whose entries are named residuals.
 """
 
@@ -73,12 +74,15 @@ def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
 
 
 def _delta_word(w: str, maps: StructureMaps) -> TensorPoly:
-    """delta on a word, multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1])."""
+    """delta on a word, multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1]),
+    built up from the longest cached prefix of w, caching every longer one."""
     cache = maps._delta_cache
-    hit = cache.get(w)
-    if hit is None:
-        head = _delta_word(w[:-1], maps)
-        cache[w] = hit = tensor_nf(head * maps.delta_gen[w[-1]], maps.alg)
+    n = len(w)
+    while w[:n] not in cache:
+        n -= 1
+    hit = cache[w[:n]]
+    for i in range(n, len(w)):
+        cache[w[:i + 1]] = hit = tensor_nf(hit * maps.delta_gen[w[i]], maps.alg)
     return hit
 
 
@@ -100,12 +104,15 @@ def apply_counit(f: NcPoly, maps: StructureMaps) -> Scalar:
 
 
 def _antipode_word(w: str, maps: StructureMaps) -> NcPoly:
-    """S on a word, anti-multiplicatively: S(w) = S(w[1:]) S(w[0])."""
+    """S on a word, anti-multiplicatively: S(w) = S(w[1:]) S(w[0]), built up
+    from the longest cached suffix of w, caching every longer one."""
     cache = maps._antipode_cache
-    hit = cache.get(w)
-    if hit is None:
-        tail = _antipode_word(w[1:], maps)
-        cache[w] = hit = maps.alg.nf(tail * maps.antipode_gen[w[0]])
+    n = 0
+    while w[n:] not in cache:
+        n += 1
+    hit = cache[w[n:]]
+    for i in range(n - 1, -1, -1):
+        cache[w[i:]] = hit = maps.alg.nf(hit * maps.antipode_gen[w[i]])
     return hit
 
 

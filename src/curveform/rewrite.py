@@ -9,6 +9,14 @@ the longest such lhs wins.  The lhs of a system are distinct, so this
 choice is unique; it is made by one compiled regular expression, the
 alternation of the lhs ordered longest first.
 
+Normal forms of words are computed prefix first: a word w = h.l reduces
+through the normal form of its head h, as NF(h).l, and only a word whose
+head is irreducible is matched, where every match ends at the last letter.
+So the cache holds the prefixes of the reduced words and words of the form
+"normal word times one letter", which products of normal forms share.  Any
+reduction order gives a reduct; on a confluent system the normal form does
+not depend on it.
+
 Normal forms are K-linear in the reduced element, so the word-level
 reduction runs over the field of definition of the rules: a rule
 coefficient without an r-part is kept as its rational int or Fraction, and
@@ -110,7 +118,7 @@ class RuleSystem:
         # each rule's rhs as (word, coefficient) pairs for nf_word
         self._rhs = [tuple((t, _field_coeff(c)) for t, c in r.rhs.terms.items())
                      for r in rules]
-        self._nf_cache = {}
+        self._nf_cache = {"": {"": 1}}
 
     # -- matching --------------------------------------------------------
 
@@ -145,11 +153,15 @@ class RuleSystem:
     def nf_word(self, w: str) -> dict:
         """Normal form of a single word as a dict {word: coefficient}; cached.
 
+        Prefix first: the normal form of w is that of its head w[:-1] times
+        its last letter, each term reduced again; a word with an irreducible
+        head is rewritten at its leftmost match.  Every prefix of w is
+        cached on the way.
         Coefficients lie in the field of definition of the rules: int or
         Fraction, and a Scalar only where a rule coefficient with an r-part
         enters.
-        A word whose leftmost rule rewrites it to a single word with
-        coefficient 1 is cached as that word's dict itself, not a copy.
+        A word that one step rewrites to a single word with coefficient 1
+        is cached as that word's dict itself, not a copy.
         Cached dicts are therefore shared and must never be mutated once
         inserted; callers read them and build their own results.
         Reducing a word that is not cached yet may visit at most self.fuel
@@ -173,14 +185,24 @@ class RuleSystem:
                 continue
             children = pending.get(cur)
             if children is None:
-                m = self.match(cur)
-                if m is None:
-                    cache[cur] = {cur: 1}
-                    stack.pop()
+                head = cur[:-1]
+                head_nf = cache.get(head)
+                if head_nf is None:
+                    stack.append(head)
                     continue
-                pos, idx = m
-                pre, suf = cur[:pos], cur[pos + len(self.rules[idx].lhs):]
-                children = [(pre + t + suf, c) for t, c in self._rhs[idx]]
+                if head in head_nf:
+                    # only an irreducible word occurs in its own normal form;
+                    # every match of cur then ends at its last letter
+                    m = self.match(cur)
+                    if m is None:
+                        cache[cur] = {cur: 1}
+                        stack.pop()
+                        continue
+                    pos, idx = m
+                    children = [(cur[:pos] + t, c) for t, c in self._rhs[idx]]
+                else:
+                    last = cur[-1]
+                    children = [(n + last, c) for n, c in head_nf.items()]
                 pending[cur] = children
             missing = [cw for cw, _ in children if cw not in cache]
             if missing:

@@ -74,6 +74,21 @@ class TestRules:
         assert len(obj["rules"]) == 17
         assert len(obj["completion"]["added"]) == 4
 
+    # sha256 of `rules --json` stdout: the completed rules and the completion
+    # log, which depend on the reduction order of the intermediate systems
+    @pytest.mark.parametrize("t, digest", [
+        ("2", "85086a165f3f5b5201a2ad880c2f1e7792fbec10c435488d79295b7abc84d093"),
+        ("3", "c7b0f8ec6b9165b9ea372bc15651b367488f97b25eb6c062122d72b01c74f81d"),
+        ("1", "5b38ff166d8d7cb5fe4cfe808c28df8443cddde5a8dab45f2a7102c590240061"),
+        ("0", "f1e333ccd1451fca8077dd57aa99af74eb5b9d9d5b2e02aed068ed3fde3b717f"),
+        ("7/5", "2d5ad349468bbd92a1f30918b5dc155050647d63cf6d9d3495f30a84c7c39e69"),
+        ("-1/2", "65e7d421a84c9fe2007272a6d0c8d2743dded549c2130bd782403aa7db131be2"),
+    ], ids=["2", "3", "1", "0", "7/5", "-1/2"])
+    def test_rules_json_digest(self, capsys, t, digest):
+        code, out, _ = run(capsys, "rules", "--json", f"--t={t}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCensus:
     def test_counts(self, capsys):
@@ -242,7 +257,7 @@ class TestArgHandling:
         assert code == 2 and out == ""
         assert err == "error: CURVEFORM_FUEL must be an integer step budget, got 'lots'\n"
 
-    # building the algebra takes 92 steps, reducing b^6*x^6 takes 4,717
+    # building the algebra takes 100 steps, reducing b^6*x^6 on it takes 412
     @pytest.mark.parametrize("source", ["option", "env"])
     def test_fuel_bounds_every_reduction(self, capsys, monkeypatch, source):
         argv = ["nf", "b^6*x^6"]
@@ -255,12 +270,12 @@ class TestArgHandling:
         assert err == ("error: reduction of b^6*x^6 exhausted its fuel: "
                        "200 steps taken, budget 200\n")
 
-    def test_tiny_fuel_is_reported_at_the_rule_cap(self, capsys):
-        # completion stops at its rule cap with witnesses out of fuel, and
-        # the error names the first of them
+    def test_tiny_fuel_is_reported_as_fuel(self, capsys):
+        # below the build's need no witness resolves, so completion stops on
+        # the first stuck one, not at its rule cap
         code, out, err = run(capsys, "nf", "x", "--fuel", "1")
         assert code == 2 and out == ""
-        assert "max_rules=64" in err and "budget 1" in err
+        assert err == "error: reduction of y^2*x exhausted its fuel: 1 steps taken, budget 1\n"
 
     def test_fuel_option_large_enough(self, capsys):
         code, out, _ = run(capsys, "nf", "b^6*x^6", "--fuel", "10000")

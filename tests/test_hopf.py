@@ -54,6 +54,15 @@ class TestStructureMaps:
         sa = apply_antipode(NcPoly.word("a"), maps)
         assert apply_antipode(f, maps) == alg.nf(sa * sx)
 
+    def test_long_word_builds_every_prefix_without_recursion(self, alg):
+        # 1,200 letters exceed Python's default recursion limit of 1,000
+        maps = StructureMaps(alg)
+        a, g = "a" * 1200, "g" * 1200
+        assert apply_delta(NcPoly.word(a), maps) == TensorPoly(2, {(a, a): ONE})
+        assert apply_antipode(NcPoly.word(a), maps) == NcPoly.word(g)
+        assert all(a[:i] in maps._delta_cache for i in range(1201))
+        assert all(a[i:] in maps._antipode_cache for i in range(1201))
+
     def test_antipode_squared_is_not_identity_on_y(self, alg, maps):
         # S has infinite order here; S^2(y) = y only at p = 0
         y = NcPoly.word("y")

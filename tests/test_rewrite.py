@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curveform.errors import DiamondFailure, FuelExhausted, LimitExceeded, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly
@@ -300,6 +300,20 @@ class TestCompletion:
             complete(seed, OrientationPolicy(is_basis_word), max_rules=13)
         assert str(exc.value) == "completion exceeded max_rules=13"
 
+    def test_rule_cap_names_the_stuck_witnesses(self):
+        # the xy/yx loop leaves two witnesses stuck while ab -> x and bg -> y
+        # keep adding rules, until the cap of four is reached
+        policy = OrientationPolicy(is_basis_word)
+        rs = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy")),
+                         Rule("ab", NcPoly.word("x")), Rule("bg", NcPoly.word("y"))],
+                        fuel=40)
+        with pytest.raises(LimitExceeded) as exc:
+            complete(rs, policy, max_rules=4)
+        assert str(exc.value) == (
+            "completion exceeded max_rules=4 with 2 witnesses out of fuel, first: "
+            "reduction of y*x^2 exhausted its fuel: 40 steps taken, budget 40")
+        assert isinstance(exc.value.__cause__, FuelExhausted)
+
     def test_completed_system_keeps_the_seed_fuel(self):
         assert build_algebra(curve_point_from_t(2), fuel=200).system.fuel == 200
 
@@ -372,3 +386,40 @@ class TestFieldOfDefinition:
         terms = alg.nf(NcPoly.word("bx")).terms
         assert terms == {"xb": ONE}
         assert not any(terms is nf for nf in rs._nf_cache.values())
+
+
+# -- prefix-first reduction ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def systems_by_t(alg, alg75):
+    return {"2": alg.system, "7/5": alg75.system}
+
+
+class TestPrefixFirst:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.sampled_from(["2", "7/5"]), w=st.text("xyagb", max_size=8))
+    def test_matches_leftmost_and_rightmost_reduction(self, systems_by_t, t, w):
+        rs = systems_by_t[t]
+        # the uncached strategies take over 100,000 steps on some words of
+        # this length (rightmost on xgyyax at t = 2); such words are skipped
+        reference = RuleSystem(rs.rules, fuel=2_000)
+        try:
+            left = reference.normal_form_strategy(NcPoly.word(w))
+            right = reference.normal_form_strategy(NcPoly.word(w), leftmost=False)
+        except FuelExhausted:
+            assume(False)
+        assert NcPoly(rs.nf_word(w)) == left == right
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.text("xyagb", max_size=12))
+    def test_every_prefix_is_cached(self, alg, w):
+        rs = RuleSystem(alg.system.rules)
+        rs.nf_word(w)
+        assert all(w[:i] in rs._nf_cache for i in range(len(w) + 1))
+
+    def test_caches_prefixes_and_normal_word_times_a_letter(self, alg):
+        # the head bb of bbx reduces to aaa, so bbx reduces through aaax,
+        # the normal word aaa times the letter x
+        rs = RuleSystem(alg.system.rules)
+        assert rs.nf_word("bbx") == alg.system.nf_word("aaax")
+        assert {"", "b", "bb", "bbx", "aaax"} <= set(rs._nf_cache)
