@@ -15,7 +15,10 @@ word costs no recursion depth.  The Hopf axioms are checked as
 compositions of these word maps on one coproduct delta(f): coassociativity
 applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
-Every check returns a report.Report whose entries are named residuals.
+Every check returns a report.Report whose entries are named residuals.  In
+check_welldefined, check_hopf_axioms and check_coideal a reduction that runs
+out of fuel fails the entries it was computing, with the FuelExhausted as
+their residual, and the check goes on.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import random
 from itertools import chain
 
+from .errors import FuelExhausted
 from .freealg import NcPoly, TensorPoly, accumulate
 from .nodal import NodalAlgebra, b_part, pattern_words, random_poly
 from .parser import parse_expr
@@ -142,16 +146,31 @@ def relation_polys(point: CurvePoint):
     return [(name, parse_expr(text, point)) for name, text in exprs]
 
 
+def _add_element(report, names, residuals):
+    """Add one entry per name, with the residuals computed by residuals().
+    If that computation runs out of fuel, each of these entries fails with
+    the FuelExhausted as its residual, and the check goes on."""
+    try:
+        values = residuals()
+    except FuelExhausted as exc:
+        values = [exc] * len(names)
+    for name, value in zip(names, values):
+        report.add(name, value)
+
+
 def check_welldefined(maps: StructureMaps) -> Report:
     """delta, eps and S kill every defining relation: the maps are well
     defined on the quotient algebra."""
     point = maps.alg.point
     report = Report("welldefined", {"point": point, "entries": []})
     for name, rel in relation_polys(point):
-        report.add(f"delta({name})", apply_delta(rel, maps))
-        report.add(f"eps({name})", apply_counit(rel, maps))
-        report.add(f"S({name})", apply_antipode(rel, maps))
+        for kind, apply in (("delta", apply_delta), ("eps", apply_counit),
+                            ("S", apply_antipode)):
+            _add_element(report, [f"{kind}({name})"], lambda: [apply(rel, maps)])
     return report
+
+
+HOPF_AXIOMS = ("coassoc", "counit-left", "counit-right", "antipode-left", "antipode-right")
 
 
 def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Report:
@@ -167,26 +186,30 @@ def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Re
     elements += [(f"random {i}", random_poly(rng, pool, max_len=max_len))
                  for i in range(samples)]
     for name, f in elements:
-        d = apply_delta(f, maps).terms.items()
-        nf_f = alg.nf(f)
-        eps_f = NcPoly.scalar(apply_counit(f, maps))
-        coassoc = TensorPoly(3, chain(
-            (((u1, u2, v), c * cu) for (u, v), c in d
-             for (u1, u2), cu in _delta_word(u, maps).terms.items()),
-            (((u, v1, v2), -c * cv) for (u, v), c in d
-             for (v1, v2), cv in _delta_word(v, maps).terms.items())))
-        counit_l = NcPoly((v, c * _counit_word(u, maps)) for (u, v), c in d)
-        counit_r = NcPoly((u, c * _counit_word(v, maps)) for (u, v), c in d)
-        antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
-                            for s, cs in _antipode_word(u, maps).terms.items())
-        antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
-                            for s, cs in _antipode_word(v, maps).terms.items())
-        report.add(f"coassoc {name}", coassoc)
-        report.add(f"counit-left {name}", counit_l - nf_f)
-        report.add(f"counit-right {name}", counit_r - nf_f)
-        report.add(f"antipode-left {name}", alg.nf(antipode_l) - eps_f)
-        report.add(f"antipode-right {name}", alg.nf(antipode_r) - eps_f)
+        _add_element(report, [f"{kind} {name}" for kind in HOPF_AXIOMS],
+                     lambda: _hopf_residuals(f, maps))
     return report
+
+
+def _hopf_residuals(f: NcPoly, maps: StructureMaps):
+    """The residuals of the HOPF_AXIOMS on f, in that order."""
+    alg = maps.alg
+    d = apply_delta(f, maps).terms.items()
+    nf_f = alg.nf(f)
+    eps_f = NcPoly.scalar(apply_counit(f, maps))
+    coassoc = TensorPoly(3, chain(
+        (((u1, u2, v), c * cu) for (u, v), c in d
+         for (u1, u2), cu in _delta_word(u, maps).terms.items()),
+        (((u, v1, v2), -c * cv) for (u, v), c in d
+         for (v1, v2), cv in _delta_word(v, maps).terms.items())))
+    counit_l = NcPoly((v, c * _counit_word(u, maps)) for (u, v), c in d)
+    counit_r = NcPoly((u, c * _counit_word(v, maps)) for (u, v), c in d)
+    antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
+                        for s, cs in _antipode_word(u, maps).terms.items())
+    antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
+                        for s, cs in _antipode_word(v, maps).terms.items())
+    return [coassoc, counit_l - nf_f, counit_r - nf_f,
+            alg.nf(antipode_l) - eps_f, alg.nf(antipode_r) - eps_f]
 
 
 def check_identities(alg: NodalAlgebra) -> Report:
@@ -210,10 +233,9 @@ def check_coideal(maps: StructureMaps, max_deg=6) -> Report:
     B-basis word is a word in x, y only."""
     report = Report("coideal", {"point": maps.alg.point, "entries": []})
     for bw in pattern_words(max_deg, b_part):
-        dw = _delta_word(bw, maps)
-        bad = TensorPoly(2, {k: c for k, c in dw.terms.items()
-                             if any(ch not in "xy" for ch in k[0])})
-        report.add(f"delta({bw or '1'}) left legs in B", bad)
+        _add_element(report, [f"delta({bw or '1'}) left legs in B"], lambda: [TensorPoly(
+            2, {k: c for k, c in _delta_word(bw, maps).terms.items()
+                if any(ch not in "xy" for ch in k[0])})])
     return report
 
 

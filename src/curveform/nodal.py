@@ -20,8 +20,7 @@ from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
 from .scalar import CurvePoint, ONE, Scalar
-from .rewrite import (DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem,
-                      check_diamond, complete)
+from .rewrite import DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem, complete
 
 
 # groups: x^i, y^j, (ax)^l, a^m or g^-m, b^n
@@ -122,14 +121,17 @@ class NodalAlgebra:
 def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     """Seed, complete, and verify the rule system at a point.
 
-    fuel is the reduction budget of the rule system, spent by its completion,
-    its diamond check and every later reduction in the algebra.
+    fuel is the reduction budget of the rule system, spent by its completion
+    and every later reduction in the algebra.  The diamond report is the
+    last completion round, log.diamond: every ambiguity of the completed
+    system reduced along both branches over the rules' field of definition,
+    with no second pass over the witnesses.
     Raises DiamondFailure if any ambiguity of the completed system fails to
     resolve, and ValueError if some completed rhs leaves the pattern span.
     """
     seed = RuleSystem(seed_rules(point), fuel)
     completed, log = complete(seed, OrientationPolicy(is_basis_word))
-    report = check_diamond(completed)
+    report = log.diamond
     if not report.ok:
         raise DiamondFailure(report)
     for rule in completed.rules:

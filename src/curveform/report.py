@@ -10,8 +10,11 @@ from __future__ import annotations
 
 
 def to_json(value):
-    """A field value in JSON form: objects through their own to_json, lists
-    and dicts item by item, anything else unchanged."""
+    """A field value in JSON form: objects through their own to_json, an
+    exception as its message, lists and dicts item by item, anything else
+    unchanged."""
+    if isinstance(value, Exception):
+        return str(value)
     if hasattr(value, "to_json"):
         return value.to_json()
     if isinstance(value, list):
@@ -23,7 +26,9 @@ def to_json(value):
 
 class Entry:
     """A named sub-check.  It passes iff its residual vanishes, unless an
-    explicit verdict ok is given; a vanishing residual prints as null."""
+    explicit verdict ok is given; a vanishing residual prints as null.  The
+    residual of a sub-check that could not finish is its exception, which
+    fails the entry and prints as the error message."""
 
     __slots__ = ("name", "residual", "ok")
 

@@ -1,8 +1,9 @@
 """Reduction engine for oriented rules over the free algebra.
 
 Implements deterministic single-step reduction, fuelled normal forms with a
-word-level cache, overlap/inclusion ambiguity enumeration, diamond-lemma
-checking, and pattern-guided Knuth-Bendix-style completion.
+word-level cache, overlap/inclusion ambiguity enumeration, and
+pattern-guided Knuth-Bendix-style completion whose last round is the
+diamond-lemma check.
 
 A rule applies at the leftmost position where some lhs occurs, and there
 the longest such lhs wins.  The lhs of a system are distinct, so this
@@ -23,7 +24,15 @@ coefficient without an r-part is kept as its rational int or Fraction, and
 K = Q(r) arithmetic enters only where an element's own Scalar coefficients
 multiply the cached normal forms of its words.  A word rewritten by a rule
 whose rhs is a single word with coefficient 1 shares that word's cached
-normal form instead of a copy.
+normal form instead of a copy.  Branch differences of ambiguities are
+reduced and subtracted in the same field; only the difference itself
+becomes an NcPoly of Scalars.
+
+Completion and the diamond check are one computation: each completion
+round makes the diamond report of the current system, and the last round,
+where every difference vanishes, is the diamond report of the completed
+system.  The ambiguities are enumerated once and extended by the pairs
+each new rule takes part in.
 
 No global monomial order is assumed: termination is enforced by fuel, and
 confluence is established a posteriori by the ambiguity checks.  The fuel
@@ -251,55 +260,78 @@ class RuleSystem:
 
     def find_ambiguities(self):
         """All overlap and inclusion ambiguities, in deterministic order."""
-        out = []
         rules = self.rules
-        for i, ri in enumerate(rules):
-            for j, rj in enumerate(rules):
-                li, lj = ri.lhs, rj.lhs
-                for k in range(1, min(len(li), len(lj))):
-                    if li.endswith(lj[:k]):
-                        out.append(Ambiguity("overlap", i, j, li + lj[k:], len(li) - k))
-                if i != j and len(lj) < len(li):
-                    start = 0
-                    while True:
-                        pos = li.find(lj, start)
-                        if pos < 0:
-                            break
-                        out.append(Ambiguity("inclusion", i, j, li, pos))
-                        start = pos + 1
-        out.sort(key=lambda amb: (word_key(amb.witness), amb.rule_left,
-                                  amb.rule_right, amb.pos_right, amb.kind))
-        return out
+        return sorted((amb for i in range(len(rules)) for j in range(len(rules))
+                       for amb in _pair_ambiguities(rules, i, j)), key=_ambiguity_key)
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
 
 
-def branch_difference(rs: RuleSystem, amb: Ambiguity):
-    """NF(left branch) - NF(right branch) for an ambiguity's witness."""
+def _pair_ambiguities(rules, i, j):
+    """The ambiguities of rules[i] on the left with rules[j] on the right:
+    each proper suffix of rules[i].lhs that is a proper prefix of
+    rules[j].lhs, and each occurrence of a shorter rules[j].lhs inside
+    rules[i].lhs."""
+    li, lj = rules[i].lhs, rules[j].lhs
+    for k in range(1, min(len(li), len(lj))):
+        if li.endswith(lj[:k]):
+            yield Ambiguity("overlap", i, j, li + lj[k:], len(li) - k)
+    if i != j and len(lj) < len(li):
+        pos = li.find(lj)
+        while pos >= 0:
+            yield Ambiguity("inclusion", i, j, li, pos)
+            pos = li.find(lj, pos + 1)
+
+
+def _ambiguity_key(amb):
+    return (word_key(amb.witness), amb.rule_left, amb.rule_right, amb.pos_right, amb.kind)
+
+
+def branch_difference(rs: RuleSystem, amb: Ambiguity) -> NcPoly:
+    """NF(left branch) - NF(right branch) for an ambiguity's witness.
+
+    Both branches are reduced over the rules' field of definition, the left
+    one first, and the difference becomes an NcPoly of Scalars only at the
+    end; its terms come in the order of NF(left) - NF(right) on NcPolys."""
     w = amb.witness
-    left = rs.apply_at(w, 0, amb.rule_left)
-    right = rs.apply_at(w, amb.pos_right, amb.rule_right)
-    return rs.normal_form(left) - rs.normal_form(right)
+
+    def branch(pos, idx):
+        pre, suf = w[:pos], w[pos + len(rs.rules[idx].lhs):]
+        return accumulate({}, ((w2, c * c2) for t, c in rs._rhs[idx]
+                               for w2, c2 in rs.nf_word(pre + t + suf).items()))
+
+    left = branch(0, amb.rule_left)
+    right = branch(amb.pos_right, amb.rule_right)
+    return NcPoly(accumulate(left, ((w2, -c) for w2, c in right.items())))
+
+
+def _diamond(rs: RuleSystem, ambiguities) -> Report:
+    """The diamond report of rs over the given ambiguities: one entry per
+    ambiguity, its branch difference as the residual, or the FuelExhausted
+    of a branch that ran out of fuel (a failing entry that prints the
+    error message)."""
+    rules = rs.rules
+    entries = []
+    for amb in ambiguities:
+        name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
+                f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
+        try:
+            entries.append(Entry(name, branch_difference(rs, amb)))
+        except FuelExhausted as exc:
+            entries.append(Entry(name, exc))
+    return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
+                              "unresolved": sum(1 for e in entries if not e.ok),
+                              "entries": entries})
 
 
 def check_diamond(rs: RuleSystem) -> Report:
     """Reduce every ambiguity witness along both branches; the verdict is ok
     iff all differences vanish (local confluence).  Each entry is named by
     its ambiguity; one whose reduction runs out of fuel fails with the error
-    message as its residual."""
-    rules = rs.rules
-    entries = []
-    for amb in rs.find_ambiguities():
-        name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
-                f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
-        try:
-            entries.append(Entry(name, branch_difference(rs, amb)))
-        except FuelExhausted as exc:
-            entries.append(Entry(name, str(exc), ok=False))
-    return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
-                              "unresolved": sum(1 for e in entries if not e.ok),
-                              "entries": entries})
+    message as its residual.  complete's last round makes the same report
+    for the system it returns, so build_algebra does not call this."""
+    return _diamond(rs, rs.find_ambiguities())
 
 
 class OrientationPolicy:
@@ -334,6 +366,7 @@ class OrientationPolicy:
 class CompletionLog:
     added: list = field(default_factory=list)  # (witness, Rule)
     rounds: int = 0
+    diamond: Report = None  # the last round's report: that of the returned system
 
     def to_json(self):
         return {"rounds": self.rounds,
@@ -343,34 +376,39 @@ class CompletionLog:
 def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     """Knuth-Bendix-style completion.
 
-    Each round reduces every ambiguity witness along both branches and
-    collects the candidate rules oriented from the nonzero differences; the
-    candidate with the smallest lhs under the policy order is added.  Adding
-    small rules first keeps intermediate systems from spiralling into ever
-    longer left-hand sides.  A witness whose reduction exhausts its fuel
-    under the current (possibly non-terminating) intermediate system is
-    skipped for the round and retried after the next rule lands.  Every
-    intermediate system, and the result, keeps the fuel of rs.  If the rule
-    cap is reached while witnesses are stuck, the LimitExceeded names how
-    many and chains from the first FuelExhausted.
+    Each round makes the diamond report of the current system, reducing
+    every ambiguity witness along both branches over the rules' field of
+    definition, and collects the candidate rules oriented from the nonzero
+    differences; the candidate with the smallest lhs under the policy order
+    is added.  Adding small rules first keeps intermediate systems from
+    spiralling into ever longer left-hand sides.  The ambiguities are
+    enumerated once; a new rule adds only those it takes part in.  A witness
+    whose reduction exhausts its fuel under the current (possibly
+    non-terminating) intermediate system is skipped for the round and
+    retried after the next rule lands.  Every intermediate system, and the
+    result, keeps the fuel of rs.  If the rule cap is reached while
+    witnesses are stuck, the LimitExceeded names how many and chains from
+    the first FuelExhausted.
+
+    The last round finds every difference zero: its report, kept as
+    log.diamond, is the diamond check of the returned system.
 
     Returns (RuleSystem, CompletionLog).
     """
     rules = list(rs.rules)
     log = CompletionLog()
+    current = RuleSystem(rules, rs.fuel)
+    ambiguities = current.find_ambiguities()
     while True:
         log.rounds += 1
-        current = RuleSystem(rules, rs.fuel)
+        report = _diamond(current, ambiguities)
         candidates = []  # (lhs_rank, witness, Rule)
         stuck = []  # (witness, FuelExhausted)
-        for amb in current.find_ambiguities():
-            try:
-                diff = branch_difference(current, amb)
-            except FuelExhausted as exc:
-                stuck.append((amb.witness, exc))
-                continue
-            if diff:
-                rule = orient.orient(diff)
+        for amb, entry in zip(ambiguities, report.entries):
+            if isinstance(entry.residual, FuelExhausted):
+                stuck.append((amb.witness, entry.residual))
+            elif not entry.ok:
+                rule = orient.orient(entry.residual)
                 # Rules whose rhs stays inside the target span come first:
                 # they are the ones the final system may keep (closure
                 # invariant), and impure candidates usually become derivable
@@ -382,6 +420,7 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
             if stuck:
                 witness, exc = stuck[0]
                 raise FuelExhausted(NcPoly.word(witness), exc.steps, exc.budget) from exc
+            log.diamond = report
             return current, log
         if len(rules) >= max_rules:
             first = stuck[0][1] if stuck else None
@@ -391,3 +430,11 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
         _, witness, rule = candidates[0]
         log.added.append((witness, rule))
         rules.append(rule)
+        current = RuleSystem(rules, rs.fuel)
+        new = len(rules) - 1
+        ambiguities = sorted([*ambiguities,
+                              *(amb for i in range(new + 1)
+                                for amb in _pair_ambiguities(rules, i, new)),
+                              *(amb for i in range(new)
+                                for amb in _pair_ambiguities(rules, new, i))],
+                             key=_ambiguity_key)

@@ -277,6 +277,22 @@ class TestArgHandling:
         assert code == 2 and out == ""
         assert err == "error: reduction of y^2*x exhausted its fuel: 1 steps taken, budget 1\n"
 
+    def test_fuel_overrun_in_a_check_is_a_failing_entry(self, capsys):
+        # the random element 11 needs more than 200 steps: its five entries
+        # fail with the error, and the suite reports instead of stopping
+        code, out, err = run(capsys, "suite", "hopf", "--t", "2", "--fuel", "200",
+                             "--samples", "20", "--json")
+        assert code == 1 and err == ""
+        welldefined, axioms = json.loads(out)["reports"]
+        assert welldefined["status"] == "pass" and axioms["status"] == "fail"
+        assert len(axioms["entries"]) == 5 * (5 + 20)
+        failed = [e for e in axioms["entries"] if e["status"] == "fail"]
+        assert [e["name"] for e in failed] == [
+            f"{kind} random 11" for kind in
+            ("coassoc", "counit-left", "counit-right", "antipode-left", "antipode-right")]
+        assert {e["residual"] for e in failed} == {
+            "reduction of a*x*a^-4*x^3*a^3 exhausted its fuel: 200 steps taken, budget 200"}
+
     def test_fuel_option_large_enough(self, capsys):
         code, out, _ = run(capsys, "nf", "b^6*x^6", "--fuel", "10000")
         assert code == 0 and out.strip() == "x^6*a^9"

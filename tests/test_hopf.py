@@ -1,13 +1,16 @@
 import pytest
 
+from curveform.errors import FuelExhausted
 from curveform.freealg import NcPoly, TensorPoly
 from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
                             apply_counit, apply_delta, check_alt_presentation,
                             check_coideal, check_hopf_axioms, check_identities,
                             check_welldefined, relation_polys, tensor_nf,
                             units_bounded_check, units_suite, _solve_sparse)
+from curveform.nodal import NodalAlgebra
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
+from curveform.rewrite import RuleSystem
 from curveform.scalar import ONE, Scalar, ZERO
 
 
@@ -127,6 +130,40 @@ class TestAxioms:
         coassoc = [e for e in report.entries if e.name.startswith("coassoc ")]
         assert all(e.ok for e in coassoc if e.name.startswith("coassoc gen "))
         assert any(not e.ok for e in coassoc if e.name.startswith("coassoc random "))
+
+
+class TestFuelOverrun:
+    """A reduction that runs out of fuel inside a check fails its entries and
+    the check goes on: the completed rules at t = 2, with a budget of 5 and
+    a cold cache in every test (words cached by one overrun cost the next
+    call nothing)."""
+
+    @pytest.fixture
+    def starved(self, alg):
+        return StructureMaps(NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=5),
+                                          alg.completion_log, alg.diamond_report))
+
+    @pytest.mark.parametrize("check, entries", [
+        (check_welldefined, 39),
+        (lambda maps: check_coideal(maps, max_deg=6), 13),
+        (lambda maps: check_hopf_axioms(maps, samples=3, seed=0), 5 * (5 + 3)),
+    ], ids=["welldefined", "coideal", "hopf_axioms"])
+    def test_entries_fail_with_the_error(self, starved, check, entries):
+        report = check(starved)
+        assert len(report.entries) == entries and not report.ok
+        failed = [e for e in report.entries if not e.ok]
+        assert all(isinstance(e.residual, FuelExhausted) for e in failed)
+        assert all(e.to_json()["residual"] == str(e.residual) for e in failed)
+        assert all("budget 5" in str(e.residual) for e in failed)
+
+    def test_only_the_starved_entries_fail(self, starved):
+        # the counit reduces nothing, so every eps entry still passes
+        report = check_welldefined(starved)
+        assert all(e.ok for e in report.entries if e.name.startswith("eps("))
+        assert any(not e.ok for e in report.entries if e.name.startswith("delta("))
+        axioms = check_hopf_axioms(starved, samples=3, seed=0)
+        assert all(e.ok for e in axioms.entries if e.name.endswith(" gen x"))
+        assert not all(e.ok for e in axioms.entries if e.name.endswith(" gen y"))
 
 
 class TestIdentities:

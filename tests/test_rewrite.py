@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curveform import rewrite
 from curveform.errors import DiamondFailure, FuelExhausted, LimitExceeded, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly
 from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
@@ -423,3 +424,82 @@ class TestPrefixFirst:
         rs = RuleSystem(alg.system.rules)
         assert rs.nf_word("bbx") == alg.system.nf_word("aaax")
         assert {"", "b", "bb", "bbx", "aaax"} <= set(rs._nf_cache)
+
+
+# -- completion in the field of definition, its last round the diamond check
+
+def reference_difference(rs, amb):
+    """The branch difference as NcPolys of Scalars: NF(left) - NF(right)."""
+    w = amb.witness
+    return (rs.normal_form(rs.apply_at(w, 0, amb.rule_left))
+            - rs.normal_form(rs.apply_at(w, amb.pos_right, amb.rule_right)))
+
+
+def completion_rounds(monkeypatch, t):
+    """(system, ambiguities) of every round of the completion at t."""
+    rounds = []
+    diamond = rewrite._diamond
+
+    def record(rs, ambiguities):
+        rounds.append((rs, list(ambiguities)))
+        return diamond(rs, ambiguities)
+
+    monkeypatch.setattr(rewrite, "_diamond", record)
+    build_algebra(curve_point_from_t(t))
+    return rounds
+
+
+POINTS = ["2", "3", "7/5", "-1/2"]
+
+
+class TestCompletionRounds:
+    @pytest.mark.parametrize("t", POINTS)
+    def test_branch_difference_equals_the_ncpoly_formula(self, monkeypatch, t):
+        # on every round's system, each on a cold cache: the same difference,
+        # term for term in the same order, and the nf cache fills the same way
+        for rs, ambiguities in completion_rounds(monkeypatch, Fraction(t)):
+            fast, slow = RuleSystem(rs.rules, rs.fuel), RuleSystem(rs.rules, rs.fuel)
+            for amb in ambiguities:
+                diff, reference = branch_difference(fast, amb), reference_difference(slow, amb)
+                assert diff == reference and list(diff.terms) == list(reference.terms)
+                assert all(type(c) is Scalar for c in diff.terms.values())
+            assert list(fast._nf_cache) == list(slow._nf_cache)
+
+    def test_branch_difference_with_r_coefficients(self):
+        # aba reduces to r xa one way and 1/2 ay the other
+        rules = [Rule("ab", NcPoly.word("x", R)), Rule("ba", NcPoly.word("y", Fraction(1, 2)))]
+        fast, slow = RuleSystem(rules), RuleSystem(rules)
+        ambiguities = fast.find_ambiguities()
+        assert [amb.witness for amb in ambiguities] == ["aba", "bab"]
+        for amb in ambiguities:
+            diff = branch_difference(fast, amb)
+            assert diff and diff == reference_difference(slow, amb)
+        assert branch_difference(fast, ambiguities[0]) == NcPoly(
+            {"xa": R, "ay": Scalar(Fraction(-1, 2))})
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_ambiguities_equal_a_full_enumeration_every_round(self, monkeypatch, t):
+        rounds = completion_rounds(monkeypatch, Fraction(t))
+        assert len(rounds) == 5
+        assert [len(ambiguities) for _, ambiguities in rounds] == [26, 31, 39, 47, 51]
+        for rs, ambiguities in rounds:
+            assert ambiguities == rs.find_ambiguities()
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_last_round_is_the_diamond_check(self, t):
+        alg = build_algebra(curve_point_from_t(Fraction(t)))
+        report = alg.diamond_report
+        assert report is alg.completion_log.diamond
+        assert report.to_json() == check_diamond(alg.system).to_json()
+        fields = report.fields
+        assert (report.ok, fields["rules"], fields["ambiguities"], fields["unresolved"]) == (
+            True, 17, 51, 0)
+
+    def test_fuel_overrun_is_a_failing_entry(self):
+        looping = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy"))],
+                             fuel=40)
+        report = check_diamond(looping)
+        assert not report.ok and report.fields["unresolved"] == 2
+        assert all(isinstance(e.residual, FuelExhausted) for e in report.entries)
+        assert [e["residual"] for e in report.to_json()["entries"]] == [
+            str(e.residual) for e in report.entries]
