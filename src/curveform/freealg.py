@@ -53,6 +53,12 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
+def concat_product(left, right) -> dict:
+    """The product of two sums of words given as (word, coefficient) pairs,
+    accumulated in the order of the concatenations."""
+    return accumulate({}, ((u + v, cu * cv) for u, cu in left for v, cv in right))
+
+
 class Sparse:
     """Immutable finite Scalar combination of keys; no zero stored.
 
@@ -145,9 +151,7 @@ class NcPoly(Sparse):
             return self.scale(other)
         if type(other) is not NcPoly:
             return NotImplemented
-        return self._new(accumulate({}, ((u + v, cu * cv)
-                                         for u, cu in self.terms.items()
-                                         for v, cv in other.terms.items())))
+        return self._new(concat_product(self.terms.items(), other.terms.items()))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):

@@ -51,7 +51,7 @@ def coaction(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     words already, so pi splits each one without reducing it."""
     pairs = []
     for w, c in f.terms.items():
-        for (u, v), cd in _delta_word(w, maps).terms.items():
+        for (u, v), cd in _delta_word(w, maps).items():
             prefix, tail = split_pattern_word(u)
             pairs.append(((tail, v), c * cd * _counit_word(prefix, maps)))
     return TensorPoly(2, pairs)

@@ -15,30 +15,40 @@ word costs no recursion depth.  The Hopf axioms are checked as
 compositions of these word maps on one coproduct delta(f): coassociativity
 applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
+The word maps, axiom residuals and units elimination run on dicts over the
+rules' field of definition, as RuleSystem.nf_word does (int or Fraction; a
+Scalar only where an r-part enters), each product accumulated before
+RuleSystem.nf_terms reduces it; Scalars appear only in what the module
+returns: apply_delta, apply_antipode, apply_counit, tensor_nf, every report
+residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  In
 check_welldefined, check_hopf_axioms and check_coideal a reduction that runs
 out of fuel fails the entries it was computing, with the FuelExhausted as
-their residual, and the check goes on.
+their residual, and the check goes on; in units_suite it fails the
+candidate it was inverting.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain
 
 from .errors import FuelExhausted
-from .freealg import NcPoly, TensorPoly, accumulate
+from .freealg import NcPoly, TensorPoly, accumulate, concat_product
 from .nodal import NodalAlgebra, b_part, pattern_words, random_poly
 from .parser import parse_expr
 from .report import Report
+from .rewrite import _field_coeff, _field_terms
 from .scalar import CurvePoint, ONE, R, Scalar, ZERO
 
 
 class StructureMaps:
     """delta, eps and S of one algebra: generator assignments at its curve
-    point, and caches of the word-level extensions of delta and S, each
-    reduced to normal form in that algebra.  Every Hopf-axiom check and the
-    Galois layer are built from these word maps."""
+    point, read when they are used, and caches of the word-level extensions
+    of delta and S, each reduced to normal form in that algebra and held as
+    a dict over the rules' field, shared: read, never mutated.  Every
+    Hopf-axiom check and the Galois layer are built from these word maps."""
 
     def __init__(self, alg: NodalAlgebra):
         q, p = alg.point.q, alg.point.p
@@ -59,47 +69,43 @@ class StructureMaps:
             "g": NcPoly.word("a"),
             "b": NcPoly.word("gggb"),
         }
-        self._delta_cache = {"": TensorPoly.one(2)}
-        self._antipode_cache = {"": NcPoly.one()}
+        self._delta_cache = {"": {("", ""): 1}}
+        self._antipode_cache = {"": {"": 1}}
 
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
     """Reduce every leg of a tensor polynomial to normal form."""
-    nf_word = alg.system.nf_word
-    acc = {}
-    for key, c in tp.terms.items():
-        legs = [nf_word(w) for w in key]
-        stack = [((), c)]
-        for leg in legs:
-            stack = [(done + (w,), cc * cw) for done, cc in stack
-                     for w, cw in leg.items()]
-        accumulate(acc, stack)
-    return tp._new(acc)
+    return tp._new(alg.system.nf_terms(tp.terms.items()))
 
 
-def _delta_word(w: str, maps: StructureMaps) -> TensorPoly:
-    """delta on a word, multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1]),
-    built up from the longest cached prefix of w, caching every longer one."""
+def _delta_word(w: str, maps: StructureMaps) -> dict:
+    """delta on a word as a dict {(u, v): coefficient} over the rules' field,
+    multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1]), built up from
+    the longest cached prefix of w, caching every longer one."""
     cache = maps._delta_cache
     n = len(w)
     while w[:n] not in cache:
         n -= 1
     hit = cache[w[:n]]
     for i in range(n, len(w)):
-        cache[w[:i + 1]] = hit = tensor_nf(hit * maps.delta_gen[w[i]], maps.alg)
+        gen = _field_terms(maps.delta_gen[w[i]])
+        prod = accumulate({}, (((u + u2, v + v2), c * c2) for (u, v), c in hit.items()
+                               for (u2, v2), c2 in gen))
+        cache[w[:i + 1]] = hit = maps.alg.system.nf_terms(prod.items())
     return hit
 
 
 def apply_delta(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     """Coproduct of f, with both tensor legs reduced to normal form."""
     return TensorPoly(2, ((k, c * cd) for w, c in f.terms.items()
-                          for k, cd in _delta_word(w, maps).terms.items()))
+                          for k, cd in _delta_word(w, maps).items()))
 
 
-def _counit_word(w: str, maps: StructureMaps) -> Scalar:
-    v = ONE
+def _counit_word(w: str, maps: StructureMaps):
+    """eps on a word, over the rules' field."""
+    v = 1
     for ch in w:
-        v = v * maps.counit_gen[ch]
+        v = v * _field_coeff(maps.counit_gen[ch])
     return v
 
 
@@ -107,22 +113,24 @@ def apply_counit(f: NcPoly, maps: StructureMaps) -> Scalar:
     return sum((c * _counit_word(w, maps) for w, c in f.terms.items()), ZERO)
 
 
-def _antipode_word(w: str, maps: StructureMaps) -> NcPoly:
-    """S on a word, anti-multiplicatively: S(w) = S(w[1:]) S(w[0]), built up
-    from the longest cached suffix of w, caching every longer one."""
+def _antipode_word(w: str, maps: StructureMaps) -> dict:
+    """S on a word as a dict {word: coefficient} over the rules' field,
+    anti-multiplicatively: S(w) = S(w[1:]) S(w[0]), built up from the
+    longest cached suffix of w, caching every longer one."""
     cache = maps._antipode_cache
     n = 0
     while w[n:] not in cache:
         n += 1
     hit = cache[w[n:]]
     for i in range(n - 1, -1, -1):
-        cache[w[i:]] = hit = maps.alg.nf(hit * maps.antipode_gen[w[i]])
+        prod = concat_product(hit.items(), _field_terms(maps.antipode_gen[w[i]]))
+        cache[w[i:]] = hit = maps.alg.system.nf_terms(prod.items())
     return hit
 
 
 def apply_antipode(f: NcPoly, maps: StructureMaps) -> NcPoly:
     return NcPoly((s, c * cs) for w, c in f.terms.items()
-                  for s, cs in _antipode_word(w, maps).terms.items())
+                  for s, cs in _antipode_word(w, maps).items())
 
 
 def relation_polys(point: CurvePoint):
@@ -192,24 +200,30 @@ def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Re
 
 
 def _hopf_residuals(f: NcPoly, maps: StructureMaps):
-    """The residuals of the HOPF_AXIOMS on f, in that order."""
-    alg = maps.alg
-    d = apply_delta(f, maps).terms.items()
-    nf_f = alg.nf(f)
-    eps_f = NcPoly.scalar(apply_counit(f, maps))
-    coassoc = TensorPoly(3, chain(
+    """The residuals of the HOPF_AXIOMS on f, in that order.  They are
+    computed over the rules' field, the two antipode sums reduced only once
+    both are built, and become a TensorPoly and NcPolys at the end."""
+    nf_terms = maps.alg.system.nf_terms
+    terms = _field_terms(f)
+    d = accumulate({}, ((k, c * cd) for w, c in terms
+                        for k, cd in _delta_word(w, maps).items())).items()
+    minus_f = [(w, -c) for w, c in nf_terms(terms).items()]
+    minus_eps = [("", -sum(c * _counit_word(w, maps) for w, c in terms))]
+    coassoc = accumulate({}, chain(
         (((u1, u2, v), c * cu) for (u, v), c in d
-         for (u1, u2), cu in _delta_word(u, maps).terms.items()),
+         for (u1, u2), cu in _delta_word(u, maps).items()),
         (((u, v1, v2), -c * cv) for (u, v), c in d
-         for (v1, v2), cv in _delta_word(v, maps).terms.items())))
-    counit_l = NcPoly((v, c * _counit_word(u, maps)) for (u, v), c in d)
-    counit_r = NcPoly((u, c * _counit_word(v, maps)) for (u, v), c in d)
-    antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
-                        for s, cs in _antipode_word(u, maps).terms.items())
-    antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
-                        for s, cs in _antipode_word(v, maps).terms.items())
-    return [coassoc, counit_l - nf_f, counit_r - nf_f,
-            alg.nf(antipode_l) - eps_f, alg.nf(antipode_r) - eps_f]
+         for (v1, v2), cv in _delta_word(v, maps).items())))
+    counit_l = accumulate({}, ((v, c * _counit_word(u, maps)) for (u, v), c in d))
+    counit_r = accumulate({}, ((u, c * _counit_word(v, maps)) for (u, v), c in d))
+    antipode_l = accumulate({}, ((s + v, c * cs) for (u, v), c in d
+                                 for s, cs in _antipode_word(u, maps).items()))
+    antipode_r = accumulate({}, ((u + s, c * cs) for (u, v), c in d
+                                 for s, cs in _antipode_word(v, maps).items()))
+    return [TensorPoly(3, coassoc),
+            NcPoly(accumulate(counit_l, minus_f)), NcPoly(accumulate(counit_r, minus_f)),
+            NcPoly(accumulate(nf_terms(antipode_l.items()), minus_eps)),
+            NcPoly(accumulate(nf_terms(antipode_r.items()), minus_eps))]
 
 
 def check_identities(alg: NodalAlgebra) -> Report:
@@ -234,7 +248,7 @@ def check_coideal(maps: StructureMaps, max_deg=6) -> Report:
     report = Report("coideal", {"point": maps.alg.point, "entries": []})
     for bw in pattern_words(max_deg, b_part):
         _add_element(report, [f"delta({bw or '1'}) left legs in B"], lambda: [TensorPoly(
-            2, {k: c for k, c in _delta_word(bw, maps).terms.items()
+            2, {k: c for k, c in _delta_word(bw, maps).items()
                 if any(ch not in "xy" for ch in k[0])})])
     return report
 
@@ -282,54 +296,57 @@ def check_alt_presentation(alg: NodalAlgebra) -> Report:
 
 # -- units ---------------------------------------------------------------
 
-def _solve_sparse(columns, target):
-    """Solve sum_j u_j * columns[j] = target over the Scalar field.
+def _inverse(c):
+    """1/c in the field of c; a unit int stays an int."""
+    return c.inverse() if type(c) is Scalar else c if c in (1, -1) else Fraction(1, c)
 
-    columns: list of dicts {row_key: Scalar}; target likewise.  Returns the
-    coefficient list or None if the system is infeasible.  Plain sparse
-    Gaussian elimination; exactness matters, speed only mildly.
+
+def _solve_sparse(columns, target):
+    """Solve sum_j u_j * columns[j] = target over the field of the
+    coefficients (int and Fraction, or Scalar where an r-part enters).
+
+    columns: list of dicts {row_key: coefficient}; target likewise.  Returns
+    the coefficient list or None if the system is infeasible.  Sparse
+    Gaussian elimination with the rows indexed by the columns they hold:
+    column j pivots on the row holding j with the fewest entries, the
+    earliest row on a tie, and only the rows holding j are eliminated.  The
+    index only grows; a row that no longer holds j is skipped.
     """
-    rows = {}
+    keyed = {}
     for j, col in enumerate(columns):
         for key, val in col.items():
-            rows.setdefault(key, {})[j] = val
-    row_items = [(dict(cols), target.get(key, ZERO)) for key, cols in rows.items()]
-    row_items += [({}, val) for key, val in target.items() if key not in rows]
-    n = len(columns)
-    assignments = [None] * n
+            keyed.setdefault(key, {})[j] = val
+    keys = [*keyed, *(key for key in target if key not in keyed)]
+    rows = [keyed.get(key, {}) for key in keys]
+    rhs = [target.get(key, 0) for key in keys]
+    holding = [set() for _ in columns]  # column -> rows that have held it
+    for i, row in enumerate(rows):
+        for j in row:
+            holding[j].add(i)
     eliminated = []
-    for j in range(n):
-        pivot = None
-        for idx, (cols, rhs) in enumerate(row_items):
-            if j in cols:
-                if pivot is None or len(cols) < len(row_items[pivot][0]):
-                    pivot = idx
-        if pivot is None:
+    for j in range(len(columns)):
+        live = [i for i in holding[j] if rows[i] is not None and j in rows[i]]
+        if not live:
             continue
-        pcols, prhs = row_items.pop(pivot)
-        inv = pcols[j].inverse()
-        pcols = {k: v * inv for k, v in pcols.items()}
-        prhs = prhs * inv
-        new_rows = []
-        for cols, rhs in row_items:
-            factor = cols.get(j)
-            if factor:
-                minus = -factor
-                cols = accumulate(dict(cols), ((k, minus * v) for k, v in pcols.items()))
-                rhs = rhs - factor * prhs
-            new_rows.append((cols, rhs))
-        row_items = new_rows
-        eliminated.append((j, pcols, prhs))
-    for cols, rhs in row_items:
-        if not cols and rhs:
-            return None  # inconsistent
-    for j, pcols, prhs in reversed(eliminated):
-        val = prhs
-        for k, v in pcols.items():
-            if k != j:
-                val = val - v * (assignments[k] if assignments[k] is not None else ZERO)
-        assignments[j] = val
-    return [a if a is not None else ZERO for a in assignments]
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        inv = _inverse(rows[p][j])
+        prow = {k: v * inv for k, v in rows[p].items()}
+        prhs = rhs[p] * inv
+        rows[p] = None
+        for i in live:
+            if i != p:
+                factor = rows[i][j]
+                accumulate(rows[i], ((k, -factor * v) for k, v in prow.items()))
+                rhs[i] = rhs[i] - factor * prhs
+                for k in prow:
+                    holding[k].add(i)
+        eliminated.append((j, prow, prhs))
+    if any(row == {} and rhs[i] for i, row in enumerate(rows)):
+        return None  # inconsistent
+    assignments = [0] * len(columns)
+    for j, prow, prhs in reversed(eliminated):
+        assignments[j] = prhs - sum(v * assignments[k] for k, v in prow.items() if k != j)
+    return assignments
 
 
 # the group-likes times scalars invert; the rest admit no bounded inverse
@@ -344,21 +361,25 @@ def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6):
     bound, not a proof."""
     if not f:
         raise ValueError("cannot invert the zero element")
+    nf_terms = alg.system.nf_terms
+    terms = _field_terms(f)
     support = pattern_words(max_len)
-    columns = [alg.nf(f * NcPoly.word(w)).terms for w in support]
-    solution = _solve_sparse(columns, {"": ONE})
+    columns = [nf_terms((u + w, c) for u, c in terms) for w in support]
+    solution = _solve_sparse(columns, {"": 1})
     if solution is None:
         return None
-    witness = NcPoly({w: c for w, c in zip(support, solution)})
+    witness = [(w, c) for w, c in zip(support, solution) if c]
     # elimination can return a least-squares-like artifact only if the system
     # was inconsistent, which _solve_sparse already rejects; verify anyway
-    return witness if alg.nf(f * witness) == NcPoly.one() else None
+    return NcPoly(witness) if nf_terms(concat_product(terms, witness).items()) == {"": 1} else None
 
 
 def units_suite(alg: NodalAlgebra, max_len=6) -> Report:
     """The reference sample: a, b, a^2 b, a^-1 b are units; 1+x, x, c,
     1+y admit no inverse with bounded support.  The verdict is that every
-    candidate matches EXPECTED_UNITS."""
+    candidate matches EXPECTED_UNITS.  A candidate whose search runs out of
+    fuel matches nothing: its entry carries the error, and the check goes
+    on."""
     c, _, _ = alt_generators(alg)
     candidates = [
         ("a", NcPoly.word("a")), ("b", NcPoly.word("b")),
@@ -366,10 +387,16 @@ def units_suite(alg: NodalAlgebra, max_len=6) -> Report:
         ("1+x", NcPoly.one() + NcPoly.word("x")), ("x", NcPoly.word("x")),
         ("c", c), ("1+y", NcPoly.one() + NcPoly.word("y")),
     ]
-    inverses = [(name, units_bounded_check(alg, f, max_len)) for name, f in candidates]
-    entries = [{"element": name, "invertible": inv is not None, "witness": inv}
-               for name, inv in inverses]
-    ok = all((inv is not None) == EXPECTED_UNITS[name] for name, inv in inverses)
+    entries = []
+    for name, f in candidates:
+        try:
+            inv = units_bounded_check(alg, f, max_len)
+        except FuelExhausted as exc:
+            entries.append({"element": name, "invertible": None, "witness": None,
+                            "error": exc})
+        else:
+            entries.append({"element": name, "invertible": inv is not None, "witness": inv})
+    ok = all(e["invertible"] == EXPECTED_UNITS[e["element"]] for e in entries)
     return Report("units", {"point": alg.point, "max_len": max_len,
                             "note": "non-invertibility is bounded evidence only "
                                     f"(inverse support searched up to length {max_len})",

@@ -15,7 +15,7 @@ import random
 import re
 from itertools import product
 
-from .errors import DiamondFailure
+from .errors import DiamondFailure, FuelExhausted
 from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
@@ -237,34 +237,47 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
     all combined lengths <= max_len, and on random elements f the
     decomposition multiplies back in A: sum over tails t of NF(coeff_t * t)
     is NF(f).  Also records (without asserting) whether the
-    right-handed products NF(tail * b-word) stay tail-pure."""
+    right-handed products NF(tail * b-word) stay tail-pure.  A product or
+    sample whose reduction runs out of fuel is a failure that holds the
+    error, and the check goes on."""
     failures = []
     checked = 0
+
+    def attempt(failure, compute):
+        """compute(), or None when it runs out of fuel: then failure is
+        recorded with the error."""
+        try:
+            return compute()
+        except FuelExhausted as exc:
+            failures.append({**failure, "error": exc})
+
     tails = pattern_words(max_len, tail_part)
     for bw in pattern_words(max_len, b_part):
         for t in tails:
             if len(bw) + len(t) > max_len:
                 continue
             checked += 1
-            nf = alg.nf(NcPoly.word(bw + t))
-            if nf != NcPoly.word(bw + t):
-                failures.append({"kind": "concat", "b": bw, "tail": t})
+            word = NcPoly.word(bw + t)
+            failure = {"kind": "concat", "b": bw, "tail": t}
+            if attempt(failure, lambda: alg.nf(word) != word):
+                failures.append(failure)
     rng = random.Random(seed)
     pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
-        back = sum((alg.nf(coeff * NcPoly.word(t)) for t, coeff in
-                    b_decompose(f, alg).items()), NcPoly.zero())
-        if back != alg.nf(f):
-            failures.append({"kind": "roundtrip", "poly": f.to_json()})
+        failure = {"kind": "roundtrip", "poly": f}
+        if attempt(failure, lambda: sum(
+                (alg.nf(coeff * NcPoly.word(t)) for t, coeff in b_decompose(f, alg).items()),
+                NcPoly.zero()) != alg.nf(f)):
+            failures.append(failure)
     right_pure = True
     for bw in pattern_words(min(max_len, 4), b_part):
         for t in pattern_words(min(max_len, 4), tail_part):
             if not bw or not t:
                 continue
-            nf = alg.nf(NcPoly.word(t + bw))
-            tails_seen = {split_pattern_word(w)[1] for w in nf.terms}
-            if tails_seen != {t}:
+            nf = attempt({"kind": "right_product", "b": bw, "tail": t},
+                         lambda: alg.nf(NcPoly.word(t + bw)))
+            if nf is not None and {split_pattern_word(w)[1] for w in nf.terms} != {t}:
                 right_pure = False
     return Report("freeness", {"checked_products": checked, "roundtrip_samples": samples,
                                "right_tail_pure": right_pure,

@@ -24,9 +24,10 @@ coefficient without an r-part is kept as its rational int or Fraction, and
 K = Q(r) arithmetic enters only where an element's own Scalar coefficients
 multiply the cached normal forms of its words.  A word rewritten by a rule
 whose rhs is a single word with coefficient 1 shares that word's cached
-normal form instead of a copy.  Branch differences of ambiguities are
-reduced and subtracted in the same field; only the difference itself
-becomes an NcPoly of Scalars.
+normal form instead of a copy.  Every sum of c * NF(key), over words or
+tensor legs, is made by one reducer, RuleSystem.nf_terms: normal forms of
+elements, branch differences of ambiguities (only the difference itself
+becomes an NcPoly of Scalars) and the word maps of the Hopf layer.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -56,6 +57,12 @@ def _field_coeff(c):
     """A rule coefficient in its field of definition: the rational c0 (int
     or Fraction) when c has no r-part, else the Scalar c itself."""
     return c if c.c1 else c.c0
+
+
+def _field_terms(sparse):
+    """The terms of an NcPoly or TensorPoly with their coefficients in the
+    field of definition, as (key, coefficient) pairs."""
+    return [(k, _field_coeff(c)) for k, c in sparse.terms.items()]
 
 
 class Rule:
@@ -125,8 +132,7 @@ class RuleSystem:
         self._lhs_re = re.compile("|".join(sorted(self._lhs_index, key=len, reverse=True))
                                   or "(?!)")
         # each rule's rhs as (word, coefficient) pairs for nf_word
-        self._rhs = [tuple((t, _field_coeff(c)) for t, c in r.rhs.terms.items())
-                     for r in rules]
+        self._rhs = [_field_terms(r.rhs) for r in rules]
         self._nf_cache = {"": {"": 1}}
 
     # -- matching --------------------------------------------------------
@@ -226,11 +232,28 @@ class RuleSystem:
             stack.pop()
         return cache[w]
 
+    def nf_terms(self, pairs) -> dict:
+        """The normal form of the sum of c * key over the (key, c) pairs as a
+        new dict, in the field of the c and of the rules: a key is a word, or
+        a tuple of words (tensor legs).  Each key is reduced when its pair is
+        reached, its legs left to right, and the terms accumulate in that
+        order."""
+        nf_word = self.nf_word
+        return accumulate({}, ((w, c * cw) for key, c in pairs
+                               for w, cw in (nf_word(key) if type(key) is str
+                                             else self._nf_legs(key)).items()))
+
+    def _nf_legs(self, key) -> dict:
+        """NF(u1) (x) ... (x) NF(uk) for a tuple key (u1, ..., uk)."""
+        terms = {(): 1}
+        for leg in [self.nf_word(u) for u in key]:
+            terms = {done + (w,): cd * cw for done, cd in terms.items() for w, cw in leg.items()}
+        return terms
+
     def normal_form(self, f: NcPoly) -> NcPoly:
         """Fully reduce f.  Deterministic; equals exhaustive reduce_once
         iteration whenever the system is confluent."""
-        return f._new(accumulate({}, ((w2, c * c2) for w, c in f.terms.items()
-                                      for w2, c2 in self.nf_word(w).items())))
+        return f._new(self.nf_terms(f.terms.items()))
 
     def normal_form_strategy(self, f: NcPoly, leftmost=True) -> NcPoly:
         """Uncached reduction applying, in every reducible word, the match at
@@ -298,8 +321,7 @@ def branch_difference(rs: RuleSystem, amb: Ambiguity) -> NcPoly:
 
     def branch(pos, idx):
         pre, suf = w[:pos], w[pos + len(rs.rules[idx].lhs):]
-        return accumulate({}, ((w2, c * c2) for t, c in rs._rhs[idx]
-                               for w2, c2 in rs.nf_word(pre + t + suf).items()))
+        return rs.nf_terms((pre + t + suf, c) for t, c in rs._rhs[idx])
 
     left = branch(0, amb.rule_left)
     right = branch(amb.pos_right, amb.rule_right)

@@ -293,6 +293,35 @@ class TestArgHandling:
         assert {e["residual"] for e in failed} == {
             "reduction of a*x*a^-4*x^3*a^3 exhausted its fuel: 200 steps taken, budget 200"}
 
+    def test_fuel_overrun_in_freeness_fails_a_sample(self, capsys):
+        # the right product a*x*a^-1 * x^3 needs more than 110 steps
+        _, full, _ = run(capsys, "suite", "freeness", "--t", "2", "--json")
+        code, out, err = run(capsys, "suite", "freeness", "--t", "2", "--fuel", "110", "--json")
+        assert code == 1 and err == ""
+        (starved,), (ref,) = json.loads(out)["reports"], json.loads(full)["reports"]
+        assert ref["status"] == "pass" and starved["status"] == "fail"
+        for key in ("checked_products", "roundtrip_samples"):
+            assert starved[key] == ref[key]
+        assert ref["failures"] == []
+        assert starved["failures"] == [{
+            "kind": "right_product", "b": "xxx", "tail": "axg",
+            "error": "reduction of a*x*a^-1*x^3 exhausted its fuel: "
+                     "110 steps taken, budget 110"}]
+
+    def test_fuel_overrun_in_units_fails_a_candidate(self, capsys):
+        _, full, _ = run(capsys, "suite", "units", "--t", "2", "--json")
+        code, out, err = run(capsys, "suite", "units", "--t", "2", "--fuel", "110", "--json")
+        assert code == 1 and err == ""
+        (starved,), (ref,) = json.loads(out)["reports"], json.loads(full)["reports"]
+        assert ref["status"] == "pass" and starved["status"] == "fail"
+        assert len(starved["entries"]) == len(ref["entries"]) == 8
+        failed = [e for e in starved["entries"] if "error" in e]
+        assert failed == [{"element": "a^-1*b", "invertible": None, "witness": None,
+                           "error": "reduction of a^-1*b*x^6 exhausted its fuel: "
+                                    "110 steps taken, budget 110"}]
+        assert ([e for e in starved["entries"] if "error" not in e]
+                == [e for e in ref["entries"] if e["element"] != "a^-1*b"])
+
     def test_fuel_option_large_enough(self, capsys):
         code, out, _ = run(capsys, "nf", "b^6*x^6", "--fuel", "10000")
         assert code == 0 and out.strip() == "x^6*a^9"

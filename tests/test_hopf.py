@@ -1,17 +1,22 @@
+import random
+from fractions import Fraction
+from itertools import chain
+
 import pytest
 
 from curveform.errors import FuelExhausted
-from curveform.freealg import NcPoly, TensorPoly
+from curveform.freealg import NcPoly, TensorPoly, accumulate
 from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
                             apply_counit, apply_delta, check_alt_presentation,
                             check_coideal, check_hopf_axioms, check_identities,
                             check_welldefined, relation_polys, tensor_nf,
-                            units_bounded_check, units_suite, _solve_sparse)
-from curveform.nodal import NodalAlgebra
+                            units_bounded_check, units_suite, _hopf_residuals,
+                            _solve_sparse)
+from curveform.nodal import NodalAlgebra, build_algebra, random_poly
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
-from curveform.scalar import ONE, Scalar, ZERO
+from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t
 
 
 class TestStructureMaps:
@@ -273,3 +278,192 @@ class TestUnits:
     def test_rejects_zero(self, alg):
         with pytest.raises(ValueError):
             units_bounded_check(alg, NcPoly.zero())
+
+
+# -- the structure maps over the rules' field -------------------------------
+
+class ReferenceMaps:
+    """The structure maps as they were computed over K = Q(r): word caches
+    of TensorPoly and NcPoly, each extension reduced leg by leg or by
+    alg.nf, and the axiom residuals as NcPoly and TensorPoly arithmetic.
+    The generator values are read from the StructureMaps given."""
+
+    def __init__(self, maps):
+        self.maps, self.alg = maps, maps.alg
+        self.delta = {"": TensorPoly.one(2)}
+        self.antipode = {"": NcPoly.one()}
+
+    def tensor_nf(self, tp):
+        nf_word = self.alg.system.nf_word
+        acc = {}
+        for key, c in tp.terms.items():
+            legs = [nf_word(w) for w in key]
+            stack = [((), c)]
+            for leg in legs:
+                stack = [(done + (w,), cc * cw) for done, cc in stack for w, cw in leg.items()]
+            accumulate(acc, stack)
+        return tp._new(acc)
+
+    def delta_word(self, w):
+        n = len(w)
+        while w[:n] not in self.delta:
+            n -= 1
+        hit = self.delta[w[:n]]
+        for i in range(n, len(w)):
+            self.delta[w[:i + 1]] = hit = self.tensor_nf(hit * self.maps.delta_gen[w[i]])
+        return hit
+
+    def antipode_word(self, w):
+        n = 0
+        while w[n:] not in self.antipode:
+            n += 1
+        hit = self.antipode[w[n:]]
+        for i in range(n - 1, -1, -1):
+            self.antipode[w[i:]] = hit = self.alg.nf(hit * self.maps.antipode_gen[w[i]])
+        return hit
+
+    def counit_word(self, w):
+        v = ONE
+        for ch in w:
+            v = v * self.maps.counit_gen[ch]
+        return v
+
+    def apply_delta(self, f):
+        return TensorPoly(2, ((k, c * cd) for w, c in f.terms.items()
+                              for k, cd in self.delta_word(w).terms.items()))
+
+    def apply_counit(self, f):
+        return sum((c * self.counit_word(w) for w, c in f.terms.items()), ZERO)
+
+    def apply_antipode(self, f):
+        return NcPoly((s, c * cs) for w, c in f.terms.items()
+                      for s, cs in self.antipode_word(w).terms.items())
+
+    def hopf_residuals(self, f):
+        alg = self.alg
+        d = self.apply_delta(f).terms.items()
+        nf_f = alg.nf(f)
+        eps_f = NcPoly.scalar(self.apply_counit(f))
+        coassoc = TensorPoly(3, chain(
+            (((u1, u2, v), c * cu) for (u, v), c in d
+             for (u1, u2), cu in self.delta_word(u).terms.items()),
+            (((u, v1, v2), -c * cv) for (u, v), c in d
+             for (v1, v2), cv in self.delta_word(v).terms.items())))
+        counit_l = NcPoly((v, c * self.counit_word(u)) for (u, v), c in d)
+        counit_r = NcPoly((u, c * self.counit_word(v)) for (u, v), c in d)
+        antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
+                            for s, cs in self.antipode_word(u).terms.items())
+        antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
+                            for s, cs in self.antipode_word(v).terms.items())
+        return [coassoc, counit_l - nf_f, counit_r - nf_f,
+                alg.nf(antipode_l) - eps_f, alg.nf(antipode_r) - eps_f]
+
+
+def hopf_elements(alg, samples, seed, max_len=6):
+    """The elements check_hopf_axioms draws, in its order."""
+    rng = random.Random(seed)
+    pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
+    return ([NcPoly.word(ch) for ch in "xyagb"]
+            + [random_poly(rng, pool, max_len=max_len) for _ in range(samples)])
+
+
+def perturbed(maps, kind):
+    """The maps with one generator value moved off the Hopf structure, so
+    that the residuals it enters are nonzero."""
+    if kind == "delta":
+        maps.delta_gen["y"] = TensorPoly(2, {("", "y"): ONE, ("y", "b"): ONE})
+    elif kind == "antipode":
+        maps.antipode_gen["x"] = NcPoly({"": ONE, "xg": -ONE})
+    elif kind == "counit":
+        maps.counit_gen["y"] = maps.counit_gen["y"] + 1
+    return maps
+
+
+def fresh(t):
+    return build_algebra(curve_point_from_t(t))
+
+
+POINTS = (2, Fraction(7, 5), Fraction(-1, 2))
+
+
+class TestFieldCoefficients:
+    """The word caches hold coefficients in the rules' field of definition;
+    everything the module returns holds Scalars."""
+
+    @pytest.mark.parametrize("t, kinds", [(2, {int}), (Fraction(7, 5), {int, Fraction})],
+                             ids=["t=2", "t=7/5"])
+    def test_caches_hold_field_coefficients(self, t, kinds):
+        maps = StructureMaps(fresh(t))
+        check_welldefined(maps)
+        check_hopf_axioms(maps, samples=10, seed=0)
+        for cache in (maps._delta_cache, maps._antipode_cache):
+            assert {type(c) for terms in cache.values() for c in terms.values()} == kinds
+
+    @pytest.mark.parametrize("t", POINTS[:2], ids=["t=2", "t=7/5"])
+    def test_boundary_returns_scalars(self, t):
+        maps = perturbed(StructureMaps(fresh(t)), "delta")
+        alg = maps.alg
+        f = parse_expr("x*y*a^-1 + 2*b*y - x^2", alg.point)
+        values = [apply_delta(f, maps), apply_antipode(f, maps),
+                  tensor_nf(TensorPoly(2, {("yx", "ba"): Scalar(3)}), alg)]
+        values += _hopf_residuals(f, maps)
+        assert values[0] and values[1] and values[2] and values[3]
+        assert all(type(c) is Scalar for v in values for c in v.terms.values())
+        assert type(apply_counit(f, maps)) is Scalar
+
+    @pytest.mark.parametrize("kind", [None, "delta", "antipode", "counit"])
+    @pytest.mark.parametrize("t", POINTS, ids=["t=2", "t=7/5", "t=-1/2"])
+    def test_residuals_equal_the_scalar_reference(self, t, kind):
+        alg = fresh(t)
+        maps = perturbed(StructureMaps(alg), kind)
+        reference = ReferenceMaps(maps)
+        rng = random.Random(7)
+        pool = [Scalar(1), Scalar(-2), R, ONE - R, alg.point.q, alg.point.p]
+        elements = hopf_elements(alg, 12, seed=5) + [
+            random_poly(rng, pool, max_len=5) for _ in range(8)]
+        nonzero = 0
+        for f in elements:
+            got, want = _hopf_residuals(f, maps), reference.hopf_residuals(f)
+            assert [type(r) for r in got] == [type(r) for r in want]
+            # term for term, in the same order
+            assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in want]
+            nonzero += sum(1 for r in got if r)
+        assert (nonzero > 0) == (kind is not None)
+
+    @pytest.mark.parametrize("t", POINTS[:2], ids=["t=2", "t=7/5"])
+    def test_nf_cache_fills_in_the_reference_order(self, t):
+        # reduction order is part of the contract: a fuel outcome can depend
+        # on which words are already cached
+        alg = fresh(t)
+        maps = StructureMaps(alg)
+        check_welldefined(maps)
+        check_hopf_axioms(maps, samples=30, seed=42)
+        ref_alg = fresh(t)
+        reference = ReferenceMaps(StructureMaps(ref_alg))
+        for _, rel in relation_polys(ref_alg.point):
+            reference.apply_delta(rel)
+            reference.apply_counit(rel)
+            reference.apply_antipode(rel)
+        for f in hopf_elements(ref_alg, 30, seed=42):
+            reference.hopf_residuals(f)
+        assert list(alg.system._nf_cache) == list(ref_alg.system._nf_cache)
+        assert list(maps._delta_cache) == list(reference.delta)
+        assert list(maps._antipode_cache) == list(reference.antipode)
+
+    def test_units_witness_is_scalar(self, alg):
+        witness = units_bounded_check(alg, alg.parse_nf("a^2*b"), max_len=6)
+        assert witness == alg.parse_nf("a^-5*b")
+        assert all(type(c) is Scalar for c in witness.terms.values())
+
+
+class TestUnitsFuel:
+    def test_overrun_fails_the_candidate(self, alg):
+        starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=110),
+                               alg.completion_log, alg.diamond_report)
+        report = units_suite(starved)
+        assert not report.ok and len(report.entries) == 8
+        failed = [e for e in report.entries if "error" in e]
+        assert [e["element"] for e in failed] == ["a^-1*b"]
+        assert isinstance(failed[0]["error"], FuelExhausted)
+        assert failed[0]["invertible"] is None and failed[0]["witness"] is None
+        assert "budget 110" in report.to_json()["entries"][3]["error"]
