@@ -32,8 +32,13 @@ becomes an NcPoly of Scalars) and the word maps of the Hopf layer.
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
 where every difference vanishes, is the diamond report of the completed
-system.  The ambiguities are enumerated once and extended by the pairs
-each new rule takes part in.
+system.  Rounds are incremental: when a rule with lhs L is added, the next
+system starts from the last nf cache less the words that hold L or whose
+head or prefix-first children were dropped, and an ambiguity whose branch
+words all stayed keeps its entry unreduced.  So the final report holds
+entries of earlier rounds, each equal to the one a fresh system computes.
+The ambiguities are enumerated once and extended by the pairs each new
+rule takes part in.
 
 No global monomial order is assumed: termination is enforced by fuel, and
 confluence is established a posteriori by the ambiguity checks.  The fuel
@@ -311,37 +316,42 @@ def _ambiguity_key(amb):
     return (word_key(amb.witness), amb.rule_left, amb.rule_right, amb.pos_right, amb.kind)
 
 
+def _branches(rs: RuleSystem, amb: Ambiguity):
+    """The left and right one-step reducts of an ambiguity's witness, each
+    as (word, coefficient) pairs over the rules' field."""
+    w = amb.witness
+    return [[(w[:pos] + t + w[pos + len(rs.rules[idx].lhs):], c) for t, c in rs._rhs[idx]]
+            for pos, idx in ((0, amb.rule_left), (amb.pos_right, amb.rule_right))]
+
+
 def branch_difference(rs: RuleSystem, amb: Ambiguity) -> NcPoly:
     """NF(left branch) - NF(right branch) for an ambiguity's witness.
 
     Both branches are reduced over the rules' field of definition, the left
     one first, and the difference becomes an NcPoly of Scalars only at the
     end; its terms come in the order of NF(left) - NF(right) on NcPolys."""
-    w = amb.witness
-
-    def branch(pos, idx):
-        pre, suf = w[:pos], w[pos + len(rs.rules[idx].lhs):]
-        return rs.nf_terms((pre + t + suf, c) for t, c in rs._rhs[idx])
-
-    left = branch(0, amb.rule_left)
-    right = branch(amb.pos_right, amb.rule_right)
+    left, right = (rs.nf_terms(branch) for branch in _branches(rs, amb))
     return NcPoly(accumulate(left, ((w2, -c) for w2, c in right.items())))
 
 
-def _diamond(rs: RuleSystem, ambiguities) -> Report:
+def _diamond(rs: RuleSystem, ambiguities, settled) -> Report:
     """The diamond report of rs over the given ambiguities: one entry per
     ambiguity, its branch difference as the residual, or the FuelExhausted
     of a branch that ran out of fuel (a failing entry that prints the
-    error message)."""
+    error message).  An ambiguity in settled, a dict, keeps the entry it
+    maps to, the same object, without reducing anything."""
     rules = rs.rules
     entries = []
     for amb in ambiguities:
-        name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
-                f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
-        try:
-            entries.append(Entry(name, branch_difference(rs, amb)))
-        except FuelExhausted as exc:
-            entries.append(Entry(name, exc))
+        entry = settled.get(amb)
+        if entry is None:
+            name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
+                    f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
+            try:
+                entry = Entry(name, branch_difference(rs, amb))
+            except FuelExhausted as exc:
+                entry = Entry(name, exc)
+        entries.append(entry)
     return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
                               "unresolved": sum(1 for e in entries if not e.ok),
                               "entries": entries})
@@ -352,8 +362,9 @@ def check_diamond(rs: RuleSystem) -> Report:
     iff all differences vanish (local confluence).  Each entry is named by
     its ambiguity; one whose reduction runs out of fuel fails with the error
     message as its residual.  complete's last round makes the same report
-    for the system it returns, so build_algebra does not call this."""
-    return _diamond(rs, rs.find_ambiguities())
+    for the system it returns, partly from earlier rounds' entries, so
+    build_algebra does not call this."""
+    return _diamond(rs, rs.find_ambiguities(), {})
 
 
 class OrientationPolicy:
@@ -374,13 +385,22 @@ class OrientationPolicy:
         return (sum(self.WEIGHT[ch] for ch in w), len(w),
                 tuple(self.PRECEDENCE[ch] for ch in w))
 
-    def orient(self, diff: NcPoly) -> Rule:
+    def rank(self, diff: NcPoly):
+        """(impure, len(lhs), word_rank(lhs), lhs) of orient(diff), read off
+        diff (NonOrientable if it has no eligible word): the rhs is diff less
+        the lhs, so it leaves the target span iff diff has a second eligible
+        word.  Pure rules rank first, as the ones the final system may keep
+        (closure invariant); impure ones usually become derivable once the
+        pure ones have landed."""
         candidates = [w for w in diff.terms if not self.is_target(w)]
         if not candidates:
             raise NonOrientable(diff)
         lhs = max(candidates, key=self.word_rank)
-        inv = diff.terms[lhs].inverse()
-        rhs = NcPoly.word(lhs) - diff.scale(inv)
+        return (len(candidates) > 1, len(lhs), self.word_rank(lhs), lhs)
+
+    def orient(self, diff: NcPoly) -> Rule:
+        lhs = self.rank(diff)[-1]
+        rhs = NcPoly.word(lhs) - diff.scale(diff.terms[lhs].inverse())
         return Rule(lhs, rhs, origin="completed")
 
 
@@ -389,28 +409,60 @@ class CompletionLog:
     added: list = field(default_factory=list)  # (witness, Rule)
     rounds: int = 0
     diamond: Report = None  # the last round's report: that of the returned system
+    # per round, kept out of to_json: (ambiguities, entries reduced, nf cache
+    # words as the round starts, carried from the round before)
+    counts: list = field(default_factory=list)
 
     def to_json(self):
         return {"rounds": self.rounds,
                 "added": [{"witness": w, "rule": r.to_json()} for w, r in self.added]}
 
 
+def _carry(rs: RuleSystem, old: dict) -> dict:
+    """The part of old, the nf cache of rs before its last rule was added,
+    that rs computes the same: a word is dropped when it holds the new lhs,
+    or when its head or one of its prefix-first children was dropped.  A
+    word is cached after its head and children, so one pass in insertion
+    order finds them; a kept head holds no lhs, and when it is irreducible
+    every match of the word ends at its last letter.  Kept dicts are shared."""
+    lhs, longest = rs.rules[-1].lhs, max(len(r.lhs) for r in rs.rules)
+    search, index, rhs = rs._lhs_re.search, rs._lhs_index, rs._rhs
+    dropped = set()
+    for w, nf in old.items():
+        head = w[:-1]
+        if w.endswith(lhs) or head in dropped:
+            dropped.add(w)
+        elif w not in nf:  # reducible
+            head_nf = old[head]
+            if head in head_nf:
+                m = search(w, max(0, len(w) - longest))
+                children = [w[:m.start()] + t for t, _ in rhs[index[m.group()]]]
+            else:
+                children = [n + w[-1] for n in head_nf]
+            if not dropped.isdisjoint(children):
+                dropped.add(w)
+    return {w: nf for w, nf in old.items() if w not in dropped}
+
+
 def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     """Knuth-Bendix-style completion.
 
-    Each round makes the diamond report of the current system, reducing
-    every ambiguity witness along both branches over the rules' field of
-    definition, and collects the candidate rules oriented from the nonzero
-    differences; the candidate with the smallest lhs under the policy order
-    is added.  Adding small rules first keeps intermediate systems from
+    Each round makes the diamond report of the current system and ranks its
+    nonzero differences by the rule the policy would orient from each; only
+    the rule with the smallest lhs under the policy order is made and
+    added.  Adding small rules first keeps intermediate systems from
     spiralling into ever longer left-hand sides.  The ambiguities are
-    enumerated once; a new rule adds only those it takes part in.  A witness
-    whose reduction exhausts its fuel under the current (possibly
+    enumerated once; a new rule adds only those it takes part in.
+
+    The next system starts from this one's nf cache less the words whose
+    reduction the new rule changes, and an ambiguity whose branch words all
+    kept their normal forms keeps its entry, the same object, unreduced.  A
+    witness whose reduction exhausts its fuel under the current (possibly
     non-terminating) intermediate system is skipped for the round and
-    retried after the next rule lands.  Every intermediate system, and the
-    result, keeps the fuel of rs.  If the rule cap is reached while
-    witnesses are stuck, the LimitExceeded names how many and chains from
-    the first FuelExhausted.
+    reduced again after the next rule lands.  Every intermediate system,
+    and the result, keeps the fuel of rs; carried words cost none.  If the
+    rule cap is reached while witnesses are stuck, the LimitExceeded names
+    how many and chains from the first FuelExhausted.
 
     The last round finds every difference zero: its report, kept as
     log.diamond, is the diamond check of the returned system.
@@ -421,23 +473,20 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     log = CompletionLog()
     current = RuleSystem(rules, rs.fuel)
     ambiguities = current.find_ambiguities()
+    settled = {}
     while True:
         log.rounds += 1
-        report = _diamond(current, ambiguities)
-        candidates = []  # (lhs_rank, witness, Rule)
+        log.counts.append((len(ambiguities), len(ambiguities) - len(settled),
+                           len(current._nf_cache)))
+        report = _diamond(current, ambiguities, settled)
+        candidates = []  # (rank, witness key, difference)
         stuck = []  # (witness, FuelExhausted)
         for amb, entry in zip(ambiguities, report.entries):
             if isinstance(entry.residual, FuelExhausted):
                 stuck.append((amb.witness, entry.residual))
             elif not entry.ok:
-                rule = orient.orient(entry.residual)
-                # Rules whose rhs stays inside the target span come first:
-                # they are the ones the final system may keep (closure
-                # invariant), and impure candidates usually become derivable
-                # once the pure ones have landed.
-                impure = any(not orient.is_target(w) for w in rule.rhs.terms)
-                candidates.append(((impure, len(rule.lhs), orient.word_rank(rule.lhs)),
-                                   amb.witness, rule))
+                candidates.append((orient.rank(entry.residual), word_key(amb.witness),
+                                   amb.witness, entry.residual))
         if not candidates:
             if stuck:
                 witness, exc = stuck[0]
@@ -448,11 +497,15 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
             first = stuck[0][1] if stuck else None
             detail = f" with {len(stuck)} witnesses out of fuel, first: {first}" if stuck else ""
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}{detail}") from first
-        candidates.sort(key=lambda c: (c[0], word_key(c[1])))
-        _, witness, rule = candidates[0]
+        _, _, witness, diff = min(candidates, key=lambda c: c[:2])
+        rule = orient.orient(diff)
         log.added.append((witness, rule))
         rules.append(rule)
-        current = RuleSystem(rules, rs.fuel)
+        current, old = RuleSystem(rules, rs.fuel), current
+        current._nf_cache = cache = _carry(current, old._nf_cache)
+        settled = {amb: entry for amb, entry in zip(ambiguities, report.entries)
+                   if not isinstance(entry.residual, FuelExhausted)
+                   and all(w in cache for branch in _branches(current, amb) for w, _ in branch)}
         new = len(rules) - 1
         ambiguities = sorted([*ambiguities,
                               *(amb for i in range(new + 1)

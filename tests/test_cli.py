@@ -257,7 +257,8 @@ class TestArgHandling:
         assert code == 2 and out == ""
         assert err == "error: CURVEFORM_FUEL must be an integer step budget, got 'lots'\n"
 
-    # building the algebra takes 100 steps, reducing b^6*x^6 on it takes 412
+    # building the algebra takes 82 steps (words carried from one completion
+    # round to the next cost none), reducing b^6*x^6 on it takes 412
     @pytest.mark.parametrize("source", ["option", "env"])
     def test_fuel_bounds_every_reduction(self, capsys, monkeypatch, source):
         argv = ["nf", "b^6*x^6"]

@@ -184,6 +184,21 @@ class TestCoideal:
         report = check_coideal(maps, max_deg=5)
         assert report.ok
 
+    @pytest.mark.parametrize("mutate, failing", [(False, 0), (True, 11)],
+                             ids=["true-delta", "delta-x-plus-a-x"])
+    def test_a_left_leg_outside_b_fails(self, alg, mutate, failing):
+        # delta(x) + a (x) x puts a into a left leg of delta on every B-word
+        # that holds x; only the entries of 1 and y still pass
+        maps = StructureMaps(alg)
+        if mutate:
+            maps.delta_gen["x"] = maps.delta_gen["x"] + TensorPoly(2, {("a", "x"): ONE})
+        report = check_coideal(maps, max_deg=6)
+        assert len(report.entries) == 13 and report.ok == (not mutate)
+        assert sum(1 for e in report.entries if not e.ok) == failing
+        if mutate:
+            assert [e.name for e in report.entries if e.ok] == [
+                "delta(1) left legs in B", "delta(y) left legs in B"]
+
     def test_delta_of_y_squared(self, alg, maps):
         # every left leg of delta(y^2) is a word in x, y only
         d = apply_delta(alg.parse_nf("y^2"), maps)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -257,6 +258,16 @@ class TestOrientation:
     def test_non_orientable(self):
         with pytest.raises(NonOrientable):
             self.policy.orient(NcPoly.word("xy") + NcPoly.word("aaa"))
+        with pytest.raises(NonOrientable):
+            self.policy.rank(NcPoly.word("xy") + NcPoly.word("aaa"))
+
+    def test_completion_stops_at_the_first_non_orientable_difference(self):
+        # aba gives xa - ay, which orients to xa; bab gives yb - bx, where
+        # no word is eligible, and that difference is raised
+        rs = RuleSystem([Rule("ab", NcPoly.word("x")), Rule("ba", NcPoly.word("y"))])
+        with pytest.raises(NonOrientable) as exc:
+            complete(rs, OrientationPolicy(lambda w: w != "xa"))
+        assert exc.value.difference == NcPoly({"yb": ONE, "bx": -ONE})
 
 
 class TestCompletion:
@@ -435,18 +446,34 @@ def reference_difference(rs, amb):
             - rs.normal_form(rs.apply_at(w, amb.pos_right, amb.rule_right)))
 
 
-def completion_rounds(monkeypatch, t):
-    """(system, ambiguities) of every round of the completion at t."""
+def recorded_rounds(monkeypatch, run):
+    """Every completion round that run() makes, as (system, ambiguities,
+    settled, carried, report): settled maps the ambiguities that keep an
+    earlier round's entry to it, and carried is the system's nf cache as the
+    round starts, before it reduces anything."""
     rounds = []
     diamond = rewrite._diamond
 
-    def record(rs, ambiguities):
-        rounds.append((rs, list(ambiguities)))
-        return diamond(rs, ambiguities)
+    def record(rs, ambiguities, settled):
+        carried = dict(rs._nf_cache)
+        report = diamond(rs, ambiguities, settled)
+        rounds.append((rs, list(ambiguities), dict(settled), carried, report))
+        return report
 
-    monkeypatch.setattr(rewrite, "_diamond", record)
-    build_algebra(curve_point_from_t(t))
+    with monkeypatch.context() as patched:
+        patched.setattr(rewrite, "_diamond", record)
+        run()
     return rounds
+
+
+def completion_rounds(monkeypatch, t):
+    """The rounds of the completion at t, as recorded_rounds gives them."""
+    return recorded_rounds(monkeypatch, lambda: build_algebra(curve_point_from_t(t)))
+
+
+def entry_terms(report):
+    """Each entry's name, verdict and residual terms in order."""
+    return [(e.name, e.ok, list(e.residual.terms.items())) for e in report.entries]
 
 
 POINTS = ["2", "3", "7/5", "-1/2"]
@@ -457,7 +484,7 @@ class TestCompletionRounds:
     def test_branch_difference_equals_the_ncpoly_formula(self, monkeypatch, t):
         # on every round's system, each on a cold cache: the same difference,
         # term for term in the same order, and the nf cache fills the same way
-        for rs, ambiguities in completion_rounds(monkeypatch, Fraction(t)):
+        for rs, ambiguities, *_ in completion_rounds(monkeypatch, Fraction(t)):
             fast, slow = RuleSystem(rs.rules, rs.fuel), RuleSystem(rs.rules, rs.fuel)
             for amb in ambiguities:
                 diff, reference = branch_difference(fast, amb), reference_difference(slow, amb)
@@ -481,8 +508,8 @@ class TestCompletionRounds:
     def test_ambiguities_equal_a_full_enumeration_every_round(self, monkeypatch, t):
         rounds = completion_rounds(monkeypatch, Fraction(t))
         assert len(rounds) == 5
-        assert [len(ambiguities) for _, ambiguities in rounds] == [26, 31, 39, 47, 51]
-        for rs, ambiguities in rounds:
+        assert [len(ambiguities) for _, ambiguities, *_ in rounds] == [26, 31, 39, 47, 51]
+        for rs, ambiguities, *_ in rounds:
             assert ambiguities == rs.find_ambiguities()
 
     @pytest.mark.parametrize("t", POINTS)
@@ -503,3 +530,86 @@ class TestCompletionRounds:
         assert all(isinstance(e.residual, FuelExhausted) for e in report.entries)
         assert [e["residual"] for e in report.to_json()["entries"]] == [
             str(e.residual) for e in report.entries]
+
+
+class TestIncrementalCompletion:
+    """Each round starts from the last round's nf cache less the words the
+    new rule changes, and keeps the entries whose branch words all stayed;
+    part of the final diamond report therefore comes from earlier rounds."""
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_every_round_equals_a_cold_diamond(self, monkeypatch, t):
+        # entry for entry: names, verdicts, residual terms and their order
+        for rs, ambiguities, _, _, report in completion_rounds(monkeypatch, Fraction(t)):
+            cold = rewrite._diamond(RuleSystem(rs.rules, rs.fuel), ambiguities, {})
+            assert entry_terms(report) == entry_terms(cold)
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_carried_words_keep_their_normal_forms(self, monkeypatch, t):
+        rounds = completion_rounds(monkeypatch, Fraction(t))
+        assert len(rounds[0][3]) == 1 and all(len(carried) > 1 for *_, carried, _ in rounds[1:])
+        for rs, _, _, carried, _ in rounds:
+            cold = RuleSystem(rs.rules, rs.fuel)
+            for w, nf in carried.items():
+                assert list(nf.items()) == list(cold.nf_word(w).items()), w
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_settled_entries_are_the_earlier_objects(self, monkeypatch, t):
+        rounds = completion_rounds(monkeypatch, Fraction(t))
+        for (_, earlier, _, _, before), (_, ambiguities, settled, _, after) in zip(rounds,
+                                                                                 rounds[1:]):
+            previous, now = dict(zip(earlier, before.entries)), dict(zip(ambiguities, after.entries))
+            assert settled and all(now[amb] is entry is previous[amb]
+                                   for amb, entry in settled.items())
+            assert all(now[amb] is not previous.get(amb) for amb in ambiguities
+                       if amb not in settled)
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_rank_equals_that_of_the_oriented_rule(self, monkeypatch, t):
+        policy = OrientationPolicy(is_basis_word)
+        diffs = [e.residual for *_, report in completion_rounds(monkeypatch, Fraction(t))
+                 for e in report.entries if not e.ok]
+        assert len(diffs) > 4
+        for diff in diffs:
+            rule = policy.orient(diff)
+            impure = any(not is_basis_word(w) for w in rule.rhs.terms)
+            assert policy.rank(diff) == (impure, len(rule.lhs), policy.word_rank(rule.lhs),
+                                         rule.lhs)
+
+    def test_round_counts(self):
+        log = build_algebra(curve_point_from_t(2)).completion_log
+        ambiguities, reduced, cache_words = map(list, zip(*log.counts))
+        assert ambiguities == [26, 31, 39, 47, 51]
+        assert reduced == [26, 6, 9, 17, 21]
+        # only the empty word before the first round
+        assert cache_words[0] == 1 and all(n > 1 for n in cache_words[1:])
+        # not in the pinned rules --json output
+        assert set(log.to_json()) == {"rounds", "added"}
+
+    def test_out_of_fuel_entries_are_reduced_again(self, monkeypatch):
+        # with a budget of 12, bbbb runs out of fuel in the third round while
+        # later witnesses cache its branch words; the fourth round carries
+        # those words, yet reduces bbbb again, and it resolves
+        rs = RuleSystem([Rule("ga", NcPoly.word("b")), Rule("abb", NcPoly.word("gbxa"))],
+                        fuel=12)
+
+        def run():
+            with pytest.raises(FuelExhausted) as exc:
+                complete(rs, OrientationPolicy(is_basis_word))
+            assert str(exc.value) == ("reduction of b*a^-2*b*x*a^-1*b*x*a*b^2 exhausted its "
+                                      "fuel: 12 steps taken, budget 12")
+
+        rounds = recorded_rounds(monkeypatch, run)
+        (_, earlier, _, _, third), (fourth_rs, ambiguities, settled, carried, fourth) = rounds[2:4]
+        amb = next(amb for amb in earlier if amb.witness == "bbbb")
+        assert isinstance(dict(zip(earlier, third.entries))[amb].residual, FuelExhausted)
+        assert all(w in carried for branch in rewrite._branches(fourth_rs, amb) for w, _ in branch)
+        assert amb not in settled and dict(zip(ambiguities, fourth.entries))[amb].ok
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_final_report_equals_a_fresh_check(self, seed):
+        rng = random.Random(seed)
+        t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        alg = build_algebra(curve_point_from_t(t))
+        fresh = RuleSystem(alg.system.rules, alg.system.fuel)
+        assert alg.completion_log.diamond.to_json() == check_diamond(fresh).to_json()
