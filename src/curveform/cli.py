@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import galois, hopf
@@ -27,6 +28,10 @@ from .scalar import Fraction, curve_point_from_t, curve_point_validate
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr and exits 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # --t -1/2 is a value
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

@@ -32,13 +32,13 @@ becomes an NcPoly of Scalars) and the word maps of the Hopf layer.
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
 where every difference vanishes, is the diamond report of the completed
-system.  Rounds are incremental: when a rule with lhs L is added, the next
-system starts from the last nf cache less the words that hold L or whose
-head or prefix-first children were dropped, and an ambiguity whose branch
-words all stayed keeps its entry unreduced.  So the final report holds
-entries of earlier rounds, each equal to the one a fresh system computes.
-The ambiguities are enumerated once and extended by the pairs each new
-rule takes part in.
+system.  Rounds are incremental: when a rule with lhs L is added, the nf
+cache drops in place the words that hold L or whose head or prefix-first
+children were dropped.  Each ambiguity is one record for the whole build,
+its sort key and branches made once; it keeps its entry unreduced, and the
+rank of a nonzero difference, while its branch words stay cached.  So the
+final report holds entries of earlier rounds, each equal to the one a fresh
+system computes, and each new rule adds the records of its own pairs.
 
 No global monomial order is assumed: termination is enforced by fuel, and
 confluence is established a posteriori by the ambiguity checks.  The fuel
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
 from .freealg import NcPoly, accumulate, check_word, word_key
@@ -116,6 +117,10 @@ class Ambiguity:
     rule_right: int
     witness: str
     pos_right: int
+
+    @cached_property
+    def key(self):  # the enumeration order, witnesses in graded-lex order
+        return (word_key(self.witness), self.rule_left, self.rule_right, self.pos_right, self.kind)
 
 
 class RuleSystem:
@@ -290,7 +295,7 @@ class RuleSystem:
         """All overlap and inclusion ambiguities, in deterministic order."""
         rules = self.rules
         return sorted((amb for i in range(len(rules)) for j in range(len(rules))
-                       for amb in _pair_ambiguities(rules, i, j)), key=_ambiguity_key)
+                       for amb in _pair_ambiguities(rules, i, j)), key=lambda amb: amb.key)
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
@@ -312,10 +317,6 @@ def _pair_ambiguities(rules, i, j):
             pos = li.find(lj, pos + 1)
 
 
-def _ambiguity_key(amb):
-    return (word_key(amb.witness), amb.rule_left, amb.rule_right, amb.pos_right, amb.kind)
-
-
 def _branches(rs: RuleSystem, amb: Ambiguity):
     """The left and right one-step reducts of an ambiguity's witness, each
     as (word, coefficient) pairs over the rules' field."""
@@ -324,34 +325,43 @@ def _branches(rs: RuleSystem, amb: Ambiguity):
             for pos, idx in ((0, amb.rule_left), (amb.pos_right, amb.rule_right))]
 
 
-def branch_difference(rs: RuleSystem, amb: Ambiguity) -> NcPoly:
-    """NF(left branch) - NF(right branch) for an ambiguity's witness.
+def branch_difference(rs: RuleSystem, amb: Ambiguity, branches=None) -> NcPoly:
+    """NF(left branch) - NF(right branch), the branches _branches(rs, amb).
 
     Both branches are reduced over the rules' field of definition, the left
     one first, and the difference becomes an NcPoly of Scalars only at the
     end; its terms come in the order of NF(left) - NF(right) on NcPolys."""
-    left, right = (rs.nf_terms(branch) for branch in _branches(rs, amb))
+    left, right = (rs.nf_terms(branch) for branch in branches or _branches(rs, amb))
     return NcPoly(accumulate(left, ((w2, -c) for w2, c in right.items())))
 
 
-def _diamond(rs: RuleSystem, ambiguities, settled) -> Report:
-    """The diamond report of rs over the given ambiguities: one entry per
-    ambiguity, its branch difference as the residual, or the FuelExhausted
-    of a branch that ran out of fuel (a failing entry that prints the
-    error message).  An ambiguity in settled, a dict, keeps the entry it
-    maps to, the same object, without reducing anything."""
+class _Record:
+    """An ambiguity with its branches, its entry (None until it is reduced,
+    and again once it must be) and the rank of a nonzero difference."""
+
+    __slots__ = ("amb", "branches", "entry", "rank")
+
+    def __init__(self, rs: RuleSystem, amb: Ambiguity):
+        self.amb, self.branches, self.entry, self.rank = amb, _branches(rs, amb), None, None
+
+
+def _diamond(rs: RuleSystem, records) -> Report:
+    """The diamond report of rs over the records, in their order.  A record
+    without an entry gets one: its branch difference as the residual, or the
+    FuelExhausted of a branch that ran out of fuel (a failing entry that
+    prints the error message).  Every other record keeps its entry, the same
+    object, without reducing anything."""
     rules = rs.rules
-    entries = []
-    for amb in ambiguities:
-        entry = settled.get(amb)
-        if entry is None:
+    for rec in records:
+        if rec.entry is None:
+            amb = rec.amb
             name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
                     f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
             try:
-                entry = Entry(name, branch_difference(rs, amb))
+                rec.entry = Entry(name, branch_difference(rs, amb, rec.branches))
             except FuelExhausted as exc:
-                entry = Entry(name, exc)
-        entries.append(entry)
+                rec.entry = Entry(name, exc)
+    entries = [rec.entry for rec in records]
     return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
                               "unresolved": sum(1 for e in entries if not e.ok),
                               "entries": entries})
@@ -364,7 +374,7 @@ def check_diamond(rs: RuleSystem) -> Report:
     message as its residual.  complete's last round makes the same report
     for the system it returns, partly from earlier rounds' entries, so
     build_algebra does not call this."""
-    return _diamond(rs, rs.find_ambiguities(), {})
+    return _diamond(rs, [_Record(rs, amb) for amb in rs.find_ambiguities()])
 
 
 class OrientationPolicy:
@@ -418,22 +428,23 @@ class CompletionLog:
                 "added": [{"witness": w, "rule": r.to_json()} for w, r in self.added]}
 
 
-def _carry(rs: RuleSystem, old: dict) -> dict:
-    """The part of old, the nf cache of rs before its last rule was added,
-    that rs computes the same: a word is dropped when it holds the new lhs,
-    or when its head or one of its prefix-first children was dropped.  A
-    word is cached after its head and children, so one pass in insertion
-    order finds them; a kept head holds no lhs, and when it is irreducible
-    every match of the word ends at its last letter.  Kept dicts are shared."""
+def _carry(rs: RuleSystem, cache: dict) -> dict:
+    """Cuts cache, the nf cache of rs before its last rule was added, in
+    place to what rs computes the same: a word is dropped when it holds the
+    new lhs, or when its head or one of its prefix-first children was
+    dropped.  A word is cached after its head and children, so one pass in
+    insertion order finds them, children only once some word was dropped; a
+    kept head holds no lhs, and when it is irreducible every match of the
+    word ends at its last letter."""
     lhs, longest = rs.rules[-1].lhs, max(len(r.lhs) for r in rs.rules)
     search, index, rhs = rs._lhs_re.search, rs._lhs_index, rs._rhs
     dropped = set()
-    for w, nf in old.items():
+    for w, nf in cache.items():
         head = w[:-1]
         if w.endswith(lhs) or head in dropped:
             dropped.add(w)
-        elif w not in nf:  # reducible
-            head_nf = old[head]
+        elif dropped and w not in nf:  # reducible
+            head_nf = cache[head]
             if head in head_nf:
                 m = search(w, max(0, len(w) - longest))
                 children = [w[:m.start()] + t for t, _ in rhs[index[m.group()]]]
@@ -441,7 +452,9 @@ def _carry(rs: RuleSystem, old: dict) -> dict:
                 children = [n + w[-1] for n in head_nf]
             if not dropped.isdisjoint(children):
                 dropped.add(w)
-    return {w: nf for w, nf in old.items() if w not in dropped}
+    for w in dropped:
+        del cache[w]
+    return cache
 
 
 def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
@@ -451,12 +464,12 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     nonzero differences by the rule the policy would orient from each; only
     the rule with the smallest lhs under the policy order is made and
     added.  Adding small rules first keeps intermediate systems from
-    spiralling into ever longer left-hand sides.  The ambiguities are
-    enumerated once; a new rule adds only those it takes part in.
+    spiralling into ever longer left-hand sides.  Each ambiguity is a record
+    of its sort key and branches, made once, when it is enumerated.
 
-    The next system starts from this one's nf cache less the words whose
-    reduction the new rule changes, and an ambiguity whose branch words all
-    kept their normal forms keeps its entry, the same object, unreduced.  A
+    The next system starts from this one's nf cache, cut in place to the
+    words the new rule leaves alone, and a record whose branch words all
+    stayed keeps its entry, the same object, unreduced, and its rank.  A
     witness whose reduction exhausts its fuel under the current (possibly
     non-terminating) intermediate system is skipped for the round and
     reduced again after the next rule lands.  Every intermediate system,
@@ -472,21 +485,20 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
     rules = list(rs.rules)
     log = CompletionLog()
     current = RuleSystem(rules, rs.fuel)
-    ambiguities = current.find_ambiguities()
-    settled = {}
+    records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
         log.rounds += 1
-        log.counts.append((len(ambiguities), len(ambiguities) - len(settled),
+        log.counts.append((len(records), sum(rec.entry is None for rec in records),
                            len(current._nf_cache)))
-        report = _diamond(current, ambiguities, settled)
-        candidates = []  # (rank, witness key, difference)
+        report = _diamond(current, records)
+        candidates = []  # records of nonzero differences
         stuck = []  # (witness, FuelExhausted)
-        for amb, entry in zip(ambiguities, report.entries):
-            if isinstance(entry.residual, FuelExhausted):
-                stuck.append((amb.witness, entry.residual))
-            elif not entry.ok:
-                candidates.append((orient.rank(entry.residual), word_key(amb.witness),
-                                   amb.witness, entry.residual))
+        for rec in records:
+            if isinstance(rec.entry.residual, FuelExhausted):
+                stuck.append((rec.amb.witness, rec.entry.residual))
+            elif not rec.entry.ok:
+                rec.rank = rec.rank or orient.rank(rec.entry.residual)
+                candidates.append(rec)
         if not candidates:
             if stuck:
                 witness, exc = stuck[0]
@@ -497,19 +509,17 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
             first = stuck[0][1] if stuck else None
             detail = f" with {len(stuck)} witnesses out of fuel, first: {first}" if stuck else ""
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}{detail}") from first
-        _, _, witness, diff = min(candidates, key=lambda c: c[:2])
-        rule = orient.orient(diff)
-        log.added.append((witness, rule))
+        best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
+        rule = orient.orient(best.entry.residual)
+        log.added.append((best.amb.witness, rule))
         rules.append(rule)
         current, old = RuleSystem(rules, rs.fuel), current
         current._nf_cache = cache = _carry(current, old._nf_cache)
-        settled = {amb: entry for amb, entry in zip(ambiguities, report.entries)
-                   if not isinstance(entry.residual, FuelExhausted)
-                   and all(w in cache for branch in _branches(current, amb) for w, _ in branch)}
+        for rec in records:
+            if isinstance(rec.entry.residual, FuelExhausted) or not all(
+                    w in cache for branch in rec.branches for w, _ in branch):
+                rec.entry = rec.rank = None
         new = len(rules) - 1
-        ambiguities = sorted([*ambiguities,
-                              *(amb for i in range(new + 1)
-                                for amb in _pair_ambiguities(rules, i, new)),
-                              *(amb for i in range(new)
-                                for amb in _pair_ambiguities(rules, new, i))],
-                             key=_ambiguity_key)
+        records += [_Record(current, amb) for i in range(new + 1)
+                    for pair in {(i, new), (new, i)} for amb in _pair_ambiguities(rules, *pair)]
+        records.sort(key=lambda rec: rec.amb.key)

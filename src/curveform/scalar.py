@@ -93,7 +93,7 @@ class Scalar:
         return self.c0 == other.c0 and self.c1 == other.c1
 
     def __hash__(self):
-        return hash((self.c0, self.c1))
+        return hash((self.c0, self.c1)) if self.c1 else hash(self.c0)  # as it equals c0
 
     def __bool__(self):
         return bool(self.c0) or bool(self.c1)

@@ -89,6 +89,12 @@ class TestRules:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_negative_rational_after_the_option(self, capsys):
+        # argparse would take -1/2 for an option; it is the value of --t
+        code, out, _ = run(capsys, "rules", "--json", "--t", "-1/2")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "65e7d421a84c9fe2007272a6d0c8d2743dded549c2130bd782403aa7db131be2")
+
 
 class TestCensus:
     def test_counts(self, capsys):
@@ -214,9 +220,17 @@ class TestArgHandling:
         code, out, _ = run(capsys, "nf", "b*b")
         assert code == 0 and out.strip() == "a^3"
 
+    def test_negative_rational_q_and_p(self, capsys):
+        # t = -1/2 gives (q, p) = (-3/4, 3/8)
+        code, out, _ = run(capsys, "suite", "diamond", "--q", "-3/4", "--p", "3/8", "--json")
+        assert code == 0 and json.loads(out)["status"] == "pass"
+
     @pytest.mark.parametrize("argv", [["--t", "abc"], ["--t", "1/0"],
-                                      ["--q", "1.5.2", "--p", "1"], ["--q", "3"]],
-                             ids=["t-abc", "t-1/0", "q-1.5.2", "q-without-p"])
+                                      ["--q", "1.5.2", "--p", "1"], ["--q", "3"],
+                                      ["--t", "-1/0"], ["--t", "-1/x"], ["--t", "-x"],
+                                      ["--q", "-3/4", "--p"]],
+                             ids=["t-abc", "t-1/0", "q-1.5.2", "q-without-p", "t--1/0",
+                                  "t--1/x", "t--x", "p-missing"])
     def test_malformed_point_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["nf", "x", *argv])

@@ -454,10 +454,12 @@ def recorded_rounds(monkeypatch, run):
     rounds = []
     diamond = rewrite._diamond
 
-    def record(rs, ambiguities, settled):
+    def record(rs, records):
         carried = dict(rs._nf_cache)
-        report = diamond(rs, ambiguities, settled)
-        rounds.append((rs, list(ambiguities), dict(settled), carried, report))
+        ambiguities = [rec.amb for rec in records]
+        settled = {rec.amb: rec.entry for rec in records if rec.entry is not None}
+        report = diamond(rs, records)
+        rounds.append((rs, ambiguities, settled, carried, report))
         return report
 
     with monkeypatch.context() as patched:
@@ -469,6 +471,11 @@ def recorded_rounds(monkeypatch, run):
 def completion_rounds(monkeypatch, t):
     """The rounds of the completion at t, as recorded_rounds gives them."""
     return recorded_rounds(monkeypatch, lambda: build_algebra(curve_point_from_t(t)))
+
+
+def check_diamond_over(rs, ambiguities):
+    """The diamond report of rs over the given ambiguities, every entry new."""
+    return rewrite._diamond(rs, [rewrite._Record(rs, amb) for amb in ambiguities])
 
 
 def entry_terms(report):
@@ -541,7 +548,7 @@ class TestIncrementalCompletion:
     def test_every_round_equals_a_cold_diamond(self, monkeypatch, t):
         # entry for entry: names, verdicts, residual terms and their order
         for rs, ambiguities, _, _, report in completion_rounds(monkeypatch, Fraction(t)):
-            cold = rewrite._diamond(RuleSystem(rs.rules, rs.fuel), ambiguities, {})
+            cold = check_diamond_over(RuleSystem(rs.rules, rs.fuel), ambiguities)
             assert entry_terms(report) == entry_terms(cold)
 
     @pytest.mark.parametrize("t", POINTS)
@@ -585,6 +592,33 @@ class TestIncrementalCompletion:
         assert cache_words[0] == 1 and all(n > 1 for n in cache_words[1:])
         # not in the pinned rules --json output
         assert set(log.to_json()) == {"rounds", "added"}
+
+    def test_branches_keys_and_ranks_are_made_once_per_build(self, monkeypatch):
+        # one branch pair and one sort key per ambiguity, 51 in all, and one
+        # rank per entry with a nonzero difference, however many rounds see
+        # it, besides the one orient takes of each of the 4 added rules
+        made = {"branches": 0, "keys": 0, "ranks": []}
+        branches, word_key = rewrite._branches, rewrite.word_key
+        rank = OrientationPolicy.rank
+
+        def count(name, fn):
+            def counted(*args):
+                made[name] += 1
+                return fn(*args)
+            return counted
+
+        def count_rank(policy, diff):
+            made["ranks"].append(diff)
+            return rank(policy, diff)
+
+        monkeypatch.setattr(rewrite, "_branches", count("branches", branches))
+        monkeypatch.setattr(rewrite, "word_key", count("keys", word_key))
+        monkeypatch.setattr(OrientationPolicy, "rank", count_rank)
+        rounds = completion_rounds(monkeypatch, Fraction(2))
+        nonzero = {id(e.residual) for *_, report in rounds for e in report.entries if not e.ok}
+        assert made["branches"] == made["keys"] == len(rounds[-1][1]) == 51
+        assert len(made["ranks"]) == len(nonzero) + len(rounds) - 1 == 23
+        assert {id(d) for d in made["ranks"]} == nonzero
 
     def test_out_of_fuel_entries_are_reduced_again(self, monkeypatch):
         # with a budget of 12, bbbb runs out of fuel in the third round while

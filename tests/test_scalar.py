@@ -121,6 +121,21 @@ class TestRepresentation:
             assert same(a.inverse(), ((a0 + a1) / n, -a1 / n))
 
 
+@given(st.one_of(st.integers(-10**6, 10**6), rationals))
+def test_hash_agrees_with_equality_to_rationals(value):
+    # Scalar(2) == 2, so it must hash as 2 and be found under it
+    s = Scalar(value)
+    assert s == value and hash(s) == hash(value)
+    assert {s: "v"}.get(value) == "v" and {value: "v"}.get(s) == "v"
+
+
+def test_hash_of_r_part_values():
+    a = Scalar(StdFraction(1, 2), 3)
+    assert hash(a) == hash(Scalar(StdFraction(2, 4), StdFraction(3))) and {a: 1}[Scalar(a.c0, 3)]
+    assert a != StdFraction(1, 2) and {a: "v"}.get(StdFraction(1, 2)) is None
+    assert {R: "r"}.get(R) == "r" and R not in {0, 1, StdFraction(1, 2)}
+
+
 def test_json_round_trip():
     s = Scalar(Rational(-7, 3), Rational(22, 5))
     assert Scalar.from_json(s.to_json()) == s
