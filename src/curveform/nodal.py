@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
 
-from .errors import DiamondFailure, FuelExhausted
+from .errors import CurveformError, DiamondFailure, FuelExhausted
 from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
@@ -118,6 +119,57 @@ class NodalAlgebra:
         return self.nf(parse_expr(text, self.point))
 
 
+def _weight(w: str) -> int:
+    """2 #x + 3 #y: x -> lam^2 x, y -> lam^3 y multiplies w by lam^_weight(w)."""
+    return 2 * w.count("x") + 3 * w.count("y")
+
+
+def _rescale(terms: dict, deg: int, base: Fraction, weights: dict, memo: dict) -> dict:
+    """terms, the rhs of a rule whose lhs has weight deg or the normal form of
+    a word of weight deg, with the coefficient c of word v times
+    base^(deg - weights[v]), an int where integral; memo maps (type, c,
+    exponent) to the product."""
+    out = {}
+    for v, c in terms.items():
+        e = deg - weights[v]
+        if e:
+            key = (type(c), c, e)  # Scalar(2) == 2
+            c = memo.get(key)
+            if c is None:
+                c = key[1] * base ** e
+                memo[key] = c = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        out[v] = c
+    return out
+
+
+def _rescaled(rs: RuleSystem, lam: int, sign: int = 1) -> RuleSystem:
+    """rs, its rules and nf cache, under x -> lam^(2 sign) x, y -> lam^(3 sign) y:
+    an automorphism of the free algebra that multiplies each word by a
+    nonzero scalar, so both systems make the same matches and steps, cache
+    the same words and orient the same rules.  rs itself at lam = 1."""
+    if lam == 1:
+        return rs
+    base, cache, memo = Fraction(lam) ** sign, rs._nf_cache, {}
+    # every word of a cached normal form is cached itself
+    weights = {w: _weight(w) for w in chain(cache, *((r.lhs, *r.rhs.terms) for r in rs.rules))}
+    out = RuleSystem([Rule(r.lhs, r.rhs._new(_rescale(r.rhs.terms, weights[r.lhs], base, weights,
+                                                      memo)), r.origin) for r in rs.rules], rs.fuel)
+    mapped = {}  # (id of a cached dict, weight of its word) -> its image, which they share
+    for w, nf in cache.items():
+        key = (id(nf), weights[w])
+        if key not in mapped:
+            mapped[key] = _rescale(nf, key[1], base, weights, memo)
+        out._nf_cache[w] = mapped[key]
+    return out
+
+
+def _complete(seed: RuleSystem):  # complete, with the diamond report's verdict raised
+    completed, log = complete(seed, OrientationPolicy(is_basis_word))
+    if not log.diamond.ok:
+        raise DiamondFailure(log.diamond)
+    return completed, log
+
+
 def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     """Seed, complete, and verify the rule system at a point.
 
@@ -126,19 +178,30 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     last completion round, log.diamond: every ambiguity of the completed
     system reduced along both branches over the rules' field of definition,
     with no second pass over the witnesses.
+    A rational point is completed at the integral point of the rescaled
+    presentation (lam the denominator of t = p/q), and the rules, the log's
+    added rules and the nf cache are mapped back once.  An error comes from
+    completing the given coordinates: a NonOrientable difference does not
+    name the witness whose weight would map it back.
     Raises DiamondFailure if any ambiguity of the completed system fails to
     resolve, and ValueError if some completed rhs leaves the pattern span.
     """
+    q, p = point.q, point.p
+    lam = 1 if q.c1 or p.c1 or not q else (Fraction(p.c0) / q.c0).denominator
     seed = RuleSystem(seed_rules(point), fuel)
-    completed, log = complete(seed, OrientationPolicy(is_basis_word))
-    report = log.diamond
-    if not report.ok:
-        raise DiamondFailure(report)
+    try:
+        completed, log = _complete(_rescaled(seed, lam))
+    except CurveformError:
+        if lam != 1:
+            _complete(seed)
+        raise
+    completed = _rescaled(completed, lam, -1)
+    log.added = [(w, rule) for (w, _), rule in zip(log.added, completed.rules[len(seed.rules):])]
     for rule in completed.rules:
         bad = [w for w in rule.rhs.terms if not is_basis_word(w)]
         if bad:
             raise ValueError(f"rule {rule.lhs!r} has non-pattern rhs words {bad}")
-    return NodalAlgebra(point, completed, log, report)
+    return NodalAlgebra(point, completed, log, log.diamond)
 
 
 # -- census and growth ---------------------------------------------------

@@ -1,15 +1,21 @@
 import copy
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curveform import nodal
+from curveform.errors import CurveformError, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly, accumulate, word_key
 from curveform.nodal import (b_decompose, b_part, basis_census, basis_index,
-                             count_basis_words, freeness_check, growth,
-                             index_word, is_basis_word, pattern_words,
-                             random_poly, split_pattern_word, tail_part)
-from curveform.scalar import ONE, Scalar
+                             build_algebra, count_basis_words, freeness_check,
+                             growth, index_word, is_basis_word, pattern_words,
+                             random_poly, seed_rules, split_pattern_word,
+                             tail_part)
+from curveform.rewrite import DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem, complete
+from curveform.scalar import ONE, Scalar, curve_point_from_t
 
 
 class TestPattern:
@@ -178,3 +184,98 @@ class TestBDecomposition:
         doubled.nf = lambda f: alg.nf(f).scale(2)
         report = freeness_check(doubled, max_len=1, samples=30)
         assert any(e["kind"] == "roundtrip" for e in report.fields["failures"])
+
+
+# -- completion at the rescaled integral point -----------------------------
+
+def completion_state(system, log, report):
+    """Everything a build returns, in order and with coefficient types: the
+    rules, the log (JSON, per-round counts, added rules as the system's own),
+    the diamond report and the nf cache, with the words that share a dict."""
+    cache = system._nf_cache
+    shared = {}
+    for w, nf in cache.items():
+        shared.setdefault(id(nf), []).append(w)
+    seeds = len(system.rules) - len(log.added)
+    return {"fuel": system.fuel,
+            "rules": [(r.lhs, list(r.rhs.terms.items()), r.origin) for r in system.rules],
+            "log": log.to_json(), "counts": log.counts,
+            "added_are_rules": [rule is system.rules[seeds + k] for k, (_, rule) in enumerate(log.added)],
+            "diamond": report.to_json(),
+            "cache": [(w, [(v, c, type(c)) for v, c in nf.items()]) for w, nf in cache.items()],
+            "shared": sorted(shared.values())}
+
+
+def outcome(build):
+    """The completion state of build(), or the type and message of its error."""
+    try:
+        return completion_state(*build())
+    except CurveformError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def plain(rules, fuel=DEFAULT_FUEL):
+    """Completion of the rules in the given coordinates."""
+    system, log = complete(RuleSystem(rules, fuel), OrientationPolicy(is_basis_word))
+    return system, log, log.diamond
+
+
+def built(point, fuel=DEFAULT_FUEL):
+    alg = build_algebra(point, fuel)
+    return alg.system, alg.completion_log, alg.diamond_report
+
+
+SEVEN_FIFTHS = curve_point_from_t(Fraction(7, 5))
+# each seed coefficient at t = 7/5 plus 1, as (rule index, rhs word)
+MUTANTS = [(i, w) for i, rule in enumerate(seed_rules(SEVEN_FIFTHS)) for w in rule.rhs.terms]
+
+
+def mutated_seed(i, word):
+    rules = seed_rules(SEVEN_FIFTHS)
+    rule = rules[i]
+    rules[i] = Rule(rule.lhs, rule.rhs + NcPoly.word(word), rule.origin)
+    return rules
+
+
+class TestRescaledCompletion:
+    @pytest.mark.parametrize("t", ["7/5", "-1/2", "5/3", "11/7", "-9/7", "1/2"])
+    def test_equals_the_plain_completion(self, t):
+        point = curve_point_from_t(Fraction(t))
+        want = outcome(lambda: plain(seed_rules(point)))
+        assert outcome(lambda: built(point)) == want
+        # rational coefficients are kept in the cache, not only ints
+        assert any(c is Fraction for _, terms in want["cache"] for _, _, c in terms)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(-9, 9), n=st.integers(2, 7))
+    def test_equals_the_plain_completion_at_any_rational_point(self, m, n):
+        point = curve_point_from_t(Fraction(m, n))
+        assert outcome(lambda: built(point)) == outcome(lambda: plain(seed_rules(point)))
+
+    @pytest.mark.parametrize("fuel", [1, 40, 80, 81, 82, 83])
+    def test_fails_at_the_same_budgets(self, fuel):
+        # the build at t = 7/5 needs 82 steps, as at t = 2
+        want = outcome(lambda: plain(seed_rules(SEVEN_FIFTHS), fuel))
+        assert outcome(lambda: built(SEVEN_FIFTHS, fuel)) == want
+        assert (want.get("error") == "FuelExhausted") == (fuel < 82)
+
+    @pytest.mark.parametrize("i, word", MUTANTS)
+    def test_a_mutant_seed_fails_in_the_given_coordinates(self, monkeypatch, i, word):
+        rules = mutated_seed(i, word)
+        want = outcome(lambda: plain(rules))
+        monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
+        assert outcome(lambda: built(SEVEN_FIFTHS)) == want
+
+    def test_the_rescaled_errors_differ(self):
+        # what the mutant test guards against: 13 of the 18 NonOrientable
+        # differences of the rescaled system print other coefficients
+        differ = 0
+        for i, word in MUTANTS:
+            rules = mutated_seed(i, word)
+            want = outcome(lambda: plain(rules))
+            if want.get("error") == "NonOrientable":
+                with pytest.raises(NonOrientable) as exc:
+                    complete(nodal._rescaled(RuleSystem(rules), 5), OrientationPolicy(is_basis_word))
+                differ += str(exc.value) != want["message"]
+        assert differ == 13
+
