@@ -5,8 +5,7 @@ from .scalar import (CurvePoint, Rational, Scalar, curve_point_from_t,
                      curve_point_validate)
 from .freealg import ALPHABET, NcPoly, TensorPoly
 from .parser import parse_expr
-from .rewrite import (Ambiguity, OrientationPolicy, Rule, RuleSystem,
-                      check_diamond, complete)
+from .rewrite import Ambiguity, Rule, RuleSystem, check_diamond, complete
 from .nodal import (NodalAlgebra, b_decompose, basis_census, basis_index,
                     build_algebra, freeness_check, growth, is_basis_word)
 from .hopf import (StructureMaps, apply_antipode, apply_counit, apply_delta,
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHABET", "Ambiguity", "CPoly", "CurvePoint", "NcPoly", "NodalAlgebra",
-    "OrientationPolicy", "Rational", "Rule", "RuleSystem", "Scalar",
+    "Rational", "Rule", "RuleSystem", "Scalar",
     "StructureMaps", "TensorPoly", "apply_antipode", "apply_counit",
     "apply_delta", "b_decompose", "basis_census", "basis_index",
     "build_algebra", "check_alt_presentation", "check_coideal",

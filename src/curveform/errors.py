@@ -46,7 +46,9 @@ class FuelExhausted(CurveformError, RuntimeError):
 
 
 class NonOrientable(CurveformError, RuntimeError):
-    """Completion found a difference polynomial with no admissible left-hand side."""
+    """Completion found a difference polynomial with no admissible left-hand
+    side: no word of it is above all the others in the termination order,
+    or that word is a target word."""
 
     def __init__(self, difference):
         self.difference = difference

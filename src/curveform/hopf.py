@@ -36,7 +36,7 @@ from itertools import chain
 
 from .errors import FuelExhausted
 from .freealg import NcPoly, TensorPoly, accumulate, concat_product
-from .nodal import NodalAlgebra, b_part, pattern_words, random_poly
+from .nodal import NodalAlgebra, b_part, pattern_words, random_poly, seed_rules
 from .parser import parse_expr
 from .report import Report
 from .rewrite import _field_coeff, _field_terms
@@ -133,25 +133,30 @@ def apply_antipode(f: NcPoly, maps: StructureMaps) -> NcPoly:
                   for s, cs in _antipode_word(w, maps).items())
 
 
+# the display name of each defining relation, by the lhs of its seed rule
+RELATION_NAMES = {
+    "ag": "a a^-1 = 1",
+    "ga": "a^-1 a = 1",
+    "yy": "y^2 = x^2 + x^3",
+    "bb": "b^2 = a^3",
+    "ba": "ba = ab",
+    "ay": "ya = ay",
+    "bx": "bx = xb",
+    "yx": "yx = xy",
+    "by": "by = -yb + 2pb^2",
+    "bg": "ba^-1 = a^-1 b",
+    "gy": "a^-1 y = y a^-1",
+    "aax": "a^2 x",
+    "axx": "a x^2",
+}
+
+
 def relation_polys(point: CurvePoint):
-    """The 13 defining relations as free polynomials lhs - rhs (both inverse
-    relations included; by-relation in its unfolded form)."""
-    exprs = [
-        ("a a^-1 = 1", "a*a^-1 - 1"),
-        ("a^-1 a = 1", "a^-1*a - 1"),
-        ("y^2 = x^2 + x^3", "y^2 - x^2 - x^3"),
-        ("b^2 = a^3", "b^2 - a^3"),
-        ("ba = ab", "b*a - a*b"),
-        ("ya = ay", "y*a - a*y"),
-        ("bx = xb", "b*x - x*b"),
-        ("yx = xy", "y*x - x*y"),
-        ("by = -yb + 2pb^2", "b*y + y*b - 2*p*b^2"),
-        ("ba^-1 = a^-1 b", "b*a^-1 - a^-1*b"),
-        ("a^-1 y = y a^-1", "a^-1*y - y*a^-1"),
-        ("a^2 x", "a^2*x + x*a^2 + a*x*a + a^2 - (1+3*q)*a^3"),
-        ("a x^2", "a*x^2 + a*x + x*a + x^2*a + x*a*x - (2+3*q)*q*a^3"),
-    ]
-    return [(name, parse_expr(text, point)) for name, text in exprs]
+    """The 13 defining relations as (name, lhs - rhs) of the seed rules, in
+    the order of RELATION_NAMES; the by-relation is the folded one,
+    by + yb - 2p a^3, which with b^2 = a^3 generates the same ideal."""
+    rhs = {rule.lhs: rule.rhs for rule in seed_rules(point)}
+    return [(name, NcPoly.word(lhs) - rhs[lhs]) for lhs, name in RELATION_NAMES.items()]
 
 
 def _add_element(report, names, residuals):

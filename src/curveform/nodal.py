@@ -21,7 +21,7 @@ from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
 from .scalar import CurvePoint, ONE, Scalar
-from .rewrite import DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem, complete
+from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 
 
 # groups: x^i, y^j, (ax)^l, a^m or g^-m, b^n
@@ -73,10 +73,12 @@ def tail_part(i, j, l, m, n) -> bool:
 
 
 def seed_rules(point: CurvePoint):
-    """The thirteen defining relations, oriented toward the pattern.
+    """The thirteen defining relations as rules, each lhs the maximum word of
+    its relation under the termination order of rewrite.py.
 
     The relation by = -yb + 2p*b^2 is stored pre-folded through b^2 = a^3 so
-    its rhs is pattern-pure.
+    its rhs is pattern-pure.  hopf.relation_polys reads the relations from
+    here, as lhs - rhs.
     """
     q, p = point.q, point.p
     one = NcPoly.one()
@@ -164,7 +166,7 @@ def _rescaled(rs: RuleSystem, lam: int, sign: int = 1) -> RuleSystem:
 
 
 def _complete(seed: RuleSystem):  # complete, with the diamond report's verdict raised
-    completed, log = complete(seed, OrientationPolicy(is_basis_word))
+    completed, log = complete(seed, is_basis_word)
     if not log.diamond.ok:
         raise DiamondFailure(log.diamond)
     return completed, log

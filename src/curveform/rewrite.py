@@ -1,9 +1,8 @@
 """Reduction engine for oriented rules over the free algebra.
 
-Implements deterministic single-step reduction, fuelled normal forms with a
-word-level cache, overlap/inclusion ambiguity enumeration, and
-pattern-guided Knuth-Bendix-style completion whose last round is the
-diamond-lemma check.
+Implements the termination order, normal forms with a word-level cache,
+overlap/inclusion ambiguity enumeration, and Knuth-Bendix-style completion
+under the order, whose last round is the diamond-lemma check.
 
 A rule applies at the leftmost position where some lhs occurs, and there
 the longest such lhs wins.  The lhs of a system are distinct, so this
@@ -40,17 +39,27 @@ rank of a nonzero difference, while its branch words stay cached.  So the
 final report holds entries of earlier rounds, each equal to the one a fresh
 system computes, and each new rule adds the records of its own pairs.
 
-No global monomial order is assumed: termination is enforced by fuel, and
-confluence is established a posteriori by the ambiguity checks.  The fuel
-is a property of the rule system, fixed when it is built: every reduction
-of a word that is not cached yet may take at most RuleSystem.fuel steps.
+Termination is proved by one well-founded order, a matrix interpretation
+(Hofbauer & Waldmann 2006): a word maps to the product of its letters'
+upper-triangular 3x3 matrices over N, LETTER_MATRICES, and u > v iff
+[u] >= [v] entrywise with a larger top-right entry.  The diagonal entries
+are at least 1, so u > v implies s.u.t > s.v.t, and the top-right entry
+lies in N, so there is no infinite descending chain.  complete orients each
+rule to the maximum word of its difference, so when the given rules
+decrease too (each nodal seed lhs is the maximum of its relation), every
+reduction terminates, and once every ambiguity resolves, normal forms are
+unique (Bergman's diamond lemma).  The fuel is a guard only, fixed when
+the rule system is built: every reduction of a word that is not cached yet
+may take at most RuleSystem.fuel steps, so under a tight budget the
+outcome can depend on what is already cached.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from operator import ge
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
 from .freealg import NcPoly, accumulate, check_word, word_key
@@ -153,27 +162,7 @@ class RuleSystem:
         m = self._lhs_re.search(w)
         return None if m is None else (m.start(), self._lhs_index[m.group()])
 
-    def apply_at(self, w: str, pos: int, idx: int) -> NcPoly:
-        """Substitute rules[idx].lhs -> rhs at the given position of w."""
-        rule = self.rules[idx]
-        pre, suf = w[:pos], w[pos + len(rule.lhs):]
-        return NcPoly({pre + t + suf: c for t, c in rule.rhs.terms.items()})
-
     # -- reduction -------------------------------------------------------
-
-    def reduce_once(self, f: NcPoly, leftmost=True):
-        """One deterministic step: scan stored words in graded-lex order and
-        rewrite the first reducible one at its leftmost (or rightmost)
-        match.  Returns the new polynomial, or None if f is irreducible."""
-        for w in sorted(f.terms, key=word_key):
-            m = self._match_directional(w, leftmost)
-            if m is None:
-                continue
-            pos, idx = m
-            c = f.terms[w]
-            rest = NcPoly({u: cu for u, cu in f.terms.items() if u != w})
-            return rest + self.apply_at(w, pos, idx).scale(c)
-        return None
 
     def nf_word(self, w: str) -> dict:
         """Normal form of a single word as a dict {word: coefficient}; cached.
@@ -261,33 +250,8 @@ class RuleSystem:
         return terms
 
     def normal_form(self, f: NcPoly) -> NcPoly:
-        """Fully reduce f.  Deterministic; equals exhaustive reduce_once
-        iteration whenever the system is confluent."""
+        """Fully reduce f: the sum of c * NF(w) over its terms c * w."""
         return f._new(self.nf_terms(f.terms.items()))
-
-    def normal_form_strategy(self, f: NcPoly, leftmost=True) -> NcPoly:
-        """Uncached reduction applying, in every reducible word, the match at
-        the leftmost (or rightmost) position.  Used for strategy-independence
-        checks; no memoization so the chosen order is genuinely exercised."""
-        steps = 0
-        while True:
-            g = self.reduce_once(f, leftmost)
-            if g is None:
-                return f
-            steps += 1
-            if steps > self.fuel:
-                raise FuelExhausted(f, steps - 1, self.fuel)
-            f = g
-
-    def _match_directional(self, w, leftmost):
-        if leftmost:
-            return self.match(w)
-        at = self._lhs_re.match
-        for i in range(len(w) - 1, -1, -1):
-            m = at(w, i)
-            if m is not None:
-                return (i, self._lhs_index[m.group()])
-        return None
 
     # -- ambiguities -----------------------------------------------------
 
@@ -377,41 +341,65 @@ def check_diamond(rs: RuleSystem) -> Report:
     return _diamond(rs, [_Record(rs, amb) for amb in rs.find_ambiguities()])
 
 
-class OrientationPolicy:
-    """Chooses the lhs of a new rule from a difference polynomial.
+# -- the termination order ------------------------------------------------
 
-    A word is eligible iff it is NOT a target normal-form word; among
-    eligible words the maximum under (letter-weight sum, length, letter
-    precedence b > y > a > x > g) wins.
-    """
+# each letter's upper-triangular 3x3 matrix over N as its entries
+# (m00, m01, m02, m11, m12, m22)
+LETTER_MATRICES = {
+    "x": (1, 0, 0, 2, 1, 2),
+    "y": (2, 0, 1, 3, 3, 3),
+    "a": (1, 0, 1, 1, 0, 1),
+    "g": (1, 3, 2, 1, 0, 1),
+    "b": (3, 2, 3, 2, 1, 1),
+}
 
-    WEIGHT = {"x": 2, "a": 2, "y": 3, "b": 3, "g": -2}
-    PRECEDENCE = {"g": 0, "x": 1, "a": 2, "y": 3, "b": 4}
 
-    def __init__(self, is_target):
-        self.is_target = is_target
+@cache
+def word_matrix(w: str):
+    """The matrix of w, the product of its letters' matrices read left to
+    right (the identity for the empty word), in the layout of
+    LETTER_MATRICES; memoised."""
+    if not w:
+        return (1, 0, 0, 1, 0, 1)
+    a00, a01, a02, a11, a12, a22 = word_matrix(w[:-1])
+    b00, b01, b02, b11, b12, b22 = LETTER_MATRICES[w[-1]]
+    return (a00 * b00, a00 * b01 + a01 * b11, a00 * b02 + a01 * b12 + a02 * b22,
+            a11 * b11, a11 * b12 + a12 * b22, a22 * b22)
 
-    def word_rank(self, w: str):
-        return (sum(self.WEIGHT[ch] for ch in w), len(w),
-                tuple(self.PRECEDENCE[ch] for ch in w))
 
-    def rank(self, diff: NcPoly):
-        """(impure, len(lhs), word_rank(lhs), lhs) of orient(diff), read off
-        diff (NonOrientable if it has no eligible word): the rhs is diff less
-        the lhs, so it leaves the target span iff diff has a second eligible
-        word.  Pure rules rank first, as the ones the final system may keep
-        (closure invariant); impure ones usually become derivable once the
-        pure ones have landed."""
-        candidates = [w for w in diff.terms if not self.is_target(w)]
-        if not candidates:
-            raise NonOrientable(diff)
-        lhs = max(candidates, key=self.word_rank)
-        return (len(candidates) > 1, len(lhs), self.word_rank(lhs), lhs)
+def greater(u: str, v: str) -> bool:
+    """u > v in the termination order: [u] >= [v] entrywise, and the
+    top-right entry of [u] is larger."""
+    mu, mv = word_matrix(u), word_matrix(v)
+    return mu[2] > mv[2] and all(map(ge, mu, mv))
 
-    def orient(self, diff: NcPoly) -> Rule:
-        lhs = self.rank(diff)[-1]
-        rhs = NcPoly.word(lhs) - diff.scale(diff.terms[lhs].inverse())
-        return Rule(lhs, rhs, origin="completed")
+
+def maximum(words):
+    """The word of words above every other one in the order, or None when no
+    word is: the one with the largest top-right entry, if it dominates."""
+    top = max(words, key=lambda w: word_matrix(w)[2])
+    return top if all(w == top or greater(top, w) for w in words) else None
+
+
+def rank(diff: NcPoly, is_target):
+    """(impure, len(lhs), lhs) of orient(diff, is_target), read off diff:
+    lhs is the maximum word of diff, and NonOrientable is raised when there
+    is none or it is a target word.  The rule is impure iff its rhs leaves
+    the target span.  Pure rules rank first, as the ones the final system
+    may keep; impure ones usually become derivable once the pure ones have
+    landed."""
+    lhs = maximum(diff.terms)
+    if lhs is None or is_target(lhs):
+        raise NonOrientable(diff)
+    return (any(not is_target(w) for w in diff.terms if w != lhs), len(lhs), lhs)
+
+
+def orient(diff: NcPoly, is_target) -> Rule:
+    """The monic rule lhs -> rhs with lhs - rhs a multiple of diff, lhs the
+    maximum word of diff (see rank)."""
+    lhs = rank(diff, is_target)[-1]
+    return Rule(lhs, NcPoly.word(lhs) - diff.scale(diff.terms[lhs].inverse()),
+                origin="completed")
 
 
 @dataclass
@@ -457,25 +445,25 @@ def _carry(rs: RuleSystem, cache: dict) -> dict:
     return cache
 
 
-def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
-    """Knuth-Bendix-style completion.
+def complete(rs: RuleSystem, is_target, max_rules=64):
+    """Knuth-Bendix-style completion under the termination order.
 
     Each round makes the diamond report of the current system and ranks its
-    nonzero differences by the rule the policy would orient from each; only
-    the rule with the smallest lhs under the policy order is made and
-    added.  Adding small rules first keeps intermediate systems from
-    spiralling into ever longer left-hand sides.  Each ambiguity is a record
-    of its sort key and branches, made once, when it is enumerated.
+    nonzero differences by the rule orient makes of each, its lhs the
+    maximum word of the difference (NonOrientable when there is none, or
+    when it is a target word); only the smallest rule, ties broken by the
+    ambiguity key, is made and added.  So every rule added decreases under
+    the order, and when the rules of rs do too, every intermediate system
+    terminates.  Each ambiguity is a record of its sort key and branches,
+    made once, when it is enumerated.
 
     The next system starts from this one's nf cache, cut in place to the
     words the new rule leaves alone, and a record whose branch words all
-    stayed keeps its entry, the same object, unreduced, and its rank.  A
-    witness whose reduction exhausts its fuel under the current (possibly
-    non-terminating) intermediate system is skipped for the round and
-    reduced again after the next rule lands.  Every intermediate system,
-    and the result, keeps the fuel of rs; carried words cost none.  If the
-    rule cap is reached while witnesses are stuck, the LimitExceeded names
-    how many and chains from the first FuelExhausted.
+    stayed keeps its entry, the same object, unreduced, and its rank.  Every
+    intermediate system, and the result, keeps the fuel of rs; carried words
+    cost none.  A branch that runs out of fuel ends completion: the first
+    such record in key order raises FuelExhausted on its witness, from the
+    branch's error.
 
     The last round finds every difference zero: its report, kept as
     log.diamond, is the diamond check of the returned system.
@@ -492,32 +480,27 @@ def complete(rs: RuleSystem, orient: OrientationPolicy, max_rules=64):
                            len(current._nf_cache)))
         report = _diamond(current, records)
         candidates = []  # records of nonzero differences
-        stuck = []  # (witness, FuelExhausted)
         for rec in records:
-            if isinstance(rec.entry.residual, FuelExhausted):
-                stuck.append((rec.amb.witness, rec.entry.residual))
-            elif not rec.entry.ok:
-                rec.rank = rec.rank or orient.rank(rec.entry.residual)
+            residual = rec.entry.residual
+            if isinstance(residual, FuelExhausted):
+                raise FuelExhausted(NcPoly.word(rec.amb.witness), residual.steps,
+                                    residual.budget) from residual
+            if not rec.entry.ok:
+                rec.rank = rec.rank or rank(residual, is_target)
                 candidates.append(rec)
         if not candidates:
-            if stuck:
-                witness, exc = stuck[0]
-                raise FuelExhausted(NcPoly.word(witness), exc.steps, exc.budget) from exc
             log.diamond = report
             return current, log
         if len(rules) >= max_rules:
-            first = stuck[0][1] if stuck else None
-            detail = f" with {len(stuck)} witnesses out of fuel, first: {first}" if stuck else ""
-            raise LimitExceeded(f"completion exceeded max_rules={max_rules}{detail}") from first
+            raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
         best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
-        rule = orient.orient(best.entry.residual)
+        rule = orient(best.entry.residual, is_target)
         log.added.append((best.amb.witness, rule))
         rules.append(rule)
         current, old = RuleSystem(rules, rs.fuel), current
-        current._nf_cache = cache = _carry(current, old._nf_cache)
+        current._nf_cache = carried = _carry(current, old._nf_cache)
         for rec in records:
-            if isinstance(rec.entry.residual, FuelExhausted) or not all(
-                    w in cache for branch in rec.branches for w, _ in branch):
+            if not all(w in carried for branch in rec.branches for w, _ in branch):
                 rec.entry = rec.rank = None
         new = len(rules) - 1
         records += [_Record(current, amb) for i in range(new + 1)

@@ -286,8 +286,8 @@ class TestArgHandling:
                        "200 steps taken, budget 200\n")
 
     def test_tiny_fuel_is_reported_as_fuel(self, capsys):
-        # below the build's need no witness resolves, so completion stops on
-        # the first stuck one, not at its rule cap
+        # below the build's need, completion stops at the first witness that
+        # runs out of fuel, not at its rule cap
         code, out, err = run(capsys, "nf", "x", "--fuel", "1")
         assert code == 2 and out == ""
         assert err == "error: reduction of y^2*x exhausted its fuel: 1 steps taken, budget 1\n"

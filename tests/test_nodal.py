@@ -14,7 +14,7 @@ from curveform.nodal import (b_decompose, b_part, basis_census, basis_index,
                              growth, index_word, is_basis_word, pattern_words,
                              random_poly, seed_rules, split_pattern_word,
                              tail_part)
-from curveform.rewrite import DEFAULT_FUEL, OrientationPolicy, Rule, RuleSystem, complete
+from curveform.rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 from curveform.scalar import ONE, Scalar, curve_point_from_t
 
 
@@ -216,7 +216,7 @@ def outcome(build):
 
 def plain(rules, fuel=DEFAULT_FUEL):
     """Completion of the rules in the given coordinates."""
-    system, log = complete(RuleSystem(rules, fuel), OrientationPolicy(is_basis_word))
+    system, log = complete(RuleSystem(rules, fuel), is_basis_word)
     return system, log, log.diamond
 
 
@@ -275,7 +275,7 @@ class TestRescaledCompletion:
             want = outcome(lambda: plain(rules))
             if want.get("error") == "NonOrientable":
                 with pytest.raises(NonOrientable) as exc:
-                    complete(nodal._rescaled(RuleSystem(rules), 5), OrientationPolicy(is_basis_word))
+                    complete(nodal._rescaled(RuleSystem(rules), 5), is_basis_word)
                 differ += str(exc.value) != want["message"]
         assert differ == 13
 

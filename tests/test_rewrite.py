@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 from curveform import rewrite
 from curveform.errors import DiamondFailure, FuelExhausted, LimitExceeded, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly
-from curveform.rewrite import (OrientationPolicy, Rule, RuleSystem,
-                               branch_difference, check_diamond, complete)
+from curveform.rewrite import (Rule, RuleSystem, branch_difference, check_diamond, complete,
+                               greater, maximum, orient, rank, word_matrix)
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
 from curveform.hopf import tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
+from reference_reduction import apply_at, match_directional, normal_form_strategy, reduce_once
 
 
 def commutator_system():
@@ -71,7 +72,7 @@ class TestMatching:
         assert rs.match("xy") is None
         assert rs.match("") is None
         assert rs.normal_form(f) == f
-        assert rs.normal_form_strategy(f, leftmost=False) == f
+        assert normal_form_strategy(rs, f, leftmost=False) == f
 
     @pytest.mark.parametrize("system", ["completed", "shared_prefix"])
     def test_match_is_leftmost_then_longest(self, algebras, system):
@@ -90,12 +91,12 @@ class TestMatching:
             for letters in product(ALPHABET, repeat=length):
                 w = "".join(letters)
                 assert rs.match(w) == by_definition(w, range(length))
-                assert rs._match_directional(w, False) == by_definition(
+                assert match_directional(rs, w, False) == by_definition(
                     w, range(length - 1, -1, -1))
 
     def test_apply_at(self):
         rs = commutator_system()
-        assert rs.apply_at("ayxb", 1, 0) == NcPoly.word("axyb")
+        assert apply_at(rs, "ayxb", 1, 0) == NcPoly.word("axyb")
 
     def test_rejects_duplicate_lhs(self):
         with pytest.raises(ValueError):
@@ -107,12 +108,12 @@ class TestReduction:
     def test_reduce_once_single_step(self):
         rs = commutator_system()
         f = NcPoly.word("yxba")
-        g = rs.reduce_once(f)
+        g = reduce_once(rs, f)
         assert g == NcPoly.word("xyba")
-        assert rs.reduce_once(g) == NcPoly.word("xyab")
+        assert reduce_once(rs, g) == NcPoly.word("xyab")
 
     def test_reduce_once_irreducible_returns_none(self):
-        assert commutator_system().reduce_once(NcPoly.word("xxy")) is None
+        assert reduce_once(commutator_system(), NcPoly.word("xxy")) is None
 
     def test_normal_form_sorts_letters(self):
         rs = commutator_system()
@@ -128,7 +129,7 @@ class TestReduction:
         f = NcPoly({"yyxx": ONE, "baba": Scalar(3)})
         g = f
         while True:
-            step = rs.reduce_once(g)
+            step = reduce_once(rs, g)
             if step is None:
                 break
             g = step
@@ -137,8 +138,8 @@ class TestReduction:
     def test_strategy_independence(self):
         rs = commutator_system()
         f = NcPoly.word("yyxxba")
-        left = rs.normal_form_strategy(f, leftmost=True)
-        right = rs.normal_form_strategy(f, leftmost=False)
+        left = normal_form_strategy(rs, f, leftmost=True)
+        right = normal_form_strategy(rs, f, leftmost=False)
         assert left == right == rs.normal_form(f)
 
     def test_fuel_exhaustion(self):
@@ -159,7 +160,7 @@ class TestReduction:
         rs = RuleSystem([Rule("yx", NcPoly.word("xy")), Rule("xy", NcPoly.word("yx"))],
                         fuel=7)
         with pytest.raises(FuelExhausted) as exc:
-            rs.normal_form_strategy(NcPoly.word("yx"))
+            normal_form_strategy(rs, NcPoly.word("yx"))
         assert (exc.value.steps, exc.value.budget) == (7, 7)
         assert exc.value.partial == NcPoly.word("xy")
 
@@ -234,40 +235,90 @@ class TestDiamond:
 
 
 class TestOrientation:
-    def setup_method(self):
-        self.policy = OrientationPolicy(is_basis_word)
-
     def test_orients_toward_pattern(self):
-        # yx - xy: yx is not a pattern word, xy is
+        # yx - xy: yx is above xy in the order, and not a pattern word
         diff = NcPoly.word("yx") - NcPoly.word("xy")
-        rule = self.policy.orient(diff)
+        rule = orient(diff, is_basis_word)
         assert rule.lhs == "yx" and rule.rhs == NcPoly.word("xy")
         assert rule.origin == "completed"
 
     def test_normalizes_leading_coefficient(self):
         diff = (NcPoly.word("yx") - NcPoly.word("xy")).scale(Scalar(-3))
-        rule = self.policy.orient(diff)
+        rule = orient(diff, is_basis_word)
         assert rule.lhs == "yx" and rule.rhs == NcPoly.word("xy")
 
-    def test_weight_beats_length(self):
-        # gx (weight 0) loses to xb (weight 5) even at equal length
-        diff = NcPoly.word("gx") + NcPoly.word("bx")
-        rule = self.policy.orient(diff)
-        assert rule.lhs == "bx"
+    def test_the_order_beats_length(self):
+        # gx -> axgg makes a word longer, yet decreases under the order: no
+        # weighted length order orients it this way and ag -> 1 as well
+        diff = NcPoly.word("gx") - NcPoly.word("axgg")
+        assert orient(diff, is_basis_word).lhs == "gx"
+        assert maximum(["ag", ""]) == "ag"
 
     def test_non_orientable(self):
-        with pytest.raises(NonOrientable):
-            self.policy.orient(NcPoly.word("xy") + NcPoly.word("aaa"))
-        with pytest.raises(NonOrientable):
-            self.policy.rank(NcPoly.word("xy") + NcPoly.word("aaa"))
+        # gx and bx are incomparable, as are x and a; aaa is above a, but a
+        # pattern word
+        assert maximum(["gx", "bx"]) is maximum(["x", "a"]) is None
+        for diff in (NcPoly.word("gx") + NcPoly.word("bx"), NcPoly.word("x") - NcPoly.word("a"),
+                     NcPoly.word("aaa") - NcPoly.word("a")):
+            with pytest.raises(NonOrientable):
+                orient(diff, is_basis_word)
+            with pytest.raises(NonOrientable) as exc:
+                rank(diff, is_basis_word)
+            assert exc.value.difference is diff
 
     def test_completion_stops_at_the_first_non_orientable_difference(self):
-        # aba gives xa - ay, which orients to xa; bab gives yb - bx, where
-        # no word is eligible, and that difference is raised
-        rs = RuleSystem([Rule("ab", NcPoly.word("x")), Rule("ba", NcPoly.word("y"))])
+        # gyx gives xgx - g, which orients to xgx -> g; then gx - yg, where
+        # neither word is above the other, is raised
+        rs = RuleSystem([Rule("gy", NcPoly.word("xg")), Rule("yx", NcPoly.one())])
         with pytest.raises(NonOrientable) as exc:
-            complete(rs, OrientationPolicy(lambda w: w != "xa"))
-        assert exc.value.difference == NcPoly({"yb": ONE, "bx": -ONE})
+            complete(rs, is_basis_word)
+        assert exc.value.difference == NcPoly({"gx": ONE, "yg": -ONE})
+
+
+words = st.text(ALPHABET, max_size=6)
+
+
+class TestOrder:
+    """The termination certificate: a matrix interpretation of the letters."""
+
+    @pytest.mark.parametrize("t, pairs", [("2", 35), ("3", 35), ("7/5", 35), ("-1/2", 35),
+                                          ("1", 33), ("0", 34)])
+    def test_every_completed_rule_decreases(self, t, pairs):
+        rules = build_algebra(curve_point_from_t(Fraction(t))).system.rules
+        decreasing = [(r.lhs, w) for r in rules for w in r.rhs.terms]
+        assert len(rules) == 17 and len(decreasing) == pairs
+        assert all(greater(lhs, w) for lhs, w in decreasing)
+
+    @pytest.mark.parametrize("t", ["2", "3", "1", "0", "7/5", "-1/2"])
+    def test_each_seed_lhs_is_the_maximum_of_its_relation(self, t):
+        for rule in seed_rules(curve_point_from_t(Fraction(t))):
+            assert maximum([rule.lhs, *rule.rhs.terms]) == rule.lhs
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=words)
+    def test_word_matrix_is_the_product_of_the_letter_matrices(self, w):
+        full = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for ch in w:
+            m00, m01, m02, m11, m12, m22 = rewrite.LETTER_MATRICES[ch]
+            letter = [[m00, m01, m02], [0, m11, m12], [0, 0, m22]]
+            full = [[sum(full[i][k] * letter[k][j] for k in range(3)) for j in range(3)]
+                    for i in range(3)]
+        assert word_matrix(w) == (full[0][0], full[0][1], full[0][2],
+                                  full[1][1], full[1][2], full[2][2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=words, v=words, s=words, t=words)
+    def test_compatible_with_concatenation(self, u, v, s, t):
+        assume(greater(u, v) or greater(v, u))
+        if greater(v, u):
+            u, v = v, u
+        assert greater(s + u + t, s + v + t)
+        assert not greater(v, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.sampled_from(["2", "7/5"]), w=st.text(ALPHABET, max_size=10))
+    def test_normal_forms_do_not_go_up(self, systems_by_t, t, w):
+        assert all(v == w or greater(w, v) for v in systems_by_t[t].nf_word(w))
 
 
 class TestCompletion:
@@ -289,17 +340,16 @@ class TestCompletion:
             assert all(e.ok for e in a.diamond_report.entries)
 
     def test_already_confluent_adds_nothing(self):
-        policy = OrientationPolicy(is_basis_word)
-        rs, log = complete(commutator_system(), policy)
+        rs, log = complete(commutator_system(), is_basis_word)
         assert len(rs.rules) == 2 and not log.added
 
     def test_stuck_witness_reports_its_fuel(self):
-        # xy -> yx and yx -> xy loop on both overlap witnesses, xyx and yxy
-        policy = OrientationPolicy(is_basis_word)
+        # xy -> yx and yx -> xy loop on both overlap witnesses, xyx and yxy;
+        # the first in key order is raised
         looping = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy"))],
                              fuel=40)
         with pytest.raises(FuelExhausted) as exc:
-            complete(looping, policy)
+            complete(looping, is_basis_word)
         assert (exc.value.steps, exc.value.budget) == (40, 40)
         assert exc.value.partial == NcPoly.word("xyx")
         assert "budget 40" in str(exc.value)
@@ -309,22 +359,8 @@ class TestCompletion:
         # before the first completed rule lands
         seed = RuleSystem(seed_rules(curve_point_from_t(2)))
         with pytest.raises(LimitExceeded) as exc:
-            complete(seed, OrientationPolicy(is_basis_word), max_rules=13)
+            complete(seed, is_basis_word, max_rules=13)
         assert str(exc.value) == "completion exceeded max_rules=13"
-
-    def test_rule_cap_names_the_stuck_witnesses(self):
-        # the xy/yx loop leaves two witnesses stuck while ab -> x and bg -> y
-        # keep adding rules, until the cap of four is reached
-        policy = OrientationPolicy(is_basis_word)
-        rs = RuleSystem([Rule("xy", NcPoly.word("yx")), Rule("yx", NcPoly.word("xy")),
-                         Rule("ab", NcPoly.word("x")), Rule("bg", NcPoly.word("y"))],
-                        fuel=40)
-        with pytest.raises(LimitExceeded) as exc:
-            complete(rs, policy, max_rules=4)
-        assert str(exc.value) == (
-            "completion exceeded max_rules=4 with 2 witnesses out of fuel, first: "
-            "reduction of y*x^2 exhausted its fuel: 40 steps taken, budget 40")
-        assert isinstance(exc.value.__cause__, FuelExhausted)
 
     def test_completed_system_keeps_the_seed_fuel(self):
         assert build_algebra(curve_point_from_t(2), fuel=200).system.fuel == 200
@@ -362,14 +398,14 @@ class TestFieldOfDefinition:
     @given(f=polys("xyagb", 4))
     def test_matches_uncached_reduction_at_seven_fifths(self, alg75, f):
         rs = alg75.system
-        assert rs.normal_form(f) == rs.normal_form_strategy(f)
+        assert rs.normal_form(f) == normal_form_strategy(rs, f)
 
     @settings(max_examples=60, deadline=None)
     @given(f=polys("xyab", 6))
     def test_r_coefficient_rules(self, f):
         rs = r_coeff_system()
-        assert rs.normal_form(f) == rs.normal_form_strategy(f)
-        assert rs.normal_form(f) == rs.normal_form_strategy(f, leftmost=False)
+        assert rs.normal_form(f) == normal_form_strategy(rs, f)
+        assert rs.normal_form(f) == normal_form_strategy(rs, f, leftmost=False)
 
     def test_r_coefficient_word(self):
         rs = r_coeff_system()
@@ -416,8 +452,8 @@ class TestPrefixFirst:
         # this length (rightmost on xgyyax at t = 2); such words are skipped
         reference = RuleSystem(rs.rules, fuel=2_000)
         try:
-            left = reference.normal_form_strategy(NcPoly.word(w))
-            right = reference.normal_form_strategy(NcPoly.word(w), leftmost=False)
+            left = normal_form_strategy(reference, NcPoly.word(w))
+            right = normal_form_strategy(reference, NcPoly.word(w), leftmost=False)
         except FuelExhausted:
             assume(False)
         assert NcPoly(rs.nf_word(w)) == left == right
@@ -442,8 +478,8 @@ class TestPrefixFirst:
 def reference_difference(rs, amb):
     """The branch difference as NcPolys of Scalars: NF(left) - NF(right)."""
     w = amb.witness
-    return (rs.normal_form(rs.apply_at(w, 0, amb.rule_left))
-            - rs.normal_form(rs.apply_at(w, amb.pos_right, amb.rule_right)))
+    return (rs.normal_form(apply_at(rs, w, 0, amb.rule_left))
+            - rs.normal_form(apply_at(rs, w, amb.pos_right, amb.rule_right)))
 
 
 def recorded_rounds(monkeypatch, run):
@@ -573,15 +609,13 @@ class TestIncrementalCompletion:
 
     @pytest.mark.parametrize("t", POINTS)
     def test_rank_equals_that_of_the_oriented_rule(self, monkeypatch, t):
-        policy = OrientationPolicy(is_basis_word)
         diffs = [e.residual for *_, report in completion_rounds(monkeypatch, Fraction(t))
                  for e in report.entries if not e.ok]
         assert len(diffs) > 4
         for diff in diffs:
-            rule = policy.orient(diff)
+            rule = orient(diff, is_basis_word)
             impure = any(not is_basis_word(w) for w in rule.rhs.terms)
-            assert policy.rank(diff) == (impure, len(rule.lhs), policy.word_rank(rule.lhs),
-                                         rule.lhs)
+            assert rank(diff, is_basis_word) == (impure, len(rule.lhs), rule.lhs)
 
     def test_round_counts(self):
         log = build_algebra(curve_point_from_t(2)).completion_log
@@ -599,7 +633,7 @@ class TestIncrementalCompletion:
         # it, besides the one orient takes of each of the 4 added rules
         made = {"branches": 0, "keys": 0, "ranks": []}
         branches, word_key = rewrite._branches, rewrite.word_key
-        rank = OrientationPolicy.rank
+        rank = rewrite.rank
 
         def count(name, fn):
             def counted(*args):
@@ -607,38 +641,18 @@ class TestIncrementalCompletion:
                 return fn(*args)
             return counted
 
-        def count_rank(policy, diff):
+        def count_rank(diff, is_target):
             made["ranks"].append(diff)
-            return rank(policy, diff)
+            return rank(diff, is_target)
 
         monkeypatch.setattr(rewrite, "_branches", count("branches", branches))
         monkeypatch.setattr(rewrite, "word_key", count("keys", word_key))
-        monkeypatch.setattr(OrientationPolicy, "rank", count_rank)
+        monkeypatch.setattr(rewrite, "rank", count_rank)
         rounds = completion_rounds(monkeypatch, Fraction(2))
         nonzero = {id(e.residual) for *_, report in rounds for e in report.entries if not e.ok}
         assert made["branches"] == made["keys"] == len(rounds[-1][1]) == 51
         assert len(made["ranks"]) == len(nonzero) + len(rounds) - 1 == 23
         assert {id(d) for d in made["ranks"]} == nonzero
-
-    def test_out_of_fuel_entries_are_reduced_again(self, monkeypatch):
-        # with a budget of 12, bbbb runs out of fuel in the third round while
-        # later witnesses cache its branch words; the fourth round carries
-        # those words, yet reduces bbbb again, and it resolves
-        rs = RuleSystem([Rule("ga", NcPoly.word("b")), Rule("abb", NcPoly.word("gbxa"))],
-                        fuel=12)
-
-        def run():
-            with pytest.raises(FuelExhausted) as exc:
-                complete(rs, OrientationPolicy(is_basis_word))
-            assert str(exc.value) == ("reduction of b*a^-2*b*x*a^-1*b*x*a*b^2 exhausted its "
-                                      "fuel: 12 steps taken, budget 12")
-
-        rounds = recorded_rounds(monkeypatch, run)
-        (_, earlier, _, _, third), (fourth_rs, ambiguities, settled, carried, fourth) = rounds[2:4]
-        amb = next(amb for amb in earlier if amb.witness == "bbbb")
-        assert isinstance(dict(zip(earlier, third.entries))[amb].residual, FuelExhausted)
-        assert all(w in carried for branch in rewrite._branches(fourth_rs, amb) for w, _ in branch)
-        assert amb not in settled and dict(zip(ambiguities, fourth.entries))[amb].ok
 
     @pytest.mark.parametrize("seed", range(20))
     def test_final_report_equals_a_fresh_check(self, seed):
