@@ -48,24 +48,15 @@ class FuelExhausted(CurveformError, RuntimeError):
 class NonOrientable(CurveformError, RuntimeError):
     """Completion found a difference polynomial with no admissible left-hand
     side: no word of it is above all the others in the termination order,
-    or that word is a target word."""
+    or that word is a target word.  Carries the difference and the witness
+    of the ambiguity it came from (None when rank or orient was called
+    directly)."""
 
-    def __init__(self, difference):
+    def __init__(self, difference, witness=None):
         self.difference = difference
+        self.witness = witness
         super().__init__(f"no monomial of {difference} is eligible as a rule lhs")
 
 
 class LimitExceeded(CurveformError, RuntimeError):
     pass
-
-
-class DiamondFailure(CurveformError, RuntimeError):
-    """The diamond check left ambiguities unresolved; carries the report and
-    names the first unresolved ambiguity."""
-
-    def __init__(self, report):
-        self.report = report
-        first = next(e.name for e in report.entries if not e.ok)
-        super().__init__(f"diamond lemma check failed: {report.fields['unresolved']} of "
-                         f"{report.fields['ambiguities']} ambiguities unresolved, "
-                         f"first {first}")

@@ -36,7 +36,7 @@ from itertools import chain
 
 from .errors import FuelExhausted
 from .freealg import NcPoly, TensorPoly, accumulate, concat_product
-from .nodal import NodalAlgebra, b_part, pattern_words, random_poly, seed_rules
+from .nodal import NodalAlgebra, b_part, pattern_words, random_poly, sample_coefficients, seed_rules
 from .parser import parse_expr
 from .report import Report
 from .rewrite import _field_coeff, _field_terms
@@ -75,7 +75,7 @@ class StructureMaps:
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
     """Reduce every leg of a tensor polynomial to normal form."""
-    return tp._new(alg.system.nf_terms(tp.terms.items()))
+    return alg.nf(tp)
 
 
 def _delta_word(w: str, maps: StructureMaps) -> dict:
@@ -194,7 +194,7 @@ def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Re
     alg = maps.alg
     report = Report("hopf_axioms", {"point": alg.point, "entries": []})
     rng = random.Random(seed)
-    pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
+    pool = sample_coefficients(alg.point)
     elements = [("gen " + ch, NcPoly.word(ch)) for ch in "xyagb"]
     elements += [(f"random {i}", random_poly(rng, pool, max_len=max_len))
                  for i in range(samples)]

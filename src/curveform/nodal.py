@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from itertools import chain, product
 
-from .errors import CurveformError, DiamondFailure, FuelExhausted
+from .errors import FuelExhausted, NonOrientable
 from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
@@ -82,37 +82,37 @@ def seed_rules(point: CurvePoint):
     """
     q, p = point.q, point.p
     one = NcPoly.one()
-
-    def r(lhs, rhs, origin="given"):
-        return Rule(lhs, rhs, origin)
-
     return [
-        r("ag", one),
-        r("ga", one),
-        r("ba", NcPoly.word("ab")),
-        r("bg", NcPoly.word("gb")),
-        r("bx", NcPoly.word("xb")),
-        r("yx", NcPoly.word("xy")),
-        r("ay", NcPoly.word("ya")),
-        r("gy", NcPoly.word("yg")),
-        r("yy", NcPoly({"xx": ONE, "xxx": ONE})),
-        r("bb", NcPoly.word("aaa")),
-        r("by", NcPoly({"yb": -ONE, "aaa": 2 * p}), origin="folded"),
-        r("aax", NcPoly({"xaa": -ONE, "axa": -ONE, "aa": -ONE,
-                         "aaa": ONE + 3 * q})),
-        r("axx", NcPoly({"ax": -ONE, "xa": -ONE, "xxa": -ONE, "xax": -ONE,
-                         "aaa": (2 + 3 * q) * q})),
+        Rule("ag", one),
+        Rule("ga", one),
+        Rule("ba", NcPoly.word("ab")),
+        Rule("bg", NcPoly.word("gb")),
+        Rule("bx", NcPoly.word("xb")),
+        Rule("yx", NcPoly.word("xy")),
+        Rule("ay", NcPoly.word("ya")),
+        Rule("gy", NcPoly.word("yg")),
+        Rule("yy", NcPoly({"xx": ONE, "xxx": ONE})),
+        Rule("bb", NcPoly.word("aaa")),
+        Rule("by", NcPoly({"yb": -ONE, "aaa": 2 * p}), origin="folded"),
+        Rule("aax", NcPoly({"xaa": -ONE, "axa": -ONE, "aa": -ONE,
+                            "aaa": ONE + 3 * q})),
+        Rule("axx", NcPoly({"ax": -ONE, "xa": -ONE, "xxa": -ONE, "xax": -ONE,
+                            "aaa": (2 + 3 * q) * q})),
     ]
 
 
 class NodalAlgebra:
     """A completed, diamond-checked rule system at a fixed curve point."""
 
-    def __init__(self, point, system, completion_log, diamond_report):
+    def __init__(self, point, system, completion_log):
         self.point = point
         self.system = system
         self.completion_log = completion_log
-        self.diamond_report = diamond_report
+
+    @property
+    def diamond_report(self):
+        """The diamond check of the system: the completion's last round."""
+        return self.completion_log.diamond
 
     def nf(self, f: NcPoly) -> NcPoly:
         return self.system.normal_form(f)
@@ -165,13 +165,6 @@ def _rescaled(rs: RuleSystem, lam: int, sign: int = 1) -> RuleSystem:
     return out
 
 
-def _complete(seed: RuleSystem):  # complete, with the diamond report's verdict raised
-    completed, log = complete(seed, is_basis_word)
-    if not log.diamond.ok:
-        raise DiamondFailure(log.diamond)
-    return completed, log
-
-
 def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     """Seed, complete, and verify the rule system at a point.
 
@@ -180,30 +173,33 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     last completion round, log.diamond: every ambiguity of the completed
     system reduced along both branches over the rules' field of definition,
     with no second pass over the witnesses.
-    A rational point is completed at the integral point of the rescaled
-    presentation (lam the denominator of t = p/q), and the rules, the log's
-    added rules and the nf cache are mapped back once.  An error comes from
-    completing the given coordinates: a NonOrientable difference does not
-    name the witness whose weight would map it back.
-    Raises DiamondFailure if any ambiguity of the completed system fails to
-    resolve, and ValueError if some completed rhs leaves the pattern span.
+    A rational point is completed once, at the integral point of the
+    rescaled presentation (lam the denominator of t = p/q); the rules, the
+    log's added rules, the nf cache and a NonOrientable difference (at the
+    weight of its witness) are mapped back, so every error is the one the
+    given coordinates raise: FuelExhausted and LimitExceeded name only the
+    witness word, steps, budget or cap, which the rescaling keeps.
+    Raises ValueError if some completed rhs leaves the pattern span.
     """
     q, p = point.q, point.p
     lam = 1 if q.c1 or p.c1 or not q else (Fraction(p.c0) / q.c0).denominator
     seed = RuleSystem(seed_rules(point), fuel)
     try:
-        completed, log = _complete(_rescaled(seed, lam))
-    except CurveformError:
-        if lam != 1:
-            _complete(seed)
-        raise
+        completed, log = complete(_rescaled(seed, lam), is_basis_word)
+    except NonOrientable as exc:
+        if lam == 1:
+            raise
+        diff = exc.difference
+        weights = {w: _weight(w) for w in diff.terms}
+        raise NonOrientable(diff._new(_rescale(diff.terms, _weight(exc.witness), Fraction(1, lam),
+                                               weights, {})), exc.witness) from None
     completed = _rescaled(completed, lam, -1)
     log.added = [(w, rule) for (w, _), rule in zip(log.added, completed.rules[len(seed.rules):])]
     for rule in completed.rules:
         bad = [w for w in rule.rhs.terms if not is_basis_word(w)]
         if bad:
             raise ValueError(f"rule {rule.lhs!r} has non-pattern rhs words {bad}")
-    return NodalAlgebra(point, completed, log, log.diamond)
+    return NodalAlgebra(point, completed, log)
 
 
 # -- census and growth ---------------------------------------------------
@@ -287,6 +283,10 @@ def b_decompose(f: NcPoly, alg: NodalAlgebra) -> dict:
     return {t: NcPoly(d) for t, d in coeffs.items()}
 
 
+def sample_coefficients(point: CurvePoint):  # the pool of the seeded random samples
+    return [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), point.q, point.p]
+
+
 def random_poly(rng, coeff_pool, max_len=6, max_terms=3) -> NcPoly:
     """Seeded random free polynomial: up to max_terms uniform words of length
     <= max_len with coefficients drawn from coeff_pool."""
@@ -327,7 +327,7 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
             if attempt(failure, lambda: alg.nf(word) != word):
                 failures.append(failure)
     rng = random.Random(seed)
-    pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
+    pool = sample_coefficients(alg.point)
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
         failure = {"kind": "roundtrip", "poly": f}

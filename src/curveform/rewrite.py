@@ -358,13 +358,14 @@ LETTER_MATRICES = {
 def word_matrix(w: str):
     """The matrix of w, the product of its letters' matrices read left to
     right (the identity for the empty word), in the layout of
-    LETTER_MATRICES; memoised."""
-    if not w:
-        return (1, 0, 0, 1, 0, 1)
-    a00, a01, a02, a11, a12, a22 = word_matrix(w[:-1])
-    b00, b01, b02, b11, b12, b22 = LETTER_MATRICES[w[-1]]
-    return (a00 * b00, a00 * b01 + a01 * b11, a00 * b02 + a01 * b12 + a02 * b22,
+    LETTER_MATRICES; memoised, and made in a loop: no recursion depth."""
+    a00, a01, a02, a11, a12, a22 = 1, 0, 0, 1, 0, 1
+    for letter in w:
+        b00, b01, b02, b11, b12, b22 = LETTER_MATRICES[letter]
+        a00, a01, a02, a11, a12, a22 = (
+            a00 * b00, a00 * b01 + a01 * b11, a00 * b02 + a01 * b12 + a02 * b22,
             a11 * b11, a11 * b12 + a12 * b22, a22 * b22)
+    return a00, a01, a02, a11, a12, a22
 
 
 def greater(u: str, v: str) -> bool:
@@ -381,23 +382,27 @@ def maximum(words):
     return top if all(w == top or greater(top, w) for w in words) else None
 
 
-def rank(diff: NcPoly, is_target):
+def rank(diff: NcPoly, is_target, witness=None):
     """(impure, len(lhs), lhs) of orient(diff, is_target), read off diff:
-    lhs is the maximum word of diff, and NonOrientable is raised when there
-    is none or it is a target word.  The rule is impure iff its rhs leaves
-    the target span.  Pure rules rank first, as the ones the final system
-    may keep; impure ones usually become derivable once the pure ones have
-    landed."""
+    lhs is the maximum word of diff, and NonOrientable, naming the witness
+    diff came from, is raised when there is none or it is a target word.
+    The rule is impure iff its rhs leaves the target span.  Pure rules rank
+    first, as the ones the final system may keep; impure ones usually
+    become derivable once the pure ones have landed."""
     lhs = maximum(diff.terms)
     if lhs is None or is_target(lhs):
-        raise NonOrientable(diff)
+        raise NonOrientable(diff, witness)
     return (any(not is_target(w) for w in diff.terms if w != lhs), len(lhs), lhs)
 
 
 def orient(diff: NcPoly, is_target) -> Rule:
     """The monic rule lhs -> rhs with lhs - rhs a multiple of diff, lhs the
     maximum word of diff (see rank)."""
-    lhs = rank(diff, is_target)[-1]
+    return _monic(diff, rank(diff, is_target)[-1])
+
+
+def _monic(diff: NcPoly, lhs: str) -> Rule:
+    """The completed rule lhs -> rhs with lhs - rhs a multiple of diff."""
     return Rule(lhs, NcPoly.word(lhs) - diff.scale(diff.terms[lhs].inverse()),
                 origin="completed")
 
@@ -405,11 +410,14 @@ def orient(diff: NcPoly, is_target) -> Rule:
 @dataclass
 class CompletionLog:
     added: list = field(default_factory=list)  # (witness, Rule)
-    rounds: int = 0
     diamond: Report = None  # the last round's report: that of the returned system
     # per round, kept out of to_json: (ambiguities, entries reduced, nf cache
     # words as the round starts, carried from the round before)
     counts: list = field(default_factory=list)
+
+    @property
+    def rounds(self):
+        return len(self.counts)
 
     def to_json(self):
         return {"rounds": self.rounds,
@@ -450,12 +458,12 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
 
     Each round makes the diamond report of the current system and ranks its
     nonzero differences by the rule orient makes of each, its lhs the
-    maximum word of the difference (NonOrientable when there is none, or
-    when it is a target word); only the smallest rule, ties broken by the
-    ambiguity key, is made and added.  So every rule added decreases under
-    the order, and when the rules of rs do too, every intermediate system
-    terminates.  Each ambiguity is a record of its sort key and branches,
-    made once, when it is enumerated.
+    maximum word of the difference (NonOrientable, with the witness, when
+    there is none, or when it is a target word); only the smallest rule,
+    ties broken by the ambiguity key, is made from its rank and added.  So
+    every rule added decreases under the order, and when the rules of rs do
+    too, every intermediate system terminates.  Each ambiguity is a record
+    of its sort key and branches, made once, when it is enumerated.
 
     The next system starts from this one's nf cache, cut in place to the
     words the new rule leaves alone, and a record whose branch words all
@@ -465,8 +473,8 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     such record in key order raises FuelExhausted on its witness, from the
     branch's error.
 
-    The last round finds every difference zero: its report, kept as
-    log.diamond, is the diamond check of the returned system.
+    complete returns only from a round that finds every difference zero:
+    its report, log.diamond, passes and is the diamond check of the result.
 
     Returns (RuleSystem, CompletionLog).
     """
@@ -475,7 +483,6 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     current = RuleSystem(rules, rs.fuel)
     records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
-        log.rounds += 1
         log.counts.append((len(records), sum(rec.entry is None for rec in records),
                            len(current._nf_cache)))
         report = _diamond(current, records)
@@ -486,7 +493,7 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
                 raise FuelExhausted(NcPoly.word(rec.amb.witness), residual.steps,
                                     residual.budget) from residual
             if not rec.entry.ok:
-                rec.rank = rec.rank or rank(residual, is_target)
+                rec.rank = rec.rank or rank(residual, is_target, rec.amb.witness)
                 candidates.append(rec)
         if not candidates:
             log.diamond = report
@@ -494,7 +501,7 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
         if len(rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
         best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
-        rule = orient(best.entry.residual, is_target)
+        rule = _monic(best.entry.residual, best.rank[-1])
         log.added.append((best.amb.witness, rule))
         rules.append(rule)
         current, old = RuleSystem(rules, rs.fuel), current

@@ -12,7 +12,7 @@ from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
                             check_welldefined, relation_polys, tensor_nf,
                             units_bounded_check, units_suite, _hopf_residuals,
                             _solve_sparse)
-from curveform.nodal import NodalAlgebra, build_algebra, random_poly
+from curveform.nodal import NodalAlgebra, build_algebra, random_poly, sample_coefficients
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
@@ -146,7 +146,7 @@ class TestFuelOverrun:
     @pytest.fixture
     def starved(self, alg):
         return StructureMaps(NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=5),
-                                          alg.completion_log, alg.diamond_report))
+                                          alg.completion_log))
 
     @pytest.mark.parametrize("check, entries", [
         (check_welldefined, 39),
@@ -377,7 +377,7 @@ class ReferenceMaps:
 def hopf_elements(alg, samples, seed, max_len=6):
     """The elements check_hopf_axioms draws, in its order."""
     rng = random.Random(seed)
-    pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), alg.point.q, alg.point.p]
+    pool = sample_coefficients(alg.point)
     return ([NcPoly.word(ch) for ch in "xyagb"]
             + [random_poly(rng, pool, max_len=max_len) for _ in range(samples)])
 
@@ -474,7 +474,7 @@ class TestFieldCoefficients:
 class TestUnitsFuel:
     def test_overrun_fails_the_candidate(self, alg):
         starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=110),
-                               alg.completion_log, alg.diamond_report)
+                               alg.completion_log)
         report = units_suite(starved)
         assert not report.ok and len(report.entries) == 8
         failed = [e for e in report.entries if "error" in e]

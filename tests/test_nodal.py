@@ -214,6 +214,10 @@ def outcome(build):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
+def terms_with_types(f):
+    return [(w, c, type(c)) for w, c in f.terms.items()]
+
+
 def plain(rules, fuel=DEFAULT_FUEL):
     """Completion of the rules in the given coordinates."""
     system, log = complete(RuleSystem(rules, fuel), is_basis_word)
@@ -265,6 +269,57 @@ class TestRescaledCompletion:
         want = outcome(lambda: plain(rules))
         monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
         assert outcome(lambda: built(SEVEN_FIFTHS)) == want
+
+    def test_a_non_orientable_mutant_names_the_plain_witness(self, monkeypatch):
+        # the rescaled difference, mapped back at its witness's weight, is
+        # the plain one term for term, coefficient types included
+        raised = 0
+        for i, word in MUTANTS:
+            rules = mutated_seed(i, word)
+            try:
+                plain(rules)
+            except NonOrientable as exc:
+                want = exc
+            else:
+                continue
+            monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
+            with pytest.raises(NonOrientable) as exc:
+                build_algebra(SEVEN_FIFTHS)
+            got = exc.value
+            assert want.witness is not None and got.witness == want.witness
+            assert str(got) == str(want)
+            assert terms_with_types(got.difference) == terms_with_types(want.difference)
+            raised += 1
+        assert raised == 18
+
+    @pytest.mark.parametrize("fuel, mutant", [(DEFAULT_FUEL, m) for m in MUTANTS]
+                             + [(fuel, None) for fuel in (1, 40, 80, 81, 82, 83)])
+    def test_a_build_completes_once(self, monkeypatch, fuel, mutant):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return complete(*args, **kwargs)
+
+        monkeypatch.setattr(nodal, "complete", counted)
+        if mutant is not None:
+            rules = mutated_seed(*mutant)
+            monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
+        outcome(lambda: built(SEVEN_FIFTHS, fuel))
+        assert len(calls) == 1
+
+    def test_the_diamond_report_is_the_last_round(self, algebras, monkeypatch):
+        built_mutants = []
+        for i, word in MUTANTS:
+            rules = mutated_seed(i, word)
+            monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
+            try:
+                built_mutants.append(build_algebra(SEVEN_FIFTHS))
+            except CurveformError:
+                pass
+        assert len(built_mutants) == 4
+        for alg in [*algebras.values(), *built_mutants]:
+            assert alg.diamond_report is alg.completion_log.diamond and alg.diamond_report.ok
 
     def test_the_rescaled_errors_differ(self):
         # what the mutant test guards against: 13 of the 18 NonOrientable
