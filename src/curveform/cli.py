@@ -74,7 +74,8 @@ def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--max-len", type=_count, default=None,
-                   help="word-length bound for census/freeness/units")
+                   help="word-length bound; defaults: census and suite basis 6, "
+                        "growth 200, freeness 5, units 6")
     p.add_argument("--max-deg", type=_count, default=None,
                    help="degree bound for coideal/galois checks")
     p.add_argument("--samples", type=_count, default=200,
@@ -89,7 +90,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_nf = sub.add_parser("nf", help="normal form of an expression")
-    p_nf.add_argument("expr")
+    p_nf.add_argument("exprs", nargs=1, metavar="expr")
     _add_common(p_nf)
 
     p_mul = sub.add_parser("mul", help="normal form of a product of expressions")
@@ -188,18 +189,13 @@ def main(argv=None):
     try:
         point = resolve_point(args)
         alg = build_algebra(point, resolve_fuel(args))
-        if args.command == "nf":
-            nf = alg.nf(parse_expr(args.expr, point))
-            _emit(args, {"input": args.expr, "normal_form": nf.to_json(),
-                         "point": point.to_json(), "rendered": format_poly(nf)},
-                  [format_poly(nf)])
-            return 0
-        if args.command == "mul":
+        if args.command in ("nf", "mul"):  # nf is mul of one expression
             prod = parse_expr(args.exprs[0], point)
             for e in args.exprs[1:]:
                 prod = prod * parse_expr(e, point)
             nf = alg.nf(prod)
-            _emit(args, {"inputs": args.exprs, "normal_form": nf.to_json(),
+            given = {"input": args.exprs[0]} if args.command == "nf" else {"inputs": args.exprs}
+            _emit(args, {**given, "normal_form": nf.to_json(),
                          "point": point.to_json(), "rendered": format_poly(nf)},
                   [format_poly(nf)])
             return 0

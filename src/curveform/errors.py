@@ -48,9 +48,9 @@ class FuelExhausted(CurveformError, RuntimeError):
 class NonOrientable(CurveformError, RuntimeError):
     """Completion found a difference polynomial with no admissible left-hand
     side: no word of it is above all the others in the termination order,
-    or that word is a target word.  Carries the difference and the witness
-    of the ambiguity it came from (None when rank or orient was called
-    directly)."""
+    or that word is empty or a target word.  Carries the difference and
+    the witness of the ambiguity it came from (None when rank or orient
+    was called directly)."""
 
     def __init__(self, difference, witness=None):
         self.difference = difference

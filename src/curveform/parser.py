@@ -11,10 +11,14 @@ Grammar:
 q, p substitute the coordinates of the supplied curve point, r the root of
 r^2 = r - 1.  Only the letter a admits a negative exponent; a^-n parses to
 the letter g repeated n times.
+
+Tokens are read by one regular expression: an integer, a grammar character
+or a stray character, which is an error; whitespace only separates tokens.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -23,138 +27,94 @@ from .scalar import CurvePoint, R, Scalar
 
 _LETTERS = "xyab"
 _SCALARS = "qpr"
+_TOKEN = re.compile(rf"(?P<int>\d+)|[-+*/^(){_LETTERS}{_SCALARS}]|(?P<stray>\S)")
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()" or ch in _LETTERS or ch in _SCALARS:
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", len(text)))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
-
-    def expect(self, kind, expected):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}",
-                             tok[2], expected)
-        return self.next()
+def _tokens(text):
+    """The (kind, text, position) tokens of text, kind "int" or the grammar
+    character itself, and ("end", "", len(text)) last; in reverse order, so
+    that pop() takes the next token.  The end token is never taken."""
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, char, position in tokens:
+        if kind == "stray":
+            raise ParseError(f"unexpected character {char!r}", position)
+    return [("end", "", len(text)), *reversed(tokens)]
 
 
-_ATOM_EXPECTED = ("x", "y", "a", "b", "q", "p", "r", "integer", "(")
+def _take(toks, kind, expected):
+    """Take the next token, which must be of the given kind."""
+    tok = toks[-1]
+    if tok[0] != kind:
+        raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
+    return toks.pop()
 
 
-class _Parser:
-    def __init__(self, text, point):
-        self.tz = _Tokenizer(text)
-        self.point = point
+def _expr(toks, point) -> NcPoly:
+    sign = toks.pop()[0] if toks[-1][0] in "+-" else "+"
+    result = _term(toks, point)
+    if sign == "-":
+        result = -result
+    while toks[-1][0] in "+-":
+        op = toks.pop()[0]
+        term = _term(toks, point)
+        result = result + term if op == "+" else result - term
+    return result
 
-    def parse(self) -> NcPoly:
-        result = self._expr()
-        tok = self.tz.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "-", "*", "end of input"))
-        return result
 
-    def _expr(self) -> NcPoly:
-        sign = 1
-        if self.tz.peek()[0] in "+-":
-            sign = -1 if self.tz.next()[0] == "-" else 1
-        result = self._term()
-        if sign < 0:
-            result = -result
-        while self.tz.peek()[0] in "+-":
-            op = self.tz.next()[0]
-            term = self._term()
-            result = result + term if op == "+" else result - term
-        return result
+def _term(toks, point) -> NcPoly:
+    result = _factor(toks, point)
+    while toks[-1][0] == "*":
+        toks.pop()
+        result = result * _factor(toks, point)
+    return result
 
-    def _term(self) -> NcPoly:
-        result = self._factor()
-        while self.tz.peek()[0] == "*":
-            self.tz.next()
-            result = result * self._factor()
-        return result
 
-    def _factor(self) -> NcPoly:
-        base, is_a = self._atom()
-        if self.tz.peek()[0] != "^":
-            return base
-        self.tz.next()
-        neg = False
-        if self.tz.peek()[0] == "-":
-            self.tz.next()
-            neg = True
-        tok = self.tz.expect("int", ("integer",))
-        n = int(tok[1])
-        if neg:
-            if not is_a:
-                raise ParseError("negative exponent is only allowed on a", tok[2],
-                                 ("nonnegative integer",))
-            return NcPoly.word("g" * n)
-        return base ** n
+def _factor(toks, point) -> NcPoly:
+    first = toks[-1][0]  # "a" iff the atom is the letter a
+    base = _atom(toks, point)
+    if toks[-1][0] != "^":
+        return base
+    toks.pop()
+    negative = toks[-1][0] == "-"
+    if negative:
+        toks.pop()
+    tok = _take(toks, "int", ("integer",))
+    if not negative:
+        return base ** int(tok[1])
+    if first != "a":
+        raise ParseError("negative exponent is only allowed on a", tok[2],
+                         ("nonnegative integer",))
+    return NcPoly.word("g" * int(tok[1]))
 
-    def _atom(self):
-        """Return (poly, is_letter_a)."""
-        tok = self.tz.peek()
-        kind = tok[0]
-        if kind in _LETTERS:
-            self.tz.next()
-            return NcPoly.word(kind), kind == "a"
-        if kind in _SCALARS:
-            self.tz.next()
-            value = {"q": self.point.q, "p": self.point.p, "r": R}[kind]
-            return NcPoly.scalar(value), False
-        if kind == "int":
-            self.tz.next()
-            num = int(tok[1])
-            if self.tz.peek()[0] == "/":
-                self.tz.next()
-                den_tok = self.tz.expect("int", ("integer",))
-                den = int(den_tok[1])
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok[2])
-                return NcPoly.scalar(Scalar(Fraction(num, den))), False
-            return NcPoly.scalar(Scalar(num)), False
-        if kind == "(":
-            self.tz.next()
-            inner = self._expr()
-            self.tz.expect(")", (")",))
-            return inner, False
-        raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], _ATOM_EXPECTED)
+
+def _atom(toks, point) -> NcPoly:
+    kind = toks[-1][0]
+    if kind in _LETTERS:
+        toks.pop()
+        return NcPoly.word(kind)
+    if kind in _SCALARS:
+        toks.pop()
+        return NcPoly.scalar({"q": point.q, "p": point.p, "r": R}[kind])
+    if kind == "int":
+        num = int(toks.pop()[1])
+        if toks[-1][0] != "/":
+            return NcPoly.scalar(Scalar(num))
+        toks.pop()
+        den = _take(toks, "int", ("integer",))
+        if int(den[1]) == 0:
+            raise ParseError("zero denominator", den[2])
+        return NcPoly.scalar(Scalar(Fraction(num, int(den[1]))))
+    _take(toks, "(", ("x", "y", "a", "b", "q", "p", "r", "integer", "("))
+    inner = _expr(toks, point)
+    _take(toks, ")", (")",))
+    return inner
 
 
 def parse_expr(text: str, point: CurvePoint) -> NcPoly:
     """Parse an expression into a free (unreduced) NcPoly at the given point."""
-    return _Parser(text, point).parse()
+    toks = _tokens(text)
+    result = _expr(toks, point)
+    tok = toks[-1]
+    if tok[0] != "end":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "-", "*", "end of input"))
+    return result

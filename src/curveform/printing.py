@@ -4,60 +4,42 @@ Words print with powers collapsed and g rendered as a^-1 (a^-2, ...), so
 the output parses back through the expression grammar.
 """
 
-from __future__ import annotations
+import re
 
 from .freealg import NcPoly, word_key
 
 
 def format_word(w: str) -> str:
-    if not w:
-        return "1"
     parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        n = j - i
-        if w[i] == "g":
-            parts.append("a^-1" if n == 1 else f"a^-{n}")
-        elif n == 1:
-            parts.append(w[i])
-        else:
-            parts.append(f"{w[i]}^{n}")
-        i = j
-    return "*".join(parts)
+    for run in re.finditer(r"(.)\1*", w):
+        letter, n = run[1], len(run[0])
+        if letter == "g":
+            letter, n = "a", -n
+        parts.append(letter if n == 1 else f"{letter}^{n}")
+    return "*".join(parts) or "1"
 
 
 def _coeff_parts(c):
-    """Return (sign, body) with body free of a leading minus, or a parenthesized body."""
-    if c.c1 == 0:
-        sign = "-" if c.c0 < 0 else "+"
-        mag = abs(c.c0)
-        return sign, str(mag)
-    if c.c0 == 0:
-        sign = "-" if c.c1 < 0 else "+"
-        mag = abs(c.c1)
-        return sign, ("r" if mag == 1 else f"{mag}*r")
-    return "+", f"({c})"
+    """(sign, body) of str(c): body without a leading minus, or in parentheses."""
+    text = str(c)
+    if c.c0 and c.c1:
+        return "+", f"({text})"
+    if text.startswith("-"):
+        return "-", text[1:]
+    return "+", text
 
 
 def format_poly(f: NcPoly) -> str:
     if not f:
         return "0"
-    pieces = []
+    out = ""
     for w, c in sorted(f.terms.items(), key=lambda kv: word_key(kv[0]), reverse=True):
         sign, body = _coeff_parts(c)
-        word_str = format_word(w)
-        if w and body == "1":
-            text = word_str
-        elif not w:
+        if not w:
             text = body
+        elif body == "1":
+            text = format_word(w)
         else:
-            text = f"{body}*{word_str}"
-        pieces.append((sign, text))
-    first_sign, first_text = pieces[0]
-    out = (first_sign if first_sign == "-" else "") + first_text
-    for sign, text in pieces[1:]:
+            text = f"{body}*{format_word(w)}"
         out += f" {sign} {text}"
-    return out
+    return out[3:] if out[1] == "+" else "-" + out[3:]  # out starts " + " or " - "

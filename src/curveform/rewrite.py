@@ -385,12 +385,13 @@ def maximum(words):
 def rank(diff: NcPoly, is_target, witness=None):
     """(impure, len(lhs), lhs) of orient(diff, is_target), read off diff:
     lhs is the maximum word of diff, and NonOrientable, naming the witness
-    diff came from, is raised when there is none or it is a target word.
+    diff came from, is raised when there is none, or it is the empty word
+    or a target word.
     The rule is impure iff its rhs leaves the target span.  Pure rules rank
     first, as the ones the final system may keep; impure ones usually
     become derivable once the pure ones have landed."""
     lhs = maximum(diff.terms)
-    if lhs is None or is_target(lhs):
+    if not lhs or is_target(lhs):
         raise NonOrientable(diff, witness)
     return (any(not is_target(w) for w in diff.terms if w != lhs), len(lhs), lhs)
 

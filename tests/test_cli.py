@@ -48,6 +48,19 @@ class TestNf:
         code, _, err = run(capsys, "nf", "x +")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["x +", "²"])
+    def test_parse_error_is_one_line_on_stderr(self, capsys, text):
+        code, out, err = run(capsys, "nf", text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nf_is_mul_of_one_expression(self, capsys):
+        _, nf_out, _ = run(capsys, "nf", "a^-1*x", "--json")
+        _, mul_out, _ = run(capsys, "mul", "a^-1*x", "--json")
+        nf_obj, mul_obj = json.loads(nf_out), json.loads(mul_out)
+        assert nf_obj.pop("input") == "a^-1*x" and mul_obj.pop("inputs") == ["a^-1*x"]
+        assert nf_obj == mul_obj
+
 
 class TestMul:
     def test_product(self, capsys):

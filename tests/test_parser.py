@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveform.errors import ParseError
 from curveform.freealg import ALPHABET, NcPoly
@@ -104,3 +105,112 @@ class TestPrinting:
                 terms[w] = rng.choice(pool)
             f = NcPoly(terms)
             assert parse_expr(format_poly(f), PT) == f
+
+
+_ATOM = ("x", "y", "a", "b", "q", "p", "r", "integer", "(")
+_AFTER_EXPR = ("+", "-", "*", "end of input")
+
+# (text, message, position, expected) of every malformed ASCII input below
+PARSE_ERRORS = [
+    ("", "unexpected token 'end of input'", 0, _ATOM),
+    ("   ", "unexpected token 'end of input'", 3, _ATOM),
+    ("x + z", "unexpected character 'z'", 4, ()),
+    ("z", "unexpected character 'z'", 0, ()),
+    ("x $ y", "unexpected character '$'", 2, ()),
+    ("x^-1", "negative exponent is only allowed on a", 3, ("nonnegative integer",)),
+    ("(a)^-1", "negative exponent is only allowed on a", 5, ("nonnegative integer",)),
+    ("q^-2", "negative exponent is only allowed on a", 3, ("nonnegative integer",)),
+    ("a^-", "unexpected token 'end of input'", 3, ("integer",)),
+    ("a^-x", "unexpected token 'x'", 3, ("integer",)),
+    ("1/0", "zero denominator", 2, ()),
+    ("1/00", "zero denominator", 2, ()),
+    ("1/", "unexpected token 'end of input'", 2, ("integer",)),
+    ("1/x", "unexpected token 'x'", 2, ("integer",)),
+    ("(x + y", "unexpected token 'end of input'", 6, (")",)),
+    ("((x)", "unexpected token 'end of input'", 4, (")",)),
+    ("(", "unexpected token 'end of input'", 1, _ATOM),
+    (")", "unexpected token ')'", 0, _ATOM),
+    ("x)", "trailing input ')'", 1, _AFTER_EXPR),
+    ("x y", "trailing input 'y'", 2, _AFTER_EXPR),
+    ("2 3", "trailing input '3'", 2, _AFTER_EXPR),
+    ("a^2^3", "trailing input '^'", 3, _AFTER_EXPR),
+    ("r/2", "trailing input '/'", 1, _AFTER_EXPR),
+    ("x + ", "unexpected token 'end of input'", 4, _ATOM),
+    ("x *", "unexpected token 'end of input'", 3, _ATOM),
+    ("x +- y", "unexpected token '-'", 3, _ATOM),
+    ("--x", "unexpected token '-'", 1, _ATOM),
+    ("x + + y", "unexpected token '+'", 4, _ATOM),
+    ("*x", "unexpected token '*'", 0, _ATOM),
+    ("x**2", "unexpected token '*'", 2, _ATOM),
+    ("x^", "unexpected token 'end of input'", 2, ("integer",)),
+    ("x^y", "unexpected token 'y'", 2, ("integer",)),
+    ("x^(2)", "unexpected token '('", 2, ("integer",)),
+]
+
+
+class TestErrorCorpus:
+    @pytest.mark.parametrize("text,message,position,expected", PARSE_ERRORS)
+    def test_message_position_and_expected(self, text, message, position, expected):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, PT)
+        assert (exc.value.position, exc.value.expected) == (position, expected)
+        suffix = f" (expected one of: {', '.join(expected)})" if expected else ""
+        assert str(exc.value) == f"{message} at position {position}{suffix}"
+
+    @pytest.mark.parametrize("text,position", [("²", 0), ("x²", 1), ("3 + a^²", 6)])
+    def test_a_non_decimal_digit_is_a_stray_character(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, PT)
+        assert str(exc.value) == f"unexpected character '²' at position {position}"
+
+    def test_a_decimal_digit_of_any_script_is_an_integer(self):
+        assert parse_expr("٣*x", PT) == parse_expr("3*x", PT)
+        assert parse_expr("a^-٢", PT) == NcPoly.word("gg")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="xyabqpr0123456789+-*/^() \t²٣é", max_size=6))
+    def test_any_short_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            assert isinstance(parse_expr(text, PT), NcPoly)
+        except ParseError:
+            pass
+
+
+def _poly(terms):
+    return NcPoly({w: Scalar(*c) if isinstance(c, tuple) else Scalar(c)
+                   for w, c in terms.items()})
+
+
+# (terms, rendering); a tuple coefficient is (c0, c1) of c0 + c1*r
+FORMAT_GOLDEN = [
+    ({}, "0"),
+    ({"": 1}, "1"),
+    ({"": -1}, "-1"),
+    ({"": "-3/7"}, "-3/7"),
+    ({"x": 1}, "x"),
+    ({"x": -1}, "-x"),
+    ({"g": 1}, "a^-1"),
+    ({"ggg": 1, "": 1}, "a^-3 + 1"),
+    ({"agg": 2, "gx": -1}, "2*a*a^-2 - a^-1*x"),
+    ({"xxayy": "5/2"}, "5/2*x^2*a*y^2"),
+    ({"x": (0, 1)}, "r*x"),
+    ({"x": (0, -1)}, "-r*x"),
+    ({"": (0, -1)}, "-r"),
+    ({"y": (0, "3/2")}, "3/2*r*y"),
+    ({"b": (0, "-2/3")}, "-2/3*r*b"),
+    ({"a": (1, 1)}, "(1+r)*a"),
+    ({"a": (2, -1)}, "(2-r)*a"),
+    ({"": ("-1/2", "1/3")}, "(-1/2+1/3*r)"),
+    ({"ab": (-1, -1), "ba": ("1/2", 0), "": (0, 2)}, "1/2*b*a + (-1-r)*a*b + 2*r"),
+    ({"bbbb": -2, "xg": (3, -4), "gxg": ("-5/3", 0), "": (0, -1)},
+     "-2*b^4 - 5/3*a^-1*x*a^-1 + (3-4*r)*x*a^-1 - r"),
+    ({"yyy": 1, "xx": -1, "a": "7/4", "": -5}, "y^3 - x^2 + 7/4*a - 5"),
+]
+
+
+class TestFormatCorpus:
+    @pytest.mark.parametrize("terms,text", FORMAT_GOLDEN)
+    def test_rendering(self, terms, text):
+        f = _poly(terms)
+        assert format_poly(f) == text
+        assert parse_expr(text, PT) == f

@@ -266,6 +266,16 @@ class TestOrientation:
             complete(rs, is_basis_word)
         assert exc.value.difference == NcPoly({"gx": ONE, "yg": -ONE})
 
+    def test_a_constant_difference_outside_the_targets_is_non_orientable(self):
+        # xyx orients to x -> 0, and then xy reduces to both 1 and 0: the
+        # difference is a nonzero constant, and the empty word is no lhs
+        rs = RuleSystem([Rule("xy", NcPoly.scalar(1)), Rule("yx", NcPoly.scalar(2))])
+        with pytest.raises(NonOrientable) as exc:
+            complete(rs, lambda w: False)
+        assert exc.value.difference == NcPoly.one() and exc.value.witness == "xy"
+        with pytest.raises(NonOrientable):
+            rank(NcPoly.scalar(3), lambda w: False)
+
 
 words = st.text(ALPHABET, max_size=6)
 
