@@ -158,14 +158,6 @@ class NcPoly(Sparse):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("NcPoly power requires a nonnegative integer")
-        result = _ONE_POLY
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- queries ---------------------------------------------------------
 
     def sorted_terms(self):

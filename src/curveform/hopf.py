@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import FuelExhausted
 from .freealg import NcPoly, TensorPoly, accumulate, concat_product
@@ -306,24 +307,59 @@ def _inverse(c):
     return c.inverse() if type(c) is Scalar else c if c in (1, -1) else Fraction(1, c)
 
 
+def _denominator(c):
+    """The least n > 0 with n * c integral; for a Scalar, in both coordinates."""
+    return lcm(c.c0.denominator, c.c1.denominator) if type(c) is Scalar else c.denominator
+
+
+def _integral(c):
+    """c, known to be integral, as an int, or as a Scalar."""
+    return c.numerator if type(c) is Fraction else c
+
+
+def _divide_content(row, b):
+    """Divide the row (a dict) and its right-hand side b in place by the gcd
+    of their entries when all are ints; return b."""
+    try:
+        g = gcd(b, *row.values())
+    except TypeError:  # a Scalar entry, which has no gcd
+        return b
+    if g > 1:
+        for k, v in row.items():
+            row[k] = v // g
+        b //= g
+    return b
+
+
 def _solve_sparse(columns, target):
     """Solve sum_j u_j * columns[j] = target over the field of the
     coefficients (int and Fraction, or Scalar where an r-part enters).
 
     columns: list of dicts {row_key: coefficient}; target likewise.  Returns
     the coefficient list or None if the system is infeasible.  Sparse
-    Gaussian elimination with the rows indexed by the columns they hold:
-    column j pivots on the row holding j with the fewest entries, the
-    earliest row on a tie, and only the rows holding j are eliminated.  The
-    index only grows; a row that no longer holds j is skipped.
+    fraction-free elimination (Bareiss 1968) with the rows indexed by the
+    columns they hold.  Each row is cleared of denominators once.  Column j
+    pivots on the row holding j with the fewest entries, the earliest row
+    on a tie, and only the rows holding j are eliminated: a row whose entry
+    is f, against the pivot entry pv, becomes (pv/g) row - (f/g) pivot row
+    with g = gcd(pv, f), and is then divided by the gcd of its entries;
+    where a Scalar enters, that gcd is not taken (g = 1).  So every row
+    stays integral, and the one division per pivot is made in back
+    substitution.
+    The index only grows; a row that no longer holds j is skipped.
     """
     keyed = {}
     for j, col in enumerate(columns):
         for key, val in col.items():
             keyed.setdefault(key, {})[j] = val
-    keys = [*keyed, *(key for key in target if key not in keyed)]
-    rows = [keyed.get(key, {}) for key in keys]
-    rhs = [target.get(key, 0) for key in keys]
+    rows, rhs = [], []
+    for key in [*keyed, *(key for key in target if key not in keyed)]:
+        row, b = keyed.get(key, {}), target.get(key, 0)
+        m = lcm(_denominator(b), *map(_denominator, row.values()))
+        if m != 1:
+            row, b = {j: _integral(v * m) for j, v in row.items()}, _integral(b * m)
+        rows.append(row)
+        rhs.append(_divide_content(row, b))
     holding = [set() for _ in columns]  # column -> rows that have held it
     for i, row in enumerate(rows):
         for j in row:
@@ -334,15 +370,21 @@ def _solve_sparse(columns, target):
         if not live:
             continue
         p = min(live, key=lambda i: (len(rows[i]), i))
-        inv = _inverse(rows[p][j])
-        prow = {k: v * inv for k, v in rows[p].items()}
-        prhs = rhs[p] * inv
+        prow, prhs = rows[p], rhs[p]
+        pv = prow[j]
         rows[p] = None
         for i in live:
             if i != p:
-                factor = rows[i][j]
-                accumulate(rows[i], ((k, -factor * v) for k, v in prow.items()))
-                rhs[i] = rhs[i] - factor * prhs
+                row = rows[i]
+                s, f = pv, row[j]
+                if type(s) is int and type(f) is int:
+                    g = gcd(s, f)
+                    s, f = s // g, f // g
+                if s != 1:
+                    for k, v in row.items():
+                        row[k] = s * v
+                accumulate(row, ((k, -f * v) for k, v in prow.items()))
+                rhs[i] = _divide_content(row, s * rhs[i] - f * prhs)
                 for k in prow:
                     holding[k].add(i)
         eliminated.append((j, prow, prhs))
@@ -350,7 +392,8 @@ def _solve_sparse(columns, target):
         return None  # inconsistent
     assignments = [0] * len(columns)
     for j, prow, prhs in reversed(eliminated):
-        assignments[j] = prhs - sum(v * assignments[k] for k, v in prow.items() if k != j)
+        assignments[j] = _inverse(prow[j]) * (
+            prhs - sum(v * assignments[k] for k, v in prow.items() if k != j))
     return assignments
 
 

@@ -12,6 +12,7 @@ q, p substitute the coordinates of the supplied curve point, r the root of
 r^2 = r - 1.  Only the letter a admits a negative exponent; a^-n parses to
 the letter g repeated n times.
 
+A product or power is expanded as it is parsed, up to MAX_TERMS terms.
 Tokens are read by one regular expression: an integer, a grammar character
 or a stray character, which is an error; whitespace only separates tokens.
 """
@@ -24,6 +25,12 @@ from fractions import Fraction
 from .errors import ParseError
 from .freealg import NcPoly
 from .scalar import CurvePoint, R, Scalar
+
+# the most terms a product or a power may have while it is expanded: the
+# product of polynomials of m and n terms has at most m * n, and one whose
+# bound exceeds the cap is refused before it is built ("(x+y)^40" would
+# hold 2^40 words)
+MAX_TERMS = 10_000
 
 _LETTERS = "xyab"
 _SCALARS = "qpr"
@@ -61,11 +68,18 @@ def _expr(toks, point) -> NcPoly:
     return result
 
 
+def _product(left, right, tok) -> NcPoly:
+    """left * right; a ParseError at tok when its term bound exceeds MAX_TERMS."""
+    if len(left) * len(right) > MAX_TERMS:
+        raise ParseError(f"expansion would exceed {MAX_TERMS} terms", tok[2])
+    return left * right
+
+
 def _term(toks, point) -> NcPoly:
     result = _factor(toks, point)
     while toks[-1][0] == "*":
-        toks.pop()
-        result = result * _factor(toks, point)
+        star = toks.pop()
+        result = _product(result, _factor(toks, point), star)
     return result
 
 
@@ -80,7 +94,10 @@ def _factor(toks, point) -> NcPoly:
         toks.pop()
     tok = _take(toks, "int", ("integer",))
     if not negative:
-        return base ** int(tok[1])
+        result = NcPoly.one()
+        for _ in range(int(tok[1])):
+            result = _product(result, base, tok)
+        return result
     if first != "a":
         raise ParseError("negative exponent is only allowed on a", tok[2],
                          ("nonnegative integer",))

@@ -1,0 +1,88 @@
+"""Unoptimised references that the tests compare the package's checks with.
+
+census_by_scan is the basis census over all 5^L words of each length, with
+no pruning.  solve_gauss_jordan is the sparse Gauss-Jordan elimination over
+the field of the coefficients that the units check used before its
+elimination became fraction-free: every pivot row is normalised to a
+leading 1, so its entries are Fractions.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from curveform.freealg import ALPHABET, accumulate
+from curveform.nodal import count_basis_words, is_basis_word
+from curveform.report import Report
+from curveform.scalar import Scalar
+
+
+def census_by_scan(alg, max_len: int) -> Report:
+    """basis_census(alg, max_len), computed by scanning every word."""
+    match = alg.system.match
+    irr_counts, scan_counts, enum_counts, mismatches = [], [], [], []
+    for length in range(max_len + 1):
+        irr = 0
+        pat = 0
+        for tup in product(ALPHABET, repeat=length):
+            w = "".join(tup)
+            reducible = match(w) is not None
+            pattern = is_basis_word(w)
+            if not reducible:
+                irr += 1
+            if pattern:
+                pat += 1
+            if reducible == pattern:
+                mismatches.append(w)
+        irr_counts.append(irr)
+        scan_counts.append(pat)
+        enum_counts.append(count_basis_words(length))
+    ok = not mismatches and irr_counts == scan_counts == enum_counts
+    return Report("census", {"max_len": max_len, "irreducible_counts": irr_counts,
+                             "pattern_scan_counts": scan_counts,
+                             "pattern_enum_counts": enum_counts,
+                             "mismatches": mismatches[:20]}, ok)
+
+
+def _inverse(c):
+    """1/c in the field of c; a unit int stays an int."""
+    return c.inverse() if type(c) is Scalar else c if c in (1, -1) else Fraction(1, c)
+
+
+def solve_gauss_jordan(columns, target):
+    """The solution list of sum_j u_j * columns[j] = target, or None if the
+    system is infeasible; the pivot choice is that of hopf._solve_sparse."""
+    keyed = {}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            keyed.setdefault(key, {})[j] = val
+    keys = [*keyed, *(key for key in target if key not in keyed)]
+    rows = [keyed.get(key, {}) for key in keys]
+    rhs = [target.get(key, 0) for key in keys]
+    holding = [set() for _ in columns]  # column -> rows that have held it
+    for i, row in enumerate(rows):
+        for j in row:
+            holding[j].add(i)
+    eliminated = []
+    for j in range(len(columns)):
+        live = [i for i in holding[j] if rows[i] is not None and j in rows[i]]
+        if not live:
+            continue
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        inv = _inverse(rows[p][j])
+        prow = {k: v * inv for k, v in rows[p].items()}
+        prhs = rhs[p] * inv
+        rows[p] = None
+        for i in live:
+            if i != p:
+                factor = rows[i][j]
+                accumulate(rows[i], ((k, -factor * v) for k, v in prow.items()))
+                rhs[i] = rhs[i] - factor * prhs
+                for k in prow:
+                    holding[k].add(i)
+        eliminated.append((j, prow, prhs))
+    if any(row == {} and rhs[i] for i, row in enumerate(rows)):
+        return None  # inconsistent
+    assignments = [0] * len(columns)
+    for j, prow, prhs in reversed(eliminated):
+        assignments[j] = prhs - sum(v * assignments[k] for k, v in prow.items() if k != j)
+    return assignments

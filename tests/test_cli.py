@@ -48,7 +48,7 @@ class TestNf:
         code, _, err = run(capsys, "nf", "x +")
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("text", ["x +", "²"])
+    @pytest.mark.parametrize("text", ["x +", "²", "(x+y)^40"])
     def test_parse_error_is_one_line_on_stderr(self, capsys, text):
         code, out, err = run(capsys, "nf", text)
         assert code == 2 and out == ""

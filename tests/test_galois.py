@@ -1,9 +1,14 @@
+from fractions import Fraction
+
+import pytest
+
 from curveform.freealg import NcPoly, TensorPoly
-from curveform.galois import (CPoly, coaction, project_pi, recovery_check,
+from curveform.galois import (CPoly, _is_trivial, coaction, project_pi, recovery_check,
                               trivial_coaction, witness_check)
 from curveform.hopf import StructureMaps, _counit_word
+from curveform.nodal import basis_index, build_algebra, pattern_words
 from curveform.parser import parse_expr
-from curveform.scalar import ONE, Scalar, ZERO
+from curveform.scalar import ONE, Scalar, ZERO, curve_point_from_t
 
 
 class TestCPoly:
@@ -72,6 +77,29 @@ class TestCoaction:
     def test_recovery_other_points(self, maps_by_t):
         for t in (1, 0):
             assert recovery_check(maps_by_t[t], max_deg=3).ok
+
+
+class TestFieldRecovery:
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5)], ids=["t=2", "t=7/5"])
+    def test_equals_the_scalar_comparison_on_every_pattern_word(self, t):
+        alg = build_algebra(curve_point_from_t(t))
+        maps = StructureMaps(alg)
+        words = pattern_words(6)
+        assert len(words) == 231
+        for w in words:
+            f = NcPoly.word(w)
+            trivial = coaction(f, maps) == trivial_coaction(f, alg)
+            assert _is_trivial(w, maps) == trivial == (basis_index(w)[2:] == (0, 0, 0))
+
+    # the second mutant keeps the terms of lambda(y) = 1-bar (x) y and
+    # doubles its coefficient
+    @pytest.mark.parametrize("gen, key", [("x", ("a", "x")), ("y", ("", "y"))])
+    def test_a_delta_mutant_fails_the_recovery(self, alg, gen, key):
+        maps = StructureMaps(alg)
+        maps.delta_gen[gen] = maps.delta_gen[gen] + TensorPoly(2, {key: ONE})
+        report = recovery_check(maps)
+        assert not report.ok
+        assert {"kind": "b_word", "word": gen} in report.fields["failures"]
 
 
 class TestWitness:

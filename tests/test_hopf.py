@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curveform import hopf
 from curveform.errors import FuelExhausted
 from curveform.freealg import NcPoly, TensorPoly, accumulate
 from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
@@ -17,6 +19,8 @@ from curveform.parser import parse_expr
 from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
 from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t
+
+from reference_checks import solve_gauss_jordan
 
 
 class TestStructureMaps:
@@ -262,6 +266,80 @@ class TestSolver:
         sol = _solve_sparse(cols, {"u": Scalar(4)})
         total = sol[0] + Scalar(2) * sol[1]
         assert total == Scalar(4)
+
+
+def _coefficients(kind):
+    """Nonzero coefficients of one field: ints, Fractions, or a mix of both
+    with Scalars that hold an r-part."""
+    ints = st.integers(-6, 6).filter(bool)
+    fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+    if kind == "int":
+        return ints
+    if kind == "fraction":
+        return st.one_of(ints, fractions)
+    return st.one_of(ints, fractions,
+                     st.builds(Scalar, st.one_of(st.just(0), ints, fractions),
+                               st.one_of(ints, fractions)))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(columns, target, feasible): up to 7 sparse columns over up to 5 row
+    keys; a target made from a combination of the columns is feasible, a
+    drawn one may not be, and a column that combines two others makes the
+    system underdetermined."""
+    coeff = _coefficients(draw(st.sampled_from(["int", "fraction", "scalar"])))
+    keys = "uvwxy"[:draw(st.integers(1, 5))]
+    columns = [{k: draw(coeff) for k in keys if draw(st.booleans())}
+               for _ in range(draw(st.integers(1, 6)))]
+    if len(columns) > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(columns) - 1)), draw(st.integers(0, len(columns) - 1))
+        ci, cj = draw(coeff), draw(coeff)
+        columns.append(accumulate({}, chain(((k, ci * v) for k, v in columns[i].items()),
+                                            ((k, cj * v) for k, v in columns[j].items()))))
+    if draw(st.booleans()):
+        u = [draw(st.one_of(st.just(0), coeff)) for _ in columns]
+        return columns, _combination(columns, u), True
+    return columns, {k: draw(coeff) for k in keys if draw(st.booleans())}, None
+
+
+def _combination(columns, u):
+    """sum_j u_j * columns[j] as a dict without zeros."""
+    return accumulate({}, ((k, uj * v) for uj, col in zip(u, columns) for k, v in col.items()))
+
+
+class TestFractionFreeSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_systems())
+    def test_agrees_with_gauss_jordan(self, system):
+        columns, target, feasible = system
+        before = [dict(col) for col in columns]
+        sol = _solve_sparse(columns, target)
+        assert columns == before
+        assert (sol is None) == (solve_gauss_jordan(columns, target) is None)
+        if feasible:
+            assert sol is not None
+        if sol is not None:
+            assert len(sol) == len(columns)
+            assert _combination(columns, sol) == target
+
+    def test_rows_stay_integral_until_back_substitution(self, monkeypatch):
+        divisions = []
+        real = hopf._inverse
+        monkeypatch.setattr(hopf, "_inverse", lambda c: divisions.append(c) or real(c))
+        cols = [{"u": Fraction(1, 2), "v": 3}, {"u": 2, "v": Fraction(4, 3)}, {"w": 5}]
+        sol = _solve_sparse(cols, {"u": 1, "v": 1, "w": 10})
+        assert _combination(cols, sol) == {"u": 1, "v": 1, "w": 10}
+        assert len(divisions) == 3 and all(type(c) is int for c in divisions)
+
+    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2)],
+                             ids=["t=2", "t=3", "t=7/5", "t=-1/2"])
+    def test_units_equal_the_gauss_jordan_units(self, t, monkeypatch):
+        a = build_algebra(curve_point_from_t(t))
+        report = units_suite(a).to_json()
+        monkeypatch.setattr(hopf, "_solve_sparse", solve_gauss_jordan)
+        assert report == units_suite(build_algebra(a.point)).to_json()
+        assert report["status"] == "pass"
 
 
 class TestUnits:

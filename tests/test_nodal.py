@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from curveform import nodal
 from curveform.errors import CurveformError, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly, accumulate, word_key
-from curveform.nodal import (b_decompose, b_part, basis_census, basis_index,
-                             build_algebra, count_basis_words, freeness_check,
-                             growth, index_word, is_basis_word, pattern_words,
-                             random_poly, seed_rules, split_pattern_word,
-                             tail_part)
+from curveform.nodal import (NodalAlgebra, b_decompose, b_part, basis_census,
+                             basis_index, build_algebra, count_basis_words,
+                             freeness_check, growth, index_word, is_basis_word,
+                             pattern_words, random_poly, seed_rules,
+                             split_pattern_word, tail_part)
 from curveform.rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 from curveform.scalar import ONE, Scalar, curve_point_from_t
+
+from reference_checks import census_by_scan
 
 
 class TestPattern:
@@ -123,6 +125,49 @@ class TestCensus:
         assert all(is_basis_word(w) for w in words)
         for n in range(9):
             assert count_basis_words(n) == sum(1 for w in words if len(w) == n)
+
+
+def with_rules(alg, rules):
+    """alg's point and log over another rule system."""
+    return NodalAlgebra(alg.point, RuleSystem(rules), alg.completion_log)
+
+
+class TestPrunedCensus:
+    """basis_census extends only the words that are irreducible or pattern
+    words; census_by_scan scans all 5^L words."""
+
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5)], ids=["t=2", "t=7/5"])
+    def test_equals_the_scan_at_the_completed_systems(self, t):
+        a = build_algebra(curve_point_from_t(t))
+        for max_len in range(7):
+            report = basis_census(a, max_len)
+            assert report.ok
+            assert report.to_json() == census_by_scan(a, max_len).to_json()
+
+    def test_equals_the_scan_with_rules_removed(self, alg):
+        # without yx -> xy, bx -> xb, ... irreducible words leave the pattern
+        a = with_rules(alg, alg.system.rules[::2])
+        report = basis_census(a, 6)
+        assert any(a.system.match(w) is None and not is_basis_word(w)
+                   for w in report.fields["mismatches"])
+        assert len(report.fields["mismatches"]) == 20
+        assert report.to_json() == census_by_scan(a, 6).to_json()
+
+    def test_equals_the_scan_with_an_extra_lhs(self, alg):
+        # xy and every pattern word holding it become reducible
+        a = with_rules(alg, [*alg.system.rules, Rule("xy", NcPoly.word("yx"))])
+        report = basis_census(a, 6)
+        assert "xy" in report.fields["mismatches"] and "xxy" in report.fields["mismatches"]
+        assert report.fields["irreducible_counts"] != report.fields["pattern_scan_counts"]
+        assert report.to_json() == census_by_scan(a, 6).to_json()
+
+    def test_pattern_words_are_prefix_closed(self):
+        for w in pattern_words(10):
+            assert all(is_basis_word(w[:k]) for k in range(len(w)))
+
+    def test_finishes_at_length_22(self, alg):
+        report = basis_census(alg, 22)
+        assert report.ok and report.fields["irreducible_counts"][22] == count_basis_words(22)
 
 
 class TestGrowth:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveform.errors import ParseError
 from curveform.freealg import ALPHABET, NcPoly
-from curveform.parser import parse_expr
+from curveform.parser import MAX_TERMS, parse_expr
 from curveform.printing import format_poly, format_word
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
 
@@ -145,7 +145,21 @@ PARSE_ERRORS = [
     ("x^", "unexpected token 'end of input'", 2, ("integer",)),
     ("x^y", "unexpected token 'y'", 2, ("integer",)),
     ("x^(2)", "unexpected token '('", 2, ("integer",)),
+    ("(x+y)^40", "expansion would exceed 10000 terms", 6, ()),
+    ("(x+y)^13*(x+y)^13", "expansion would exceed 10000 terms", 8, ()),
+    ("(x+y+a)^8*(x+y)", "expansion would exceed 10000 terms", 9, ()),
 ]
+
+
+class TestTermCap:
+    def test_an_expansion_up_to_the_cap_parses(self):
+        assert len(parse_expr("(x+y)^13", PT)) == 8192 <= MAX_TERMS
+        assert len(parse_expr("(x+y)^6*(x+y)^7", PT)) == 8192
+
+    def test_the_bound_is_checked_per_product(self):
+        # x and 1 commute, so the powers of x + 1 stay small
+        assert len(parse_expr("(x+1)^40", PT)) == 41
+        assert parse_expr("(x+y-x-y)^40", PT) == NcPoly.zero()
 
 
 class TestErrorCorpus:
