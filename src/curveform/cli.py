@@ -19,7 +19,7 @@ import sys
 from . import galois, hopf
 from .errors import CurveformError, UsageError
 from .nodal import basis_census, build_algebra, growth, freeness_check
-from .parser import parse_expr
+from .parser import parse_product
 from .printing import format_poly
 from .report import Report
 from .rewrite import DEFAULT_FUEL
@@ -190,10 +190,7 @@ def main(argv=None):
         point = resolve_point(args)
         alg = build_algebra(point, resolve_fuel(args))
         if args.command in ("nf", "mul"):  # nf is mul of one expression
-            prod = parse_expr(args.exprs[0], point)
-            for e in args.exprs[1:]:
-                prod = prod * parse_expr(e, point)
-            nf = alg.nf(prod)
+            nf = alg.nf(parse_product(args.exprs, point))
             given = {"input": args.exprs[0]} if args.command == "nf" else {"inputs": args.exprs}
             _emit(args, {**given, "normal_form": nf.to_json(),
                          "point": point.to_json(), "rendered": format_poly(nf)},

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 
@@ -46,10 +47,11 @@ from .scalar import CurvePoint, ONE, R, Scalar, ZERO
 
 class StructureMaps:
     """delta, eps and S of one algebra: generator assignments at its curve
-    point, read when they are used, and caches of the word-level extensions
-    of delta and S, each reduced to normal form in that algebra and held as
-    a dict over the rules' field, shared: read, never mutated.  Every
-    Hopf-axiom check and the Galois layer are built from these word maps."""
+    point, taken over the rules' field once, at the first use of a word
+    map, and caches of the word-level extensions of delta and S, each
+    reduced to normal form in that algebra and held as a dict over the
+    rules' field, shared: read, never mutated.  Every Hopf-axiom check and
+    the Galois layer are built from these word maps."""
 
     def __init__(self, alg: NodalAlgebra):
         q, p = alg.point.q, alg.point.p
@@ -73,6 +75,21 @@ class StructureMaps:
         self._delta_cache = {"": {("", ""): 1}}
         self._antipode_cache = {"": {"": 1}}
 
+    # the generator values over the rules' field, by letter; a value
+    # replaced before the first use of a word map is the one taken
+
+    @cached_property
+    def delta_terms(self):
+        return {ch: _field_terms(v) for ch, v in self.delta_gen.items()}
+
+    @cached_property
+    def counit_values(self):
+        return {ch: _field_coeff(v) for ch, v in self.counit_gen.items()}
+
+    @cached_property
+    def antipode_terms(self):
+        return {ch: _field_terms(v) for ch, v in self.antipode_gen.items()}
+
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
     """Reduce every leg of a tensor polynomial to normal form."""
@@ -87,9 +104,9 @@ def _delta_word(w: str, maps: StructureMaps) -> dict:
     n = len(w)
     while w[:n] not in cache:
         n -= 1
-    hit = cache[w[:n]]
+    hit, gens = cache[w[:n]], maps.delta_terms
     for i in range(n, len(w)):
-        gen = _field_terms(maps.delta_gen[w[i]])
+        gen = gens[w[i]]
         prod = accumulate({}, (((u + u2, v + v2), c * c2) for (u, v), c in hit.items()
                                for (u2, v2), c2 in gen))
         cache[w[:i + 1]] = hit = maps.alg.system.nf_terms(prod.items())
@@ -104,9 +121,9 @@ def apply_delta(f: NcPoly, maps: StructureMaps) -> TensorPoly:
 
 def _counit_word(w: str, maps: StructureMaps):
     """eps on a word, over the rules' field."""
-    v = 1
+    v, values = 1, maps.counit_values
     for ch in w:
-        v = v * _field_coeff(maps.counit_gen[ch])
+        v = v * values[ch]
     return v
 
 
@@ -122,9 +139,9 @@ def _antipode_word(w: str, maps: StructureMaps) -> dict:
     n = 0
     while w[n:] not in cache:
         n += 1
-    hit = cache[w[n:]]
+    hit, gens = cache[w[n:]], maps.antipode_terms
     for i in range(n - 1, -1, -1):
-        prod = concat_product(hit.items(), _field_terms(maps.antipode_gen[w[i]]))
+        prod = concat_product(hit.items(), gens[w[i]])
         cache[w[i:]] = hit = maps.alg.system.nf_terms(prod.items())
     return hit
 
@@ -309,7 +326,7 @@ def _inverse(c):
 
 def _denominator(c):
     """The least n > 0 with n * c integral; for a Scalar, in both coordinates."""
-    return lcm(c.c0.denominator, c.c1.denominator) if type(c) is Scalar else c.denominator
+    return c.d if type(c) is Scalar else c.denominator
 
 
 def _integral(c):

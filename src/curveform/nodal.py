@@ -182,7 +182,8 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     Raises ValueError if some completed rhs leaves the pattern span.
     """
     q, p = point.q, point.p
-    lam = 1 if q.c1 or p.c1 or not q else (Fraction(p.c0) / q.c0).denominator
+    # the denominator of p/q = (p.n0 q.d)/(p.d q.n0)
+    lam = 1 if q.n1 or p.n1 or not q else abs(p.d * q.n0) // math.gcd(p.n0 * q.d, p.d * q.n0)
     seed = RuleSystem(seed_rules(point), fuel)
     try:
         completed, log = complete(_rescaled(seed, lam), is_basis_word)

@@ -12,7 +12,8 @@ q, p substitute the coordinates of the supplied curve point, r the root of
 r^2 = r - 1.  Only the letter a admits a negative exponent; a^-n parses to
 the letter g repeated n times.
 
-A product or power is expanded as it is parsed, up to MAX_TERMS terms.
+A product or power is expanded as it is parsed, up to MAX_TERMS terms of
+at most MAX_LETTERS letters each, and an exponent is at most MAX_LETTERS.
 Tokens are read by one regular expression: an integer, a grammar character
 or a stray character, which is an error; whitespace only separates tokens.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .freealg import NcPoly
 from .scalar import CurvePoint, R, Scalar
 
@@ -31,6 +32,12 @@ from .scalar import CurvePoint, R, Scalar
 # bound exceeds the cap is refused before it is built ("(x+y)^40" would
 # hold 2^40 words)
 MAX_TERMS = 10_000
+# the most letters a word of an expansion may have, and the largest
+# exponent: reducing a word caches each of its prefixes, so its cost grows
+# with the square of its length ("x^8000" held 49 MB), and a power is
+# expanded one factor at a time, however few letters its base holds
+# ("1^300000" ran for 1.2 s)
+MAX_LETTERS = 100
 
 _LETTERS = "xyab"
 _SCALARS = "qpr"
@@ -68,10 +75,32 @@ def _expr(toks, point) -> NcPoly:
     return result
 
 
-def _product(left, right, tok) -> NcPoly:
-    """left * right; a ParseError at tok when its term bound exceeds MAX_TERMS."""
+def _int(tok) -> int:
+    """The value of an integer token; a ParseError at it where it has more
+    digits than int() converts."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+
+def _excess(left, right):
+    """The bound that left * right could exceed, as text, or None: MAX_TERMS
+    terms (the product of m and n terms has at most m * n) or MAX_LETTERS
+    letters in a word."""
     if len(left) * len(right) > MAX_TERMS:
-        raise ParseError(f"expansion would exceed {MAX_TERMS} terms", tok[2])
+        return f"{MAX_TERMS} terms"
+    letters = max(map(len, left.terms), default=0) + max(map(len, right.terms), default=0)
+    if letters > MAX_LETTERS:
+        return f"{MAX_LETTERS} letters"
+    return None
+
+
+def _product(left, right, tok) -> NcPoly:
+    """left * right; a ParseError at tok when it could exceed a bound."""
+    excess = _excess(left, right)
+    if excess:
+        raise ParseError(f"expansion would exceed {excess}", tok[2])
     return left * right
 
 
@@ -93,15 +122,18 @@ def _factor(toks, point) -> NcPoly:
     if negative:
         toks.pop()
     tok = _take(toks, "int", ("integer",))
+    n = _int(tok)
+    if n > MAX_LETTERS:
+        raise ParseError(f"exponent exceeds {MAX_LETTERS}", tok[2])
     if not negative:
         result = NcPoly.one()
-        for _ in range(int(tok[1])):
+        for _ in range(n):
             result = _product(result, base, tok)
         return result
     if first != "a":
         raise ParseError("negative exponent is only allowed on a", tok[2],
                          ("nonnegative integer",))
-    return NcPoly.word("g" * int(tok[1]))
+    return NcPoly.word("g" * n)
 
 
 def _atom(toks, point) -> NcPoly:
@@ -113,14 +145,15 @@ def _atom(toks, point) -> NcPoly:
         toks.pop()
         return NcPoly.scalar({"q": point.q, "p": point.p, "r": R}[kind])
     if kind == "int":
-        num = int(toks.pop()[1])
+        num = _int(toks.pop())
         if toks[-1][0] != "/":
             return NcPoly.scalar(Scalar(num))
         toks.pop()
-        den = _take(toks, "int", ("integer",))
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", den[2])
-        return NcPoly.scalar(Scalar(Fraction(num, int(den[1]))))
+        tok = _take(toks, "int", ("integer",))
+        den = _int(tok)
+        if den == 0:
+            raise ParseError("zero denominator", tok[2])
+        return NcPoly.scalar(Scalar(Fraction(num, den)))
     _take(toks, "(", ("x", "y", "a", "b", "q", "p", "r", "integer", "("))
     inner = _expr(toks, point)
     _take(toks, ")", (")",))
@@ -134,4 +167,18 @@ def parse_expr(text: str, point: CurvePoint) -> NcPoly:
     tok = toks[-1]
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "-", "*", "end of input"))
+    return result
+
+
+def parse_product(texts, point: CurvePoint) -> NcPoly:
+    """The product of the parsed texts, left to right, under the bounds of a
+    product inside one expression; a UsageError names the first text whose
+    product with those before it could exceed them."""
+    result = parse_expr(texts[0], point)
+    for i, text in enumerate(texts[1:], 2):
+        factor = parse_expr(text, point)
+        excess = _excess(result, factor)
+        if excess:
+            raise UsageError(f"the product up to input {i} would exceed {excess}")
+        result = result * factor
     return result

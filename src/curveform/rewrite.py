@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, cached_property
 from operator import ge
 
@@ -71,7 +72,9 @@ DEFAULT_FUEL = 100_000
 def _field_coeff(c):
     """A rule coefficient in its field of definition: the rational c0 (int
     or Fraction) when c has no r-part, else the Scalar c itself."""
-    return c if c.c1 else c.c0
+    if c.n1:
+        return c
+    return c.n0 if c.d == 1 else Fraction(c.n0, c.d)
 
 
 def _field_terms(sparse):

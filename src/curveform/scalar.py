@@ -1,18 +1,22 @@
 """Exact arithmetic in K = Q(r), where r is a primitive 6th root of unity.
 
 r satisfies r^2 = r - 1 (equivalently r^2 - r + 1 = 0, so r + 1/r = 1).
-A Scalar stores c0 + c1*r with c0, c1 rational; the norm form
-c0^2 + c0*c1 + c1^2 is positive definite over Q, so every nonzero
-Scalar is invertible and all arithmetic stays exact.
+A Scalar c0 + c1*r is stored as three ints, (n0 + n1*r)/d with d > 0 and
+gcd(n0, n1, d) = 1, so each value has one stored form, and add, mul and
+equality run on int arithmetic with at most one gcd per result.  c0 and c1
+are read-only views of the coordinates: an int when integral, else a
+Fraction.  The norm form c0^2 + c0*c1 + c1^2 is positive definite over Q,
+so every nonzero Scalar is invertible and all arithmetic stays exact.
 
-A coordinate is stored as an int when it is integral and as a Fraction
-only when it is not, so the common integral case runs on plain int
-arithmetic and the representation of each value is unique.
+A Scalar is a value: its slots are written once, where it is made, and
+never after.  No __setattr__ guards them, since a guard would turn each
+plain slot store into a call, on every arithmetic result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, ParameterOffCurve
 
@@ -21,58 +25,96 @@ _RATIONAL_TYPES = (int, Fraction)
 
 
 class Scalar:
-    """An element c0 + c1*r of Q(r)."""
+    """An element (n0 + n1*r)/d of Q(r), d > 0 and gcd(n0, n1, d) = 1."""
 
-    __slots__ = ("c0", "c1")
+    __slots__ = ("n0", "n1", "d")
 
     def __init__(self, c0=0, c1=0):
-        _set_c0(self, c0 if type(c0) is int else _rational(c0))
-        _set_c1(self, c1 if type(c1) is int else _rational(c1))
+        if type(c0) is int and type(c1) is int:
+            self.n0, self.n1, self.d = c0, c1, 1
+            return
+        c0, c1 = _rational(c0), _rational(c1)
+        q0, q1 = c0.denominator, c1.denominator
+        d = q0 * q1 // gcd(q0, q1)  # lowest terms in each coordinate give gcd 1
+        self.n0, self.n1, self.d = c0.numerator * (d // q0), c1.numerator * (d // q1), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def c0(self):
+        """The rational coordinate: an int when integral, else a Fraction."""
+        return _view(self.n0, self.d)
+
+    @property
+    def c1(self):
+        """The coordinate of r: an int when integral, else a Fraction."""
+        return _view(self.n1, self.d)
 
     # -- arithmetic ------------------------------------------------------
+    # each result is made here and its slots written in place; a shared
+    # constructor helper would cost a call per operation
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        return Scalar(self.c0 + other.c0, self.c1 + other.c1)
+        d, e = self.d, other.d
+        if d == e:
+            n0, n1 = self.n0 + other.n0, self.n1 + other.n1
+        else:
+            n0, n1, d = self.n0 * e + other.n0 * d, self.n1 * e + other.n1 * d, d * e
+        if d != 1:
+            g = gcd(n0, n1, d)
+            if g != 1:
+                n0, n1, d = n0 // g, n1 // g, d // g
+        s = _new(Scalar)
+        s.n0, s.n1, s.d = n0, n1, d
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-        return Scalar(self.c0 - other.c0, self.c1 - other.c1)
+        return self + -other
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return Scalar(-self.c0, -self.c1)
+        s = _new(Scalar)
+        s.n0, s.n1, s.d = -self.n0, -self.n1, self.d
+        return s
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int or type(other) is Fraction:
-                return Scalar(self.c0 * other, self.c1 * other)
-            other = _coerce(other)
-        a1, b1 = self.c1, other.c1
-        if not a1 and not b1:
-            return Scalar(self.c0 * other.c0)
-        a0, b0 = self.c0, other.c0
-        # (a0 + a1 r)(b0 + b1 r) with r^2 = r - 1
-        return Scalar(a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+        if type(other) is Scalar:
+            a0, a1, b0, b1 = self.n0, self.n1, other.n0, other.n1
+            d = self.d * other.d
+            if a1 or b1:  # (a0 + a1 r)(b0 + b1 r) with r^2 = r - 1
+                n0, n1 = a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 + a1 * b1
+            else:
+                n0, n1 = a0 * b0, 0
+        elif type(other) is int or type(other) is Fraction:
+            k = other.numerator
+            n0, n1, d = self.n0 * k, self.n1 * k, self.d * other.denominator
+        else:
+            return self * _coerce(other)
+        if d != 1:
+            g = gcd(n0, n1, d)
+            if g != 1:
+                n0, n1, d = n0 // g, n1 // g, d // g
+        s = _new(Scalar)
+        s.n0, s.n1, s.d = n0, n1, d
+        return s
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
+        n0, n1, d = self.n0, self.n1, self.d
+        m = n0 * n0 + n0 * n1 + n1 * n1
+        if not m:
             raise DivisionByZero("division by zero Scalar")
-        # (c0 + c1 r)^-1 = (c0 + c1 - c1 r) / (c0^2 + c0 c1 + c1^2);
-        # Fraction, not /, which would give a float on two ints
-        return Scalar(Fraction(self.c0 + self.c1, n), Fraction(-self.c1, n))
+        # ((n0 + n1 r)/d)^-1 = d (n0 + n1 - n1 r) / m
+        n0, n1 = d * (n0 + n1), -d * n1
+        g = gcd(n0, n1, m)
+        s = _new(Scalar)
+        s.n0, s.n1, s.d = n0 // g, n1 // g, m // g
+        return s
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -81,33 +123,39 @@ class Scalar:
         return _coerce(other) * self.inverse()
 
     def norm(self):
-        return self.c0 * self.c0 + self.c0 * self.c1 + self.c1 * self.c1
+        """c0^2 + c0*c1 + c1^2, a rational: an int when d = 1."""
+        n0, n1, d = self.n0, self.n1, self.d
+        m = n0 * n0 + n0 * n1 + n1 * n1
+        return m if d == 1 else Fraction(m, d * d)
 
     # -- comparison / hashing --------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, _RATIONAL_TYPES):
-                return NotImplemented
-            other = Scalar(other)
-        return self.c0 == other.c0 and self.c1 == other.c1
+        if type(other) is Scalar:
+            return self.n0 == other.n0 and self.n1 == other.n1 and self.d == other.d
+        if not isinstance(other, _RATIONAL_TYPES):
+            return NotImplemented
+        return not self.n1 and self.n0 * other.denominator == other.numerator * self.d
 
     def __hash__(self):
-        return hash((self.c0, self.c1)) if self.c1 else hash(self.c0)  # as it equals c0
+        if self.n1:
+            return hash((self.c0, self.c1))
+        return hash(self.n0) if self.d == 1 else hash(Fraction(self.n0, self.d))  # as it equals c0
 
     def __bool__(self):
-        return bool(self.c0) or bool(self.c1)
+        return self.n0 != 0 or self.n1 != 0
 
     # -- formatting ------------------------------------------------------
 
     def __str__(self):
-        if self.c1 == 0:
-            return str(self.c0)
-        r_part = "r" if self.c1 == 1 else ("-r" if self.c1 == -1 else f"{self.c1}*r")
-        if self.c0 == 0:
+        c0, c1 = self.c0, self.c1
+        if c1 == 0:
+            return str(c0)
+        r_part = "r" if c1 == 1 else ("-r" if c1 == -1 else f"{c1}*r")
+        if c0 == 0:
             return r_part
-        sep = "+" if self.c1 > 0 else ""
-        return f"{self.c0}{sep}{r_part}"
+        sep = "+" if c1 > 0 else ""
+        return f"{c0}{sep}{r_part}"
 
     def __repr__(self):
         return f"Scalar({self.c0!r}, {self.c1!r})"
@@ -123,21 +171,26 @@ class Scalar:
         return cls(obj["c0"], obj["c1"])
 
 
-# the slot setters: __init__ writes through them, past the __setattr__
-# that keeps Scalar immutable
-_set_c0 = Scalar.c0.__set__
-_set_c1 = Scalar.c1.__set__
+_new = object.__new__
+
+
+def _view(n, d):
+    """n/d as an int when integral, else as a Fraction."""
+    if d == 1:
+        return n
+    g = gcd(n, d)
+    return n // g if g == d else Fraction(n, d)
 
 
 def _rational(v):
-    """The stored form of a coordinate: an int when v is integral, else a
-    Fraction.  Accepts int, Fraction and their str forms ("-2/3"); refuses
-    float, whose binary value is rarely the rational meant."""
-    if type(v) is not Fraction:
-        if isinstance(v, float):
-            raise TypeError(f"Scalar coordinates must be exact, got float {v!r}")
-        v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
+    """v as an int or Fraction.  Accepts int, Fraction and their str forms
+    ("-2/3"); refuses float, whose binary value is rarely the rational
+    meant."""
+    if type(v) is int or type(v) is Fraction:
+        return v
+    if isinstance(v, float):
+        raise TypeError(f"Scalar coordinates must be exact, got float {v!r}")
+    return Fraction(v)
 
 
 def _coerce(v):

@@ -54,6 +54,13 @@ class TestNf:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [("mul", "(x+y)^7", "(x+y)^7"), ("nf", "1^300000"),
+                                      ("nf", "x^8000"), ("mul", "x^60", "x^60")])
+    def test_an_expansion_beyond_a_bound_is_one_line_on_stderr(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nf_is_mul_of_one_expression(self, capsys):
         _, nf_out, _ = run(capsys, "nf", "a^-1*x", "--json")
         _, mul_out, _ = run(capsys, "mul", "a^-1*x", "--json")

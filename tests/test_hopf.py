@@ -17,7 +17,7 @@ from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
 from curveform.nodal import NodalAlgebra, build_algebra, random_poly, sample_coefficients
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
-from curveform.rewrite import RuleSystem
+from curveform.rewrite import RuleSystem, _field_coeff, _field_terms
 from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t
 
 from reference_checks import solve_gauss_jordan
@@ -46,6 +46,17 @@ class TestStructureMaps:
         assert apply_counit(NcPoly.word("y"), maps) == alg.point.p
         assert apply_counit(NcPoly.word("agb"), maps) == ONE
         assert apply_counit(parse_expr("y^2 - x^2 - x^3", alg.point), maps) == ZERO
+
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5), Fraction(-1, 2)])
+    def test_generator_values_over_the_field_are_stored_once(self, t):
+        maps = StructureMaps(build_algebra(curve_point_from_t(t)))
+        assert maps.delta_terms == {ch: _field_terms(v) for ch, v in maps.delta_gen.items()}
+        assert maps.counit_values == {ch: _field_coeff(v) for ch, v in maps.counit_gen.items()}
+        assert maps.antipode_terms == {ch: _field_terms(v)
+                                       for ch, v in maps.antipode_gen.items()}
+        assert maps.delta_terms is maps.delta_terms
+        assert maps.counit_values is maps.counit_values
+        assert maps.antipode_terms is maps.antipode_terms
 
     def test_counit_lands_on_curve(self, maps_by_t):
         # eps(x), eps(y) is the chosen curve point; the curve equation is the

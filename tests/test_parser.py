@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveform.errors import ParseError
+from curveform.errors import ParseError, UsageError
 from curveform.freealg import ALPHABET, NcPoly
-from curveform.parser import MAX_TERMS, parse_expr
+from curveform.parser import MAX_LETTERS, MAX_TERMS, parse_expr, parse_product
 from curveform.printing import format_poly, format_word
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
 
@@ -160,6 +160,57 @@ class TestTermCap:
         # x and 1 commute, so the powers of x + 1 stay small
         assert len(parse_expr("(x+1)^40", PT)) == 41
         assert parse_expr("(x+y-x-y)^40", PT) == NcPoly.zero()
+
+
+class TestLetterCap:
+    """MAX_LETTERS bounds the exponent and the letters of each word of an
+    expansion; either is refused at the exponent or at the product."""
+
+    @pytest.mark.parametrize("text, word", [("x^{n}", "x"), ("1^{n}", ""), ("a^-{n}", "g")])
+    def test_an_exponent_up_to_the_cap_parses(self, text, word):
+        assert parse_expr(text.format(n=MAX_LETTERS), PT) == NcPoly.word(word * MAX_LETTERS)
+
+    @pytest.mark.parametrize("text, position", [("x^{n}", 2), ("1^{n}", 2), ("a^-{n}", 3),
+                                                ("2*(x-x)^{n}", 8), ("1^300000", 2)])
+    def test_a_larger_exponent_is_refused_at_its_position(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text.format(n=MAX_LETTERS + 1), PT)
+        assert exc.value.position == position
+        assert str(exc.value) == f"exponent exceeds {MAX_LETTERS} at position {position}"
+
+    @pytest.mark.parametrize("text, position", [("(x^10)^11", 7), ("x^60*y^41", 4),
+                                                ("(1+x^51)^2", 9)])
+    def test_a_longer_word_is_refused_at_the_product(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, PT)
+        assert exc.value.position == position
+        assert str(exc.value).startswith(f"expansion would exceed {MAX_LETTERS} letters")
+
+    def test_words_up_to_the_cap_parse(self):
+        assert parse_expr("(x^10)^10", PT) == NcPoly.word("x" * 100)
+        assert len(parse_expr("(1+x^50)^2", PT)) == 3
+
+    @pytest.mark.parametrize("text, position", [("x^" + "9" * 5000, 2), ("9" * 5000 + "*x", 0),
+                                                ("1/" + "7" * 5000, 2)])
+    def test_an_integer_beyond_int_conversion_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, PT)
+        assert exc.value.position == position
+
+
+class TestParseProduct:
+    def test_the_product_of_the_texts_in_order(self):
+        assert parse_product(["x+1", "y", "a^-1"], PT) == parse_expr("(x+1)*y*a^-1", PT)
+        assert parse_product(["b"], PT) == NcPoly.word("b")
+
+    @pytest.mark.parametrize("texts, message", [
+        (["(x+y)^7", "(x+y)^7"], f"the product up to input 2 would exceed {MAX_TERMS} terms"),
+        (["x", "(x+y)^7", "(x+y)^7"], f"the product up to input 3 would exceed {MAX_TERMS} terms"),
+        (["x^60", "y^41"], f"the product up to input 2 would exceed {MAX_LETTERS} letters")])
+    def test_the_bounds_cover_the_whole_product(self, texts, message):
+        with pytest.raises(UsageError) as exc:
+            parse_product(texts, PT)
+        assert str(exc.value) == message
 
 
 class TestErrorCorpus:

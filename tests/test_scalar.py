@@ -1,4 +1,5 @@
 from fractions import Fraction as StdFraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,112 @@ class TestRepresentation:
         n = a0 * a0 + a0 * a1 + a1 * a1
         if n:
             assert same(a.inverse(), ((a0 + a1) / n, -a1 / n))
+
+
+# coordinates and operands up to 2^70, past machine words
+big_ints = st.integers(-2**70, 2**70)
+big_rationals = st.builds(StdFraction, big_ints, st.integers(1, 2**70))
+coordinates = st.one_of(st.integers(-50, 50), rationals, big_ints, big_rationals)
+
+
+def reference(v):
+    """v (an int, a Fraction or a pair of coordinates) as a pair of Fractions."""
+    return tuple(map(StdFraction, v)) if type(v) is tuple else (StdFraction(v), StdFraction(0))
+
+
+def ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_neg(a):
+    return -a[0], -a[1]
+
+
+def ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1]
+
+
+def ref_norm(a):
+    return a[0] * a[0] + a[0] * a[1] + a[1] * a[1]
+
+
+def ref_inverse(a):
+    n = ref_norm(a)
+    return (a[0] + a[1]) / n, -a[1] / n
+
+
+def assert_canonical(s, ref):
+    """s is the Scalar of the reference pair, in its one stored form, with
+    each coordinate view an int when integral and a Fraction otherwise."""
+    assert type(s) is Scalar
+    assert all(type(n) is int for n in (s.n0, s.n1, s.d))
+    assert s.d > 0 and gcd(s.n0, s.n1, s.d) == 1
+    assert (s.c0, s.c1) == ref
+    for c in (s.c0, s.c1):
+        assert type(c) is (int if c.denominator == 1 else StdFraction)
+
+
+class TestThreeIntForm:
+    """A Scalar is (n0 + n1 r)/d with d > 0 and gcd(n0, n1, d) = 1; every
+    operation agrees with arithmetic on pairs of Fractions."""
+
+    @given(st.tuples(coordinates, coordinates),
+           st.one_of(st.tuples(coordinates, coordinates), big_ints, big_rationals,
+                     st.integers(-50, 50)))
+    def test_operations_match_the_fraction_pair_reference(self, pair, other):
+        a, ra, rb = Scalar(*pair), reference(pair), reference(other)
+        b = Scalar(*other) if type(other) is tuple else other
+        assert_canonical(a, ra)
+        assert_canonical(a + b, ref_add(ra, rb))
+        assert_canonical(b + a, ref_add(ra, rb))
+        assert_canonical(a - b, ref_add(ra, ref_neg(rb)))
+        assert_canonical(b - a, ref_add(rb, ref_neg(ra)))
+        assert_canonical(-a, ref_neg(ra))
+        assert_canonical(a * b, ref_mul(ra, rb))
+        assert_canonical(b * a, ref_mul(ra, rb))
+        assert a.norm() == ref_norm(ra)
+        if any(ra):
+            assert_canonical(a.inverse(), ref_inverse(ra))
+            assert_canonical(b / a, ref_mul(rb, ref_inverse(ra)))
+        else:
+            with pytest.raises(DivisionByZero):
+                a.inverse()
+        if any(rb):
+            assert_canonical(a / b, ref_mul(ra, ref_inverse(rb)))
+
+    @given(st.one_of(big_ints, big_rationals, st.integers(-50, 50)), coordinates)
+    def test_equality_and_hash_against_rationals(self, value, c1):
+        s = Scalar(value)
+        assert s == value and value == s and hash(s) == hash(value)
+        assert not s != value
+        assert s + 1 != value and value != s + 1
+        t = Scalar(value, c1)
+        assert (t == value) == (not c1) and (value == t) == (not c1)
+        assert hash(t) == (hash((t.c0, t.c1)) if c1 else hash(value))
+
+    @given(big_rationals)
+    def test_float_is_refused(self, value):
+        s = Scalar(value)
+        for op in (lambda: Scalar(0.5), lambda: Scalar(value, 0.25), lambda: s + 0.5,
+                   lambda: 0.5 + s, lambda: s - 0.5, lambda: 0.5 - s, lambda: s * 0.5,
+                   lambda: 0.5 * s, lambda: s / 0.5):
+            with pytest.raises(TypeError):
+                op()
+        assert s != float(value)
+
+    def test_rational_strings_are_accepted(self):
+        s = Scalar("-2/3", "10/4")
+        assert_canonical(s, (StdFraction(-2, 3), StdFraction(5, 2)))
+        assert (s.n0, s.n1, s.d) == (-4, 15, 6)
+        assert Scalar.from_json({"c0": "-2/3", "c1": "0"}) == StdFraction(-2, 3)
+
+    def test_stored_forms(self):
+        assert (ZERO.n0, ZERO.n1, ZERO.d) == (0, 0, 1)
+        third = Scalar(StdFraction(1, 3), StdFraction(2, 3))
+        assert (third.n0, third.n1, third.d) == (1, 2, 3)
+        assert ((third * 3).n0, (third * 3).n1, (third * 3).d) == (1, 2, 1)
+        zero = third - third
+        assert (zero.n0, zero.n1, zero.d) == (0, 0, 1)
 
 
 @given(st.one_of(st.integers(-10**6, 10**6), rationals))
