@@ -2,22 +2,21 @@
 
 Subcommands: nf, mul, suite, rules, census.  The curve point comes from
 --t (rational parameter, default 2) or from an explicit --q/--p pair, which
-must satisfy p^2 = q^2 + q^3 exactly.  --fuel, else CURVEFORM_FUEL, else
-DEFAULT_FUEL sets the reduction budget of the algebra when it is built;
-every command on that algebra spends it.  Malformed input is a usage error
-and exits 2; a failing check exits 1.
+must satisfy p^2 = q^2 + q^3 exactly.  --fuel (default DEFAULT_FUEL) sets
+the reduction budget of the algebra when it is built; every command on that
+algebra spends it.  Malformed input is a usage error and exits 2; a
+failing check exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
 from . import galois, hopf
-from .errors import CurveformError, UsageError
+from .errors import CurveformError
 from .nodal import basis_census, build_algebra, growth, freeness_check
 from .parser import parse_product
 from .printing import format_poly
@@ -68,9 +67,8 @@ def _add_common(p):
                    help="explicit q coordinate")
     p.add_argument("--p", type=_rational, default=None, metavar="RATIONAL",
                    help="explicit p coordinate")
-    p.add_argument("--fuel", type=_budget, default=None,
-                   help=f"reduction step budget (default {DEFAULT_FUEL}, "
-                        "or CURVEFORM_FUEL)")
+    p.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL,
+                   help=f"reduction step budget (default {DEFAULT_FUEL})")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--max-len", type=_count, default=None,
@@ -114,22 +112,6 @@ def resolve_point(args):
     if args.q is not None:
         return curve_point_validate(args.q, args.p)
     return curve_point_from_t(Fraction(2) if args.t is None else args.t)
-
-
-def resolve_fuel(args):
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("CURVEFORM_FUEL")
-    if not env:
-        return DEFAULT_FUEL
-    try:
-        fuel = int(env)
-    except ValueError:
-        raise UsageError(f"CURVEFORM_FUEL must be an integer step budget, "
-                         f"got {env!r}") from None
-    if fuel < 1:
-        raise UsageError(f"CURVEFORM_FUEL must be a positive step budget, got {env!r}")
-    return fuel
 
 
 def _emit(args, obj, text_lines):
@@ -188,7 +170,7 @@ def main(argv=None):
         ap.error("point selection: give either --t, or both --q and --p")
     try:
         point = resolve_point(args)
-        alg = build_algebra(point, resolve_fuel(args))
+        alg = build_algebra(point, args.fuel)
         if args.command in ("nf", "mul"):  # nf is mul of one expression
             nf = alg.nf(parse_product(args.exprs, point))
             given = {"input": args.exprs[0]} if args.command == "nf" else {"inputs": args.exprs}

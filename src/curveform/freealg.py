@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, field
 
 ALPHABET = "xyagb"
 _ORD = str.maketrans(ALPHABET, "01234")
@@ -114,6 +114,10 @@ class Sparse:
 
     def __len__(self):
         return len(self.terms)
+
+    def field_terms(self):
+        """The terms as (key, coefficient) pairs in the field form (scalar.field)."""
+        return [(k, field(c)) for k, c in self.terms.items()]
 
 
 class NcPoly(Sparse):

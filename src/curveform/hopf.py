@@ -15,9 +15,10 @@ word costs no recursion depth.  The Hopf axioms are checked as
 compositions of these word maps on one coproduct delta(f): coassociativity
 applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
-The word maps, axiom residuals and units elimination run on dicts over the
-rules' field of definition, as RuleSystem.nf_word does (int or Fraction; a
-Scalar only where an r-part enters), each product accumulated before
+The generator values are stored once, in the field form of scalar.field
+(int or Fraction; a Scalar only where an r-part enters), the form
+RuleSystem.nf_word runs on.  The word maps, axiom residuals and units
+elimination run on dicts in that form, each product accumulated before
 RuleSystem.nf_terms reduces it; Scalars appear only in what the module
 returns: apply_delta, apply_antipode, apply_counit, tensor_nf, every report
 residual and the units witness.
@@ -31,8 +32,6 @@ candidate it was inverting.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 
@@ -41,54 +40,39 @@ from .freealg import NcPoly, TensorPoly, accumulate, concat_product
 from .nodal import NodalAlgebra, b_part, pattern_words, random_poly, sample_coefficients, seed_rules
 from .parser import parse_expr
 from .report import Report
-from .rewrite import _field_coeff, _field_terms
-from .scalar import CurvePoint, ONE, R, Scalar, ZERO
+from .scalar import CurvePoint, ONE, R, Scalar, ZERO, denominator, field, reciprocal
 
 
 class StructureMaps:
-    """delta, eps and S of one algebra: generator assignments at its curve
-    point, taken over the rules' field once, at the first use of a word
-    map, and caches of the word-level extensions of delta and S, each
-    reduced to normal form in that algebra and held as a dict over the
-    rules' field, shared: read, never mutated.  Every Hopf-axiom check and
-    the Galois layer are built from these word maps."""
+    """delta, eps and S of one algebra: generator values at its curve point,
+    each held once, over the rules' field (scalar.field), and caches of the
+    word-level extensions of delta and S, each reduced to normal form in
+    that algebra and held as a dict over the same field, shared: read,
+    never mutated.  Every Hopf-axiom check and the Galois layer are built
+    from these word maps."""
 
     def __init__(self, alg: NodalAlgebra):
-        q, p = alg.point.q, alg.point.p
+        q, p = field(alg.point.q), field(alg.point.p)
         self.alg = alg
-        self.delta_gen = {
-            "x": TensorPoly(2, {("", "x"): ONE, ("", "a"): -q, ("x", "a"): ONE}),
-            "y": TensorPoly(2, {("", "y"): ONE, ("", "b"): -p, ("y", "b"): ONE}),
-            "a": TensorPoly(2, {("a", "a"): ONE}),
-            "g": TensorPoly(2, {("g", "g"): ONE}),
-            "b": TensorPoly(2, {("b", "b"): ONE}),
+        # (key, coefficient) pairs by letter; a zero q or p term adds nothing
+        self.delta_terms = {
+            "x": [(("", "x"), 1), (("", "a"), -q), (("x", "a"), 1)],
+            "y": [(("", "y"), 1), (("", "b"), -p), (("y", "b"), 1)],
+            "a": [(("a", "a"), 1)],
+            "g": [(("g", "g"), 1)],
+            "b": [(("b", "b"), 1)],
         }
-        self.counit_gen = {"x": q, "y": p, "a": ONE, "g": ONE, "b": ONE}
+        self.counit_values = {"x": q, "y": p, "a": 1, "g": 1, "b": 1}
         # S(b) = b^-1 = g^3 b;  S(y) = p - (y - p) g^3 b
-        self.antipode_gen = {
-            "x": NcPoly({"": q, "xg": -ONE, "g": q}),
-            "y": NcPoly({"": p, "ygggb": -ONE, "gggb": p}),
-            "a": NcPoly.word("g"),
-            "g": NcPoly.word("a"),
-            "b": NcPoly.word("gggb"),
+        self.antipode_terms = {
+            "x": [("", q), ("xg", -1), ("g", q)],
+            "y": [("", p), ("ygggb", -1), ("gggb", p)],
+            "a": [("g", 1)],
+            "g": [("a", 1)],
+            "b": [("gggb", 1)],
         }
         self._delta_cache = {"": {("", ""): 1}}
         self._antipode_cache = {"": {"": 1}}
-
-    # the generator values over the rules' field, by letter; a value
-    # replaced before the first use of a word map is the one taken
-
-    @cached_property
-    def delta_terms(self):
-        return {ch: _field_terms(v) for ch, v in self.delta_gen.items()}
-
-    @cached_property
-    def counit_values(self):
-        return {ch: _field_coeff(v) for ch, v in self.counit_gen.items()}
-
-    @cached_property
-    def antipode_terms(self):
-        return {ch: _field_terms(v) for ch, v in self.antipode_gen.items()}
 
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
@@ -227,7 +211,7 @@ def _hopf_residuals(f: NcPoly, maps: StructureMaps):
     computed over the rules' field, the two antipode sums reduced only once
     both are built, and become a TensorPoly and NcPolys at the end."""
     nf_terms = maps.alg.system.nf_terms
-    terms = _field_terms(f)
+    terms = f.field_terms()
     d = accumulate({}, ((k, c * cd) for w, c in terms
                         for k, cd in _delta_word(w, maps).items())).items()
     minus_f = [(w, -c) for w, c in nf_terms(terms).items()]
@@ -319,21 +303,6 @@ def check_alt_presentation(alg: NodalAlgebra) -> Report:
 
 # -- units ---------------------------------------------------------------
 
-def _inverse(c):
-    """1/c in the field of c; a unit int stays an int."""
-    return c.inverse() if type(c) is Scalar else c if c in (1, -1) else Fraction(1, c)
-
-
-def _denominator(c):
-    """The least n > 0 with n * c integral; for a Scalar, in both coordinates."""
-    return c.d if type(c) is Scalar else c.denominator
-
-
-def _integral(c):
-    """c, known to be integral, as an int, or as a Scalar."""
-    return c.numerator if type(c) is Fraction else c
-
-
 def _divide_content(row, b):
     """Divide the row (a dict) and its right-hand side b in place by the gcd
     of their entries when all are ints; return b."""
@@ -372,9 +341,9 @@ def _solve_sparse(columns, target):
     rows, rhs = [], []
     for key in [*keyed, *(key for key in target if key not in keyed)]:
         row, b = keyed.get(key, {}), target.get(key, 0)
-        m = lcm(_denominator(b), *map(_denominator, row.values()))
+        m = lcm(denominator(b), *map(denominator, row.values()))
         if m != 1:
-            row, b = {j: _integral(v * m) for j, v in row.items()}, _integral(b * m)
+            row, b = {j: field(v * m) for j, v in row.items()}, field(b * m)
         rows.append(row)
         rhs.append(_divide_content(row, b))
     holding = [set() for _ in columns]  # column -> rows that have held it
@@ -409,7 +378,7 @@ def _solve_sparse(columns, target):
         return None  # inconsistent
     assignments = [0] * len(columns)
     for j, prow, prhs in reversed(eliminated):
-        assignments[j] = _inverse(prow[j]) * (
+        assignments[j] = reciprocal(prow[j]) * (
             prhs - sum(v * assignments[k] for k, v in prow.items() if k != j))
     return assignments
 
@@ -427,7 +396,7 @@ def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6):
     if not f:
         raise ValueError("cannot invert the zero element")
     nf_terms = alg.system.nf_terms
-    terms = _field_terms(f)
+    terms = f.field_terms()
     support = pattern_words(max_len)
     columns = [nf_terms((u + w, c) for u, c in terms) for w in support]
     solution = _solve_sparse(columns, {"": 1})

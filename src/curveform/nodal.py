@@ -20,7 +20,7 @@ from .errors import FuelExhausted, NonOrientable
 from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
-from .scalar import CurvePoint, ONE, Scalar
+from .scalar import CurvePoint, ONE, Scalar, field
 from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 
 
@@ -139,7 +139,7 @@ def _rescale(terms: dict, deg: int, base: Fraction, weights: dict, memo: dict) -
             c = memo.get(key)
             if c is None:
                 c = key[1] * base ** e
-                memo[key] = c = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                memo[key] = c = field(c) if type(c) is Fraction else c
         out[v] = c
     return out
 
@@ -182,8 +182,7 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     Raises ValueError if some completed rhs leaves the pattern span.
     """
     q, p = point.q, point.p
-    # the denominator of p/q = (p.n0 q.d)/(p.d q.n0)
-    lam = 1 if q.n1 or p.n1 or not q else abs(p.d * q.n0) // math.gcd(p.n0 * q.d, p.d * q.n0)
+    lam = 1 if q.c1 or p.c1 or not q else (Fraction(field(p)) / field(q)).denominator
     seed = RuleSystem(seed_rules(point), fuel)
     try:
         completed, log = complete(_rescaled(seed, lam), is_basis_word)

@@ -13,7 +13,8 @@ r^2 = r - 1.  Only the letter a admits a negative exponent; a^-n parses to
 the letter g repeated n times.
 
 A product or power is expanded as it is parsed, up to MAX_TERMS terms of
-at most MAX_LETTERS letters each, and an exponent is at most MAX_LETTERS.
+at most MAX_LETTERS letters each and MAX_SIZE letters in all, and an
+exponent is at most MAX_LETTERS.
 Tokens are read by one regular expression: an integer, a grammar character
 or a stray character, which is an error; whitespace only separates tokens.
 """
@@ -38,6 +39,10 @@ MAX_TERMS = 10_000
 # expanded one factor at a time, however few letters its base holds
 # ("1^300000" ran for 1.2 s)
 MAX_LETTERS = 100
+# the most letters an expansion may hold in all, bounded as its terms times
+# its longest word: each cap alone let "(x+y)^13*x^87" through, 8,192 words
+# of 100 letters whose reduction held 267 MB; "(x+y)^13" holds 106,496
+MAX_SIZE = 120_000
 
 _LETTERS = "xyab"
 _SCALARS = "qpr"
@@ -86,13 +91,16 @@ def _int(tok) -> int:
 
 def _excess(left, right):
     """The bound that left * right could exceed, as text, or None: MAX_TERMS
-    terms (the product of m and n terms has at most m * n) or MAX_LETTERS
-    letters in a word."""
-    if len(left) * len(right) > MAX_TERMS:
+    terms (the product of m and n terms has at most m * n), MAX_LETTERS
+    letters in a word, or MAX_SIZE letters in all (terms times letters)."""
+    terms = len(left) * len(right)
+    if terms > MAX_TERMS:
         return f"{MAX_TERMS} terms"
     letters = max(map(len, left.terms), default=0) + max(map(len, right.terms), default=0)
     if letters > MAX_LETTERS:
         return f"{MAX_LETTERS} letters"
+    if terms * letters > MAX_SIZE:
+        return f"{MAX_SIZE} letters in all"
     return None
 
 

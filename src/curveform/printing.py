@@ -22,7 +22,7 @@ def format_word(w: str) -> str:
 def _coeff_parts(c):
     """(sign, body) of str(c): body without a leading minus, or in parentheses."""
     text = str(c)
-    if c.n0 and c.n1:
+    if c.c1 and c.c0:
         return "+", f"({text})"
     if text.startswith("-"):
         return "-", text[1:]

@@ -18,15 +18,16 @@ reduction order gives a reduct; on a confluent system the normal form does
 not depend on it.
 
 Normal forms are K-linear in the reduced element, so the word-level
-reduction runs over the field of definition of the rules: a rule
-coefficient without an r-part is kept as its rational int or Fraction, and
-K = Q(r) arithmetic enters only where an element's own Scalar coefficients
-multiply the cached normal forms of its words.  A word rewritten by a rule
-whose rhs is a single word with coefficient 1 shares that word's cached
-normal form instead of a copy.  Every sum of c * NF(key), over words or
-tensor legs, is made by one reducer, RuleSystem.nf_terms: normal forms of
-elements, branch differences of ambiguities (only the difference itself
-becomes an NcPoly of Scalars) and the word maps of the Hopf layer.
+reduction runs over the field of definition of the rules: each rule's rhs
+is taken once in the field form of scalar.field (an int or Fraction, a
+Scalar only where a coefficient has an r-part), and K = Q(r) arithmetic
+enters only where an element's own Scalar coefficients multiply the cached
+normal forms of its words.  A word rewritten by a rule whose rhs is a
+single word with coefficient 1 shares that word's cached normal form
+instead of a copy.  Every sum of c * NF(key), over words or tensor legs, is
+made by one reducer, RuleSystem.nf_terms: normal forms of elements, branch
+differences of ambiguities (only the difference itself becomes an NcPoly of
+Scalars) and the word maps of the Hopf layer.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property
 from operator import ge
 
@@ -67,20 +67,6 @@ from .freealg import NcPoly, accumulate, check_word, word_key
 from .report import Entry, Report
 
 DEFAULT_FUEL = 100_000
-
-
-def _field_coeff(c):
-    """A rule coefficient in its field of definition: the rational c0 (int
-    or Fraction) when c has no r-part, else the Scalar c itself."""
-    if c.n1:
-        return c
-    return c.n0 if c.d == 1 else Fraction(c.n0, c.d)
-
-
-def _field_terms(sparse):
-    """The terms of an NcPoly or TensorPoly with their coefficients in the
-    field of definition, as (key, coefficient) pairs."""
-    return [(k, _field_coeff(c)) for k, c in sparse.terms.items()]
 
 
 class Rule:
@@ -154,7 +140,7 @@ class RuleSystem:
         self._lhs_re = re.compile("|".join(sorted(self._lhs_index, key=len, reverse=True))
                                   or "(?!)")
         # each rule's rhs as (word, coefficient) pairs for nf_word
-        self._rhs = [_field_terms(r.rhs) for r in rules]
+        self._rhs = [r.rhs.field_terms() for r in rules]
         self._nf_cache = {"": {"": 1}}
 
     # -- matching --------------------------------------------------------

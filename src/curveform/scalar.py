@@ -8,6 +8,13 @@ are read-only views of the coordinates: an int when integral, else a
 Fraction.  The norm form c0^2 + c0*c1 + c1^2 is positive definite over Q,
 so every nonzero Scalar is invertible and all arithmetic stays exact.
 
+This module is the one home of both coefficient forms, and no other module
+reads the slots.  Public polynomials hold Scalars; the reducer and the Hopf
+word maps run on the field form of the rules' field of definition: an int
+when integral, else a Fraction, and a Scalar only where an r-part enters.
+field(c) is the one conversion to it; reciprocal and denominator are its
+helpers.
+
 A Scalar is a value: its slots are written once, where it is made, and
 never after.  No __setattr__ guards them, since a guard would turn each
 plain slot store into a call, on every arithmetic result.
@@ -204,6 +211,28 @@ def _coerce(v):
 ZERO = Scalar(0)
 ONE = Scalar(1)
 R = Scalar(0, 1)
+
+
+# -- the field form --------------------------------------------------------
+
+def field(c):
+    """c in the field form: a Scalar without r-part as its rational, an
+    integral Fraction as an int, anything else as it is."""
+    if type(c) is Scalar:
+        return c if c.n1 else c.n0 if c.d == 1 else Fraction(c.n0, c.d)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def reciprocal(c):
+    """1/c, for c and the result in the field form."""
+    return c.inverse() if type(c) is Scalar else field(Fraction(1, c))
+
+
+def denominator(c):
+    """The least n > 0 with n * c integral; for a Scalar, in both coordinates."""
+    return c.d if type(c) is Scalar else c.denominator
 
 
 class CurvePoint:

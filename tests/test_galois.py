@@ -96,7 +96,7 @@ class TestFieldRecovery:
     @pytest.mark.parametrize("gen, key", [("x", ("a", "x")), ("y", ("", "y"))])
     def test_a_delta_mutant_fails_the_recovery(self, alg, gen, key):
         maps = StructureMaps(alg)
-        maps.delta_gen[gen] = maps.delta_gen[gen] + TensorPoly(2, {key: ONE})
+        maps.delta_terms[gen] = maps.delta_terms[gen] + [(key, 1)]
         report = recovery_check(maps)
         assert not report.ok
         assert {"kind": "b_word", "word": gen} in report.fields["failures"]
@@ -126,7 +126,7 @@ class TestWitness:
     def test_witness_fails_when_right_factor_leaves_bplus(self, alg):
         # with eps(x) = 4 at q = 3, x - q is no longer in B+ = B /\ ker eps
         maps = StructureMaps(alg)
-        maps.counit_gen["x"] = Scalar(4)
+        maps.counit_values["x"] = 4
         report = witness_check(maps)
         assert not report.fields["in_AB+"]
         assert not report.ok

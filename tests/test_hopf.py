@@ -17,8 +17,8 @@ from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
 from curveform.nodal import NodalAlgebra, build_algebra, random_poly, sample_coefficients
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
-from curveform.rewrite import RuleSystem, _field_coeff, _field_terms
-from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t
+from curveform.rewrite import RuleSystem
+from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t, field
 
 from reference_checks import solve_gauss_jordan
 
@@ -49,20 +49,31 @@ class TestStructureMaps:
 
     @pytest.mark.parametrize("t", [2, Fraction(7, 5), Fraction(-1, 2)])
     def test_generator_values_over_the_field_are_stored_once(self, t):
-        maps = StructureMaps(build_algebra(curve_point_from_t(t)))
-        assert maps.delta_terms == {ch: _field_terms(v) for ch, v in maps.delta_gen.items()}
-        assert maps.counit_values == {ch: _field_coeff(v) for ch, v in maps.counit_gen.items()}
-        assert maps.antipode_terms == {ch: _field_terms(v)
-                                       for ch, v in maps.antipode_gen.items()}
-        assert maps.delta_terms is maps.delta_terms
-        assert maps.counit_values is maps.counit_values
-        assert maps.antipode_terms is maps.antipode_terms
+        point = curve_point_from_t(t)
+        q, p = point.q, point.p
+        maps = StructureMaps(build_algebra(point))
+        # the values of the module docstring, each held once, in the field form
+        assert set(vars(maps)) == {"alg", "delta_terms", "counit_values", "antipode_terms",
+                                   "_delta_cache", "_antipode_cache"}
+        assert {ch: TensorPoly(2, v) for ch, v in maps.delta_terms.items()} == {
+            "x": TensorPoly(2, {("", "x"): ONE, ("", "a"): -q, ("x", "a"): ONE}),
+            "y": TensorPoly(2, {("", "y"): ONE, ("", "b"): -p, ("y", "b"): ONE}),
+            **{ch: TensorPoly(2, {(ch, ch): ONE}) for ch in "agb"}}
+        assert maps.counit_values == {"x": q, "y": p, "a": 1, "g": 1, "b": 1}
+        assert {ch: NcPoly(v) for ch, v in maps.antipode_terms.items()} == {
+            "x": NcPoly({"": q, "xg": -ONE, "g": q}),
+            "y": NcPoly({"": p, "ygggb": -ONE, "gggb": p}),
+            "a": NcPoly.word("g"), "g": NcPoly.word("a"), "b": NcPoly.word("gggb")}
+        values = chain(maps.counit_values.values(),
+                       *([c for _, c in v] for v in maps.delta_terms.values()),
+                       *([c for _, c in v] for v in maps.antipode_terms.values()))
+        assert all(field(c) is c for c in values)
 
     def test_counit_lands_on_curve(self, maps_by_t):
         # eps(x), eps(y) is the chosen curve point; the curve equation is the
         # scalar shadow of y^2 = x^2 + x^3
         for m in maps_by_t.values():
-            q, p = m.counit_gen["x"], m.counit_gen["y"]
+            q, p = m.counit_values["x"], m.counit_values["y"]
             assert p * p == q * q + q * q * q
 
     def test_antipode_grouplikes(self, alg, maps):
@@ -145,7 +156,7 @@ class TestAxioms:
         # delta(y) = 1 (x) y + y (x) b is coassociative on every generator
         # but does not respect by + yb = 2p b^2, so random elements expose it
         maps = StructureMaps(alg)
-        maps.delta_gen["y"] = TensorPoly(2, {("", "y"): ONE, ("y", "b"): ONE})
+        maps.delta_terms["y"] = [(("", "y"), 1), (("y", "b"), 1)]
         report = check_hopf_axioms(maps, samples=60, seed=42)
         coassoc = [e for e in report.entries if e.name.startswith("coassoc ")]
         assert all(e.ok for e in coassoc if e.name.startswith("coassoc gen "))
@@ -206,7 +217,7 @@ class TestCoideal:
         # that holds x; only the entries of 1 and y still pass
         maps = StructureMaps(alg)
         if mutate:
-            maps.delta_gen["x"] = maps.delta_gen["x"] + TensorPoly(2, {("a", "x"): ONE})
+            maps.delta_terms["x"] = maps.delta_terms["x"] + [(("a", "x"), 1)]
         report = check_coideal(maps, max_deg=6)
         assert len(report.entries) == 13 and report.ok == (not mutate)
         assert sum(1 for e in report.entries if not e.ok) == failing
@@ -336,8 +347,8 @@ class TestFractionFreeSolver:
 
     def test_rows_stay_integral_until_back_substitution(self, monkeypatch):
         divisions = []
-        real = hopf._inverse
-        monkeypatch.setattr(hopf, "_inverse", lambda c: divisions.append(c) or real(c))
+        real = hopf.reciprocal
+        monkeypatch.setattr(hopf, "reciprocal", lambda c: divisions.append(c) or real(c))
         cols = [{"u": Fraction(1, 2), "v": 3}, {"u": 2, "v": Fraction(4, 3)}, {"w": 5}]
         sol = _solve_sparse(cols, {"u": 1, "v": 1, "w": 10})
         assert _combination(cols, sol) == {"u": 1, "v": 1, "w": 10}
@@ -390,7 +401,8 @@ class ReferenceMaps:
     """The structure maps as they were computed over K = Q(r): word caches
     of TensorPoly and NcPoly, each extension reduced leg by leg or by
     alg.nf, and the axiom residuals as NcPoly and TensorPoly arithmetic.
-    The generator values are read from the StructureMaps given."""
+    The generator values are built from the field form the StructureMaps
+    given hold."""
 
     def __init__(self, maps):
         self.maps, self.alg = maps, maps.alg
@@ -414,7 +426,8 @@ class ReferenceMaps:
             n -= 1
         hit = self.delta[w[:n]]
         for i in range(n, len(w)):
-            self.delta[w[:i + 1]] = hit = self.tensor_nf(hit * self.maps.delta_gen[w[i]])
+            gen = TensorPoly(2, self.maps.delta_terms[w[i]])
+            self.delta[w[:i + 1]] = hit = self.tensor_nf(hit * gen)
         return hit
 
     def antipode_word(self, w):
@@ -423,13 +436,14 @@ class ReferenceMaps:
             n += 1
         hit = self.antipode[w[n:]]
         for i in range(n - 1, -1, -1):
-            self.antipode[w[i:]] = hit = self.alg.nf(hit * self.maps.antipode_gen[w[i]])
+            gen = NcPoly(self.maps.antipode_terms[w[i]])
+            self.antipode[w[i:]] = hit = self.alg.nf(hit * gen)
         return hit
 
     def counit_word(self, w):
         v = ONE
         for ch in w:
-            v = v * self.maps.counit_gen[ch]
+            v = v * self.maps.counit_values[ch]
         return v
 
     def apply_delta(self, f):
@@ -475,11 +489,11 @@ def perturbed(maps, kind):
     """The maps with one generator value moved off the Hopf structure, so
     that the residuals it enters are nonzero."""
     if kind == "delta":
-        maps.delta_gen["y"] = TensorPoly(2, {("", "y"): ONE, ("y", "b"): ONE})
+        maps.delta_terms["y"] = [(("", "y"), 1), (("y", "b"), 1)]
     elif kind == "antipode":
-        maps.antipode_gen["x"] = NcPoly({"": ONE, "xg": -ONE})
+        maps.antipode_terms["x"] = [("", 1), ("xg", -1)]
     elif kind == "counit":
-        maps.counit_gen["y"] = maps.counit_gen["y"] + 1
+        maps.counit_values["y"] = maps.counit_values["y"] + 1
     return maps
 
 

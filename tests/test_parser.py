@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveform.errors import ParseError, UsageError
 from curveform.freealg import ALPHABET, NcPoly
-from curveform.parser import MAX_LETTERS, MAX_TERMS, parse_expr, parse_product
+from curveform.parser import MAX_LETTERS, MAX_SIZE, MAX_TERMS, parse_expr, parse_product
 from curveform.printing import format_poly, format_word
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
 
@@ -148,12 +148,17 @@ PARSE_ERRORS = [
     ("(x+y)^40", "expansion would exceed 10000 terms", 6, ()),
     ("(x+y)^13*(x+y)^13", "expansion would exceed 10000 terms", 8, ()),
     ("(x+y+a)^8*(x+y)", "expansion would exceed 10000 terms", 9, ()),
+    # within MAX_TERMS and MAX_LETTERS, beyond MAX_SIZE
+    ("(x+y)^13*x^87", "expansion would exceed 120000 letters in all", 8, ()),
+    ("(x+y)^11*x^58", "expansion would exceed 120000 letters in all", 8, ()),
+    ("(a+b)^12*(x^30+1)", "expansion would exceed 120000 letters in all", 8, ()),
 ]
 
 
 class TestTermCap:
     def test_an_expansion_up_to_the_cap_parses(self):
         assert len(parse_expr("(x+y)^13", PT)) == 8192 <= MAX_TERMS
+        assert 8192 * 13 <= MAX_SIZE and len(parse_expr("(x+y)^10*x^90", PT)) == 1024
         assert len(parse_expr("(x+y)^6*(x+y)^7", PT)) == 8192
 
     def test_the_bound_is_checked_per_product(self):
@@ -206,7 +211,8 @@ class TestParseProduct:
     @pytest.mark.parametrize("texts, message", [
         (["(x+y)^7", "(x+y)^7"], f"the product up to input 2 would exceed {MAX_TERMS} terms"),
         (["x", "(x+y)^7", "(x+y)^7"], f"the product up to input 3 would exceed {MAX_TERMS} terms"),
-        (["x^60", "y^41"], f"the product up to input 2 would exceed {MAX_LETTERS} letters")])
+        (["x^60", "y^41"], f"the product up to input 2 would exceed {MAX_LETTERS} letters"),
+        (["(x+y)^13", "x^87"], f"the product up to input 2 would exceed {MAX_SIZE} letters in all")])
     def test_the_bounds_cover_the_whole_product(self, texts, message):
         with pytest.raises(UsageError) as exc:
             parse_product(texts, PT)

@@ -1,12 +1,15 @@
+import ast
 from fractions import Fraction as StdFraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import curveform
 from curveform.errors import DivisionByZero, ParameterOffCurve
 from curveform.scalar import (ONE, R, Rational, Scalar, ZERO, CurvePoint,
-                              curve_point_from_t, curve_point_validate)
+                              curve_point_from_t, curve_point_validate, field)
 
 rationals = st.builds(StdFraction,
                       st.integers(min_value=-10**6, max_value=10**6),
@@ -219,6 +222,21 @@ class TestThreeIntForm:
         assert (s.n0, s.n1, s.d) == (-4, 15, 6)
         assert Scalar.from_json({"c0": "-2/3", "c1": "0"}) == StdFraction(-2, 3)
 
+    # a pair is a Scalar (one without r-part as often as not), a bare
+    # coordinate an int or Fraction
+    @given(st.one_of(st.tuples(coordinates, coordinates), st.tuples(coordinates, st.just(0)),
+                     coordinates))
+    def test_field_form(self, value):
+        c = Scalar(*value) if type(value) is tuple else value
+        ref = reference(value)
+        f = field(c)
+        assert f == c
+        if ref[1]:
+            assert type(f) is Scalar
+        else:
+            assert type(f) is (int if ref[0].denominator == 1 else StdFraction)
+        assert field(f) is f
+
     def test_stored_forms(self):
         assert (ZERO.n0, ZERO.n1, ZERO.d) == (0, 0, 1)
         third = Scalar(StdFraction(1, 3), StdFraction(2, 3))
@@ -275,3 +293,14 @@ class TestCurvePoint:
     def test_parametrization_always_on_curve(self, t):
         pt = curve_point_from_t(Rational(t))
         curve_point_validate(pt.q, pt.p)
+
+
+def test_only_scalar_reads_the_slots():
+    # n0, n1 and d are how a Scalar is stored; every other module reads the
+    # views c0 and c1 or converts through scalar.field
+    package = Path(curveform.__file__).parent
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               if path.name != "scalar.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("n0", "n1", "d")]
+    assert readers == []
