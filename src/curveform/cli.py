@@ -1,11 +1,12 @@
 """Command-line front-end.
 
-Subcommands: nf, mul, suite, rules, census.  The curve point comes from
---t (rational parameter, default 2) or from an explicit --q/--p pair, which
-must satisfy p^2 = q^2 + q^3 exactly.  --fuel (default DEFAULT_FUEL) sets
-the reduction budget of the algebra when it is built; every command on that
-algebra spends it.  Malformed input is a usage error and exits 2; a
-failing check exits 1.
+Subcommands: nf, mul, suite, rules, census, each accepting only the options
+it reads.  The curve point comes from --t (rational parameter, default 2) or
+from an explicit --q/--p pair, which must satisfy p^2 = q^2 + q^3 exactly;
+each value has at most MAX_DIGITS digits above and below the line.  --fuel
+(default DEFAULT_FUEL) sets the reduction budget of the algebra when it is
+built; every command on that algebra spends it.  Malformed input is a usage
+error, one line on stderr starting "error: " and exit 2; a failing check exits 1.
 """
 
 from __future__ import annotations
@@ -33,15 +34,33 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")  # --t -1/2 is a value
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+# rules --json and suite all --json print at every point within this bound
+MAX_DIGITS = 1000
+# Fraction's grammar, less underscores and 10-digit exponents: n/d or n.f e k
+_RATIONAL = re.compile(r"\s*[-+]?(\d*)(?:\s*/\s*(\d*)|(?:\.(\d*))?(?:e([-+]?\d{1,9}))?)\s*",
+                       re.I)
 
 
 def _rational(text):
-    """argparse type of --t/--q/--p: an exact rational such as 2, -1/2 or 1.5."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    """argparse type of --t/--q/--p: an exact rational such as 2, -1/2, 1.5 or
+    1e3.  Before it is built, the digits of n and d in n/d, or of nf * 10^(k -
+    len f) and 10^(len f - k) for n.f e k, are held to MAX_DIGITS."""
+    parts = _RATIONAL.fullmatch(text.replace("_", ""))
+    if parts:
+        n, d, f, k = parts.groups("")
+        shift = int(k or 0) - len(f)
+        digits = (len(n.lstrip("0")), len(d.lstrip("0"))) if d else (
+            len((n + f).lstrip("0")) + max(shift, 0), 1 - min(shift, 0))
+        if max(digits) > MAX_DIGITS:
+            raise argparse.ArgumentTypeError(f"numerator or denominator over {MAX_DIGITS} digits")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _int_at_least(low):
@@ -60,7 +79,17 @@ _count = _int_at_least(0)
 _budget = _int_at_least(1)
 
 
-def _add_common(p):
+# the options of the checks, each accepted only by the subcommands that read it
+_CHECK_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--max-len": dict(type=_count, help="word-length bound; defaults: census and suite basis 6, "
+                                        "growth 200, freeness 5, units 6"),
+    "--max-deg": dict(type=_count, help="degree bound for coideal/galois checks"),
+    "--samples": dict(type=_count, default=200, help="random elements for the Hopf axiom check")}
+
+
+def _add_options(p, *names):
+    """The point options, --fuel and --json, then the named _CHECK_OPTIONS."""
     p.add_argument("--t", type=_rational, default=None, metavar="RATIONAL",
                    help="curve parameter t, giving (q,p) = (t^2-1, t(t^2-1)); default 2")
     p.add_argument("--q", type=_rational, default=None, metavar="RATIONAL",
@@ -70,14 +99,8 @@ def _add_common(p):
     p.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL,
                    help=f"reduction step budget (default {DEFAULT_FUEL})")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--max-len", type=_count, default=None,
-                   help="word-length bound; defaults: census and suite basis 6, "
-                        "growth 200, freeness 5, units 6")
-    p.add_argument("--max-deg", type=_count, default=None,
-                   help="degree bound for coideal/galois checks")
-    p.add_argument("--samples", type=_count, default=200,
-                   help="random elements for the Hopf axiom check")
+    for name in names:
+        p.add_argument(name, **_CHECK_OPTIONS[name])
 
 
 def build_parser():
@@ -89,21 +112,21 @@ def build_parser():
 
     p_nf = sub.add_parser("nf", help="normal form of an expression")
     p_nf.add_argument("exprs", nargs=1, metavar="expr")
-    _add_common(p_nf)
+    _add_options(p_nf)
 
     p_mul = sub.add_parser("mul", help="normal form of a product of expressions")
     p_mul.add_argument("exprs", nargs="+")
-    _add_common(p_mul)
+    _add_options(p_mul)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("name", choices=SUITES)
-    _add_common(p_suite)
+    _add_options(p_suite, *_CHECK_OPTIONS)
 
     p_rules = sub.add_parser("rules", help="dump the completed rule system")
-    _add_common(p_rules)
+    _add_options(p_rules)
 
     p_census = sub.add_parser("census", help="basis census (irreducible vs pattern words)")
-    _add_common(p_census)
+    _add_options(p_census, "--max-len")
     return ap
 
 

@@ -7,11 +7,14 @@ under the order, whose last round is the diamond-lemma check.
 A rule applies at the leftmost position where some lhs occurs, and there
 the longest such lhs wins.  The lhs of a system are distinct, so this
 choice is unique; it is made by one compiled regular expression, the
-alternation of the lhs ordered longest first.
+alternation of the lhs ordered longest first.  A rule is named by its lhs
+alone: in matches, ambiguities, branches and diamond entries.
 
 Normal forms of words are computed prefix first: a word w = h.l reduces
 through the normal form of its head h, as NF(h).l, and only a word whose
 head is irreducible is matched, where every match ends at the last letter.
+One method, RuleSystem._step, makes this step for nf_word and for the
+cache that completion carries from one round to the next.
 So the cache holds the prefixes of the reduced words and words of the form
 "normal word times one letter", which products of normal forms share.  Any
 reduction order gives a reduct; on a confluent system the normal form does
@@ -102,23 +105,23 @@ class Rule:
 
 @dataclass(frozen=True)
 class Ambiguity:
-    """A minimal word in which two rules both apply.
+    """A minimal word in which two rules both apply, each named by its lhs.
 
-    overlap: a proper suffix of rules[left].lhs equals a proper prefix of
-    rules[right].lhs; the witness is the fused word, with the left rule
-    applying at position 0 and the right rule at pos_right.
-    inclusion: rules[right].lhs is a proper subword of rules[left].lhs.
+    overlap: a proper suffix of left equals a proper prefix of right; the
+    witness is the fused word, with the left rule applying at position 0
+    and the right rule at pos_right.
+    inclusion: right is a proper subword of left.
     """
 
     kind: str  # "overlap" | "inclusion"
-    rule_left: int
-    rule_right: int
+    left: str
+    right: str
     witness: str
     pos_right: int
 
     @cached_property
-    def key(self):  # the enumeration order, witnesses in graded-lex order
-        return (word_key(self.witness), self.rule_left, self.rule_right, self.pos_right, self.kind)
+    def key(self):  # graded-lex in witnesses and in tied lhs, prefixes of one another
+        return (word_key(self.witness), self.pos_right, self.kind, self.left, self.right)
 
 
 class RuleSystem:
@@ -129,47 +132,51 @@ class RuleSystem:
     """
 
     def __init__(self, rules, fuel=DEFAULT_FUEL):
-        rules = tuple(rules)
-        self._lhs_index = {}
-        for idx, r in enumerate(rules):
-            if self._lhs_index.setdefault(r.lhs, idx) != idx:
-                raise ValueError(f"duplicate rule lhs {r.lhs!r}")
-        self.rules = rules
+        self.rules = tuple(rules)
         self.fuel = fuel
+        # lhs -> its rhs as (word, coefficient) pairs, in rule order
+        self._rhs = {}
+        for r in self.rules:
+            if r.lhs in self._rhs:
+                raise ValueError(f"duplicate rule lhs {r.lhs!r}")
+            self._rhs[r.lhs] = r.rhs.field_terms()
         # alternatives are tried in order, so longest first; (?!) never matches
-        self._lhs_re = re.compile("|".join(sorted(self._lhs_index, key=len, reverse=True))
-                                  or "(?!)")
-        # each rule's rhs as (word, coefficient) pairs for nf_word
-        self._rhs = [r.rhs.field_terms() for r in rules]
+        self._lhs_re = re.compile("|".join(sorted(self._rhs, key=len, reverse=True)) or "(?!)")
         self._nf_cache = {"": {"": 1}}
 
     # -- matching --------------------------------------------------------
 
     def match(self, w: str):
         """Leftmost match, the longest lhs winning at that position.
-        Returns (position, rule_index) or None."""
+        Returns (position, lhs), the rule named by its lhs, or None."""
         m = self._lhs_re.search(w)
-        return None if m is None else (m.start(), self._lhs_index[m.group()])
+        return None if m is None else (m.start(), m.group())
+
+    def _step(self, w: str, head_nf: dict):
+        """The prefix-first children of w as (word, coefficient) pairs, None
+        when w is irreducible: head_nf, the normal form of the head w[:-1],
+        times the last letter when the head is reducible (not in head_nf),
+        else w rewritten at its match, which ends at the last letter."""
+        head = w[:-1]
+        if head not in head_nf:
+            last = w[-1]
+            return [(n + last, c) for n, c in head_nf.items()]
+        m = self.match(w)
+        if m is None:
+            return None
+        pos, lhs = m
+        return [(w[:pos] + t, c) for t, c in self._rhs[lhs]]
 
     # -- reduction -------------------------------------------------------
 
     def nf_word(self, w: str) -> dict:
-        """Normal form of a single word as a dict {word: coefficient}; cached.
-
-        Prefix first: the normal form of w is that of its head w[:-1] times
-        its last letter, each term reduced again; a word with an irreducible
-        head is rewritten at its leftmost match.  Every prefix of w is
-        cached on the way.
-        Coefficients lie in the field of definition of the rules: int or
-        Fraction, and a Scalar only where a rule coefficient with an r-part
-        enters.
-        A word that one step rewrites to a single word with coefficient 1
-        is cached as that word's dict itself, not a copy.
-        Cached dicts are therefore shared and must never be mutated once
-        inserted; callers read them and build their own results.
-        Reducing a word that is not cached yet may visit at most self.fuel
-        words; the words cached on the way cost later calls nothing.
-        """
+        """Normal form of a single word as a dict {word: coefficient} over the
+        rules' field; cached, with every prefix of w, each word's children
+        from self._step.  A word that one step rewrites to a single word with
+        coefficient 1 is cached as that word's dict itself, so cached dicts
+        are shared and must never be mutated once inserted.  Reducing a word
+        that is not cached yet may visit at most self.fuel words; the words
+        cached on the way cost later calls nothing."""
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
@@ -193,19 +200,11 @@ class RuleSystem:
                 if head_nf is None:
                     stack.append(head)
                     continue
-                if head in head_nf:
-                    # only an irreducible word occurs in its own normal form;
-                    # every match of cur then ends at its last letter
-                    m = self.match(cur)
-                    if m is None:
-                        cache[cur] = {cur: 1}
-                        stack.pop()
-                        continue
-                    pos, idx = m
-                    children = [(cur[:pos] + t, c) for t, c in self._rhs[idx]]
-                else:
-                    last = cur[-1]
-                    children = [(n + last, c) for n, c in head_nf.items()]
+                children = self._step(cur, head_nf)
+                if children is None:
+                    cache[cur] = {cur: 1}
+                    stack.pop()
+                    continue
                 pending[cur] = children
             missing = [cw for cw, _ in children if cw not in cache]
             if missing:
@@ -246,36 +245,31 @@ class RuleSystem:
 
     def find_ambiguities(self):
         """All overlap and inclusion ambiguities, in deterministic order."""
-        rules = self.rules
-        return sorted((amb for i in range(len(rules)) for j in range(len(rules))
-                       for amb in _pair_ambiguities(rules, i, j)), key=lambda amb: amb.key)
+        return sorted((amb for li in self._rhs for lj in self._rhs
+                       for amb in _pair_ambiguities(li, lj)), key=lambda amb: amb.key)
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
 
 
-def _pair_ambiguities(rules, i, j):
-    """The ambiguities of rules[i] on the left with rules[j] on the right:
-    each proper suffix of rules[i].lhs that is a proper prefix of
-    rules[j].lhs, and each occurrence of a shorter rules[j].lhs inside
-    rules[i].lhs."""
-    li, lj = rules[i].lhs, rules[j].lhs
+def _pair_ambiguities(li: str, lj: str):
+    """The ambiguities of the rule with lhs li on the left and the one with
+    lhs lj on the right: each proper suffix of li that is a proper prefix of
+    lj, and each occurrence of a shorter lj inside li."""
     for k in range(1, min(len(li), len(lj))):
         if li.endswith(lj[:k]):
-            yield Ambiguity("overlap", i, j, li + lj[k:], len(li) - k)
-    if i != j and len(lj) < len(li):
-        pos = li.find(lj)
-        while pos >= 0:
-            yield Ambiguity("inclusion", i, j, li, pos)
-            pos = li.find(lj, pos + 1)
+            yield Ambiguity("overlap", li, lj, li + lj[k:], len(li) - k)
+    if len(lj) < len(li):
+        yield from (Ambiguity("inclusion", li, lj, li, pos)
+                    for pos in range(len(li) - len(lj) + 1) if li.startswith(lj, pos))
 
 
 def _branches(rs: RuleSystem, amb: Ambiguity):
     """The left and right one-step reducts of an ambiguity's witness, each
     as (word, coefficient) pairs over the rules' field."""
     w = amb.witness
-    return [[(w[:pos] + t + w[pos + len(rs.rules[idx].lhs):], c) for t, c in rs._rhs[idx]]
-            for pos, idx in ((0, amb.rule_left), (amb.pos_right, amb.rule_right))]
+    return [[(w[:pos] + t + w[pos + len(lhs):], c) for t, c in rs._rhs[lhs]]
+            for pos, lhs in ((0, amb.left), (amb.pos_right, amb.right))]
 
 
 def branch_difference(rs: RuleSystem, amb: Ambiguity, branches=None) -> NcPoly:
@@ -304,18 +298,16 @@ def _diamond(rs: RuleSystem, records) -> Report:
     FuelExhausted of a branch that ran out of fuel (a failing entry that
     prints the error message).  Every other record keeps its entry, the same
     object, without reducing anything."""
-    rules = rs.rules
     for rec in records:
         if rec.entry is None:
             amb = rec.amb
-            name = (f"{amb.kind} {amb.witness} ({rules[amb.rule_left].lhs}@0, "
-                    f"{rules[amb.rule_right].lhs}@{amb.pos_right})")
+            name = f"{amb.kind} {amb.witness} ({amb.left}@0, {amb.right}@{amb.pos_right})"
             try:
                 rec.entry = Entry(name, branch_difference(rs, amb, rec.branches))
             except FuelExhausted as exc:
                 rec.entry = Entry(name, exc)
     entries = [rec.entry for rec in records]
-    return Report("diamond", {"rules": len(rules), "ambiguities": len(entries),
+    return Report("diamond", {"rules": len(rs.rules), "ambiguities": len(entries),
                               "unresolved": sum(1 for e in entries if not e.ok),
                               "entries": entries})
 
@@ -419,25 +411,17 @@ def _carry(rs: RuleSystem, cache: dict) -> dict:
     place to what rs computes the same: a word is dropped when it holds the
     new lhs, or when its head or one of its prefix-first children was
     dropped.  A word is cached after its head and children, so one pass in
-    insertion order finds them, children only once some word was dropped; a
-    kept head holds no lhs, and when it is irreducible every match of the
-    word ends at its last letter."""
-    lhs, longest = rs.rules[-1].lhs, max(len(r.lhs) for r in rs.rules)
-    search, index, rhs = rs._lhs_re.search, rs._lhs_index, rs._rhs
+    insertion order finds them, children only once some word was dropped.  A
+    kept word holds no new lhs, so rs._step gives its children as they were."""
+    lhs = rs.rules[-1].lhs
     dropped = set()
     for w, nf in cache.items():
         head = w[:-1]
         if w.endswith(lhs) or head in dropped:
             dropped.add(w)
-        elif dropped and w not in nf:  # reducible
-            head_nf = cache[head]
-            if head in head_nf:
-                m = search(w, max(0, len(w) - longest))
-                children = [w[:m.start()] + t for t, _ in rhs[index[m.group()]]]
-            else:
-                children = [n + w[-1] for n in head_nf]
-            if not dropped.isdisjoint(children):
-                dropped.add(w)
+        elif dropped and w not in nf and not dropped.isdisjoint(  # w reducible
+                cw for cw, _ in rs._step(w, cache[head])):
+            dropped.add(w)
     for w in dropped:
         del cache[w]
     return cache
@@ -452,25 +436,19 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     there is none, or when it is a target word); only the smallest rule,
     ties broken by the ambiguity key, is made from its rank and added.  So
     every rule added decreases under the order, and when the rules of rs do
-    too, every intermediate system terminates.  Each ambiguity is a record
-    of its sort key and branches, made once, when it is enumerated.
-
-    The next system starts from this one's nf cache, cut in place to the
-    words the new rule leaves alone, and a record whose branch words all
-    stayed keeps its entry, the same object, unreduced, and its rank.  Every
-    intermediate system, and the result, keeps the fuel of rs; carried words
-    cost none.  A branch that runs out of fuel ends completion: the first
-    such record in key order raises FuelExhausted on its witness, from the
-    branch's error.
+    too, every intermediate system terminates.  Rounds are incremental, as
+    the module docstring says.  Every intermediate system, and the result,
+    keeps the fuel of rs; carried words cost none.  A branch that runs out
+    of fuel ends completion: the first such record in key order raises
+    FuelExhausted on its witness, from the branch's error.
 
     complete returns only from a round that finds every difference zero:
     its report, log.diamond, passes and is the diamond check of the result.
 
     Returns (RuleSystem, CompletionLog).
     """
-    rules = list(rs.rules)
     log = CompletionLog()
-    current = RuleSystem(rules, rs.fuel)
+    current = RuleSystem(rs.rules, rs.fuel)
     records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
         log.counts.append((len(records), sum(rec.entry is None for rec in records),
@@ -488,18 +466,16 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
         if not candidates:
             log.diamond = report
             return current, log
-        if len(rules) >= max_rules:
+        if len(current.rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
         best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
         rule = _monic(best.entry.residual, best.rank[-1])
         log.added.append((best.amb.witness, rule))
-        rules.append(rule)
-        current, old = RuleSystem(rules, rs.fuel), current
+        current, old = RuleSystem((*current.rules, rule), rs.fuel), current
         current._nf_cache = carried = _carry(current, old._nf_cache)
         for rec in records:
             if not all(w in carried for branch in rec.branches for w, _ in branch):
                 rec.entry = rec.rank = None
-        new = len(rules) - 1
-        records += [_Record(current, amb) for i in range(new + 1)
-                    for pair in {(i, new), (new, i)} for amb in _pair_ambiguities(rules, *pair)]
+        records += [_Record(current, amb) for lhs in current._rhs for pair in
+                    {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]
         records.sort(key=lambda rec: rec.amb.key)

@@ -11,23 +11,23 @@ from curveform.errors import FuelExhausted
 from curveform.freealg import NcPoly, word_key
 
 
-def apply_at(rs, w: str, pos: int, idx: int) -> NcPoly:
-    """Substitute rs.rules[idx].lhs -> rhs at the given position of w."""
-    rule = rs.rules[idx]
-    pre, suf = w[:pos], w[pos + len(rule.lhs):]
-    return NcPoly({pre + t + suf: c for t, c in rule.rhs.terms.items()})
+def apply_at(rs, w: str, pos: int, lhs: str) -> NcPoly:
+    """Substitute the rule lhs -> rhs of rs at the given position of w."""
+    rhs = next(rule.rhs for rule in rs.rules if rule.lhs == lhs)
+    pre, suf = w[:pos], w[pos + len(lhs):]
+    return NcPoly({pre + t + suf: c for t, c in rhs.terms.items()})
 
 
 def match_directional(rs, w: str, leftmost: bool):
     """rs.match(w) when leftmost, else the rightmost match, the longest lhs
-    winning at that position: (position, rule_index) or None."""
+    winning at that position: (position, lhs) or None."""
     if leftmost:
         return rs.match(w)
     at = rs._lhs_re.match
     for i in range(len(w) - 1, -1, -1):
         m = at(w, i)
         if m is not None:
-            return (i, rs._lhs_index[m.group()])
+            return (i, m.group())
     return None
 
 
@@ -39,10 +39,10 @@ def reduce_once(rs, f: NcPoly, leftmost=True):
         m = match_directional(rs, w, leftmost)
         if m is None:
             continue
-        pos, idx = m
+        pos, lhs = m
         c = f.terms[w]
         rest = NcPoly({u: cu for u, cu in f.terms.items() if u != w})
-        return rest + apply_at(rs, w, pos, idx).scale(c)
+        return rest + apply_at(rs, w, pos, lhs).scale(c)
     return None
 
 

@@ -241,18 +241,49 @@ class TestArgHandling:
         code, out, _ = run(capsys, "suite", "diamond", "--q", "-3/4", "--p", "3/8", "--json")
         assert code == 0 and json.loads(out)["status"] == "pass"
 
+    # a numerator or denominator beyond 1,000 digits is refused on the text,
+    # before the value is built: building 1e30000000 runs for over a minute
     @pytest.mark.parametrize("argv", [["--t", "abc"], ["--t", "1/0"],
                                       ["--q", "1.5.2", "--p", "1"], ["--q", "3"],
                                       ["--t", "-1/0"], ["--t", "-1/x"], ["--t", "-x"],
-                                      ["--q", "-3/4", "--p"]],
+                                      ["--q", "-3/4", "--p"], ["--t", "1e5000"],
+                                      ["--t", "7" * 2000], ["--t", "1e1500"],
+                                      ["--t", "1e30000000"], ["--t", "1e-1000"],
+                                      ["--t", "1/" + "3" * 1001], ["--t", "1.5e1000"],
+                                      ["--q", "1e1000", "--p", "1"], ["--t", "1e9999999999"]],
                              ids=["t-abc", "t-1/0", "q-1.5.2", "q-without-p", "t--1/0",
-                                  "t--1/x", "t--x", "p-missing"])
+                                  "t--1/x", "t--x", "p-missing", "t-1e5000", "t-2000-digits",
+                                  "t-1e1500", "t-1e30000000", "t-1e-1000", "t-1001-digit-den",
+                                  "t-1.5e1000", "q-1e1000", "t-10-digit-exponent"])
     def test_malformed_point_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["nf", "x", *argv])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["1e999", "-1e-999", "9" * 1000 + "/" + "9" * 999 + "7",
+                                   "0.5e1000", "000" + "9" * 1000],
+                             ids=["1e999", "-1e-999", "1000-digit-both", "0.5e1000",
+                                  "leading-zeros"])
+    def test_a_point_within_the_digit_bound_prints(self, capsys, t):
+        code, out, err = run(capsys, "rules", "--json", f"--t={t}")
+        assert code == 0 and err == "" and len(json.loads(out)["rules"]) == 17
+
+    @pytest.mark.parametrize("argv", [
+        ["nf", "x", "--seed", "3"], ["nf", "x", "--samples", "7"], ["nf", "x", "--max-len", "2"],
+        ["nf", "x", "--max-deg", "2"], ["mul", "x", "y", "--seed", "1"],
+        ["mul", "x", "y", "--max-len", "2"], ["rules", "--samples", "1"],
+        ["rules", "--max-deg", "1"], ["census", "--seed", "1"], ["census", "--samples", "1"],
+        ["census", "--max-deg", "1"]])
+    def test_an_option_the_command_ignores_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
     @pytest.mark.parametrize("argv", [
         ["suite", "basis", "--max-len", "-1"], ["census", "--max-len", "-2"],

@@ -14,7 +14,8 @@ from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
                             check_welldefined, relation_polys, tensor_nf,
                             units_bounded_check, units_suite, _hopf_residuals,
                             _solve_sparse)
-from curveform.nodal import NodalAlgebra, build_algebra, random_poly, sample_coefficients
+from curveform.nodal import (NodalAlgebra, build_algebra, pattern_words, random_poly,
+                             sample_coefficients)
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
@@ -68,6 +69,23 @@ class TestStructureMaps:
                        *([c for _, c in v] for v in maps.delta_terms.values()),
                        *([c for _, c in v] for v in maps.antipode_terms.values()))
         assert all(field(c) is c for c in values)
+
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5)])
+    def test_word_maps_are_the_extensions_of_the_generator_values(self, t):
+        # on every pattern word of length <= 6, built up from cached prefixes
+        # (suffixes for S): delta(w) is the letter-by-letter product of the
+        # generator values reduced, and S(w) the reversed product reduced
+        alg = build_algebra(curve_point_from_t(t))
+        maps = StructureMaps(alg)
+        words = pattern_words(6)
+        assert len(words) == 231
+        for w in words:
+            delta, antipode = TensorPoly.one(2), NcPoly.one()
+            for ch in w:
+                delta = delta * TensorPoly(2, maps.delta_terms[ch])
+                antipode = NcPoly(maps.antipode_terms[ch]) * antipode
+            assert apply_delta(NcPoly.word(w), maps) == tensor_nf(delta, alg), w
+            assert apply_antipode(NcPoly.word(w), maps) == alg.nf(antipode), w
 
     def test_counit_lands_on_curve(self, maps_by_t):
         # eps(x), eps(y) is the chosen curve point; the curve equation is the
