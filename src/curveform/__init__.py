@@ -1,8 +1,7 @@
 """curveform: an exact noncommutative rewriting kernel for the Hopf algebra
 of the nodal cubic, with a verification suite for its structural claims."""
 
-from .scalar import (CurvePoint, Rational, Scalar, curve_point_from_t,
-                     curve_point_validate)
+from .scalar import CurvePoint, Scalar, curve_point_from_t, curve_point_validate
 from .freealg import ALPHABET, NcPoly, TensorPoly
 from .parser import parse_expr
 from .rewrite import Ambiguity, Rule, RuleSystem, check_diamond, complete
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHABET", "Ambiguity", "CPoly", "CurvePoint", "NcPoly", "NodalAlgebra",
-    "Rational", "Rule", "RuleSystem", "Scalar",
+    "Rule", "RuleSystem", "Scalar",
     "StructureMaps", "TensorPoly", "apply_antipode", "apply_counit",
     "apply_delta", "b_decompose", "basis_census", "basis_index",
     "build_algebra", "check_alt_presentation", "check_coideal",

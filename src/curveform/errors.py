@@ -18,7 +18,7 @@ class ParameterOffCurve(CurveformError, ValueError):
 
 
 class UsageError(CurveformError, ValueError):
-    """Malformed input from the command line or the environment."""
+    """Malformed input from the command line."""
 
 
 class ArityMismatch(CurveformError, ValueError):

@@ -181,10 +181,6 @@ class NcPoly(Sparse):
     def to_json(self):
         return [{"coeff": c.to_json(), "word": w} for w, c in reversed(self.sorted_terms())]
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls({check_word(e["word"]): Scalar.from_json(e["coeff"]) for e in obj})
-
 
 _SCALARS = (Scalar, int, Fraction)
 _ZERO_POLY = NcPoly()

@@ -36,11 +36,11 @@ from itertools import chain
 from math import gcd, lcm
 
 from .errors import FuelExhausted
-from .freealg import NcPoly, TensorPoly, accumulate, concat_product
-from .nodal import NodalAlgebra, b_part, pattern_words, random_poly, sample_coefficients, seed_rules
+from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product
+from .nodal import NodalAlgebra, b_part, is_b_word, pattern_words, random_poly, sample_coefficients
 from .parser import parse_expr
 from .report import Report
-from .scalar import CurvePoint, ONE, R, Scalar, ZERO, denominator, field, reciprocal
+from .scalar import ONE, R, Scalar, ZERO, denominator, field, reciprocal
 
 
 class StructureMaps:
@@ -76,7 +76,7 @@ class StructureMaps:
 
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
-    """Reduce every leg of a tensor polynomial to normal form."""
+    """alg.nf of a tensor polynomial, leg by leg: a name of its own for bench/tracing.py."""
     return alg.nf(tp)
 
 
@@ -153,11 +153,11 @@ RELATION_NAMES = {
 }
 
 
-def relation_polys(point: CurvePoint):
-    """The 13 defining relations as (name, lhs - rhs) of the seed rules, in
-    the order of RELATION_NAMES; the by-relation is the folded one,
-    by + yb - 2p a^3, which with b^2 = a^3 generates the same ideal."""
-    rhs = {rule.lhs: rule.rhs for rule in seed_rules(point)}
+def relation_polys(alg: NodalAlgebra):
+    """The 13 defining relations as (name, lhs - rhs) of the algebra's given
+    and folded rules, in the order of RELATION_NAMES; the by-relation is the
+    folded one, by + yb - 2p a^3, which with b^2 = a^3 generates the same ideal."""
+    rhs = {rule.lhs: rule.rhs for rule in alg.system.rules if rule.origin != "completed"}
     return [(name, NcPoly.word(lhs) - rhs[lhs]) for lhs, name in RELATION_NAMES.items()]
 
 
@@ -176,9 +176,8 @@ def _add_element(report, names, residuals):
 def check_welldefined(maps: StructureMaps) -> Report:
     """delta, eps and S kill every defining relation: the maps are well
     defined on the quotient algebra."""
-    point = maps.alg.point
-    report = Report("welldefined", {"point": point, "entries": []})
-    for name, rel in relation_polys(point):
+    report = Report("welldefined", {"point": maps.alg.point, "entries": []})
+    for name, rel in relation_polys(maps.alg):
         for kind, apply in (("delta", apply_delta), ("eps", apply_counit),
                             ("S", apply_antipode)):
             _add_element(report, [f"{kind}({name})"], lambda: [apply(rel, maps)])
@@ -188,18 +187,17 @@ def check_welldefined(maps: StructureMaps) -> Report:
 HOPF_AXIOMS = ("coassoc", "counit-left", "counit-right", "antipode-left", "antipode-right")
 
 
-def check_hopf_axioms(maps: StructureMaps, samples=200, max_len=6, seed=0) -> Report:
+def check_hopf_axioms(maps: StructureMaps, samples=200, seed=0) -> Report:
     """Coassociativity, counit and both antipode identities, on every
-    generator and on seeded random elements, each composed from the word
-    maps on the one coproduct d = delta(f): (delta (x) id) d and
-    (id (x) delta) d apply delta to the normal-form legs of d."""
+    generator and on seeded random elements (nodal.random_poly), each composed
+    from the word maps on the one coproduct d = delta(f): (delta (x) id) d
+    and (id (x) delta) d apply delta to the normal-form legs of d."""
     alg = maps.alg
     report = Report("hopf_axioms", {"point": alg.point, "entries": []})
     rng = random.Random(seed)
     pool = sample_coefficients(alg.point)
-    elements = [("gen " + ch, NcPoly.word(ch)) for ch in "xyagb"]
-    elements += [(f"random {i}", random_poly(rng, pool, max_len=max_len))
-                 for i in range(samples)]
+    elements = [("gen " + ch, NcPoly.word(ch)) for ch in ALPHABET]
+    elements += [(f"random {i}", random_poly(rng, pool)) for i in range(samples)]
     for name, f in elements:
         _add_element(report, [f"{kind} {name}" for kind in HOPF_AXIOMS],
                      lambda: _hopf_residuals(f, maps))
@@ -251,12 +249,11 @@ def check_identities(alg: NodalAlgebra) -> Report:
 
 def check_coideal(maps: StructureMaps, max_deg=6) -> Report:
     """delta(B) is contained in B (x) A: every left tensor leg of delta on a
-    B-basis word is a word in x, y only."""
+    B-basis word is a word in B's letters (nodal.is_b_word)."""
     report = Report("coideal", {"point": maps.alg.point, "entries": []})
     for bw in pattern_words(max_deg, b_part):
         _add_element(report, [f"delta({bw or '1'}) left legs in B"], lambda: [TensorPoly(
-            2, {k: c for k, c in _delta_word(bw, maps).items()
-                if any(ch not in "xy" for ch in k[0])})])
+            2, {k: c for k, c in _delta_word(bw, maps).items() if not is_b_word(k[0])})])
     return report
 
 

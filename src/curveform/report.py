@@ -25,17 +25,17 @@ def to_json(value):
 
 
 class Entry:
-    """A named sub-check.  It passes iff its residual vanishes, unless an
-    explicit verdict ok is given; a vanishing residual prints as null.  The
-    residual of a sub-check that could not finish is its exception, which
-    fails the entry and prints as the error message."""
+    """A named sub-check.  It passes iff its residual vanishes; a vanishing
+    residual prints as null.  The residual of a sub-check that could not
+    finish is its exception, which fails the entry and prints as the error
+    message."""
 
     __slots__ = ("name", "residual", "ok")
 
-    def __init__(self, name, residual, ok=None):
+    def __init__(self, name, residual):
         self.name = name
         self.residual = residual
-        self.ok = not residual if ok is None else ok
+        self.ok = not residual
 
     def to_json(self):
         return {"name": self.name, "status": "pass" if self.ok else "fail",

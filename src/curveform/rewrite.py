@@ -98,10 +98,6 @@ class Rule:
     def to_json(self):
         return {"lhs": self.lhs, "rhs": self.rhs.to_json(), "origin": self.origin}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["lhs"], NcPoly.from_json(obj["rhs"]), obj["origin"])
-
 
 @dataclass(frozen=True)
 class Ambiguity:

@@ -22,12 +22,12 @@ plain slot store into a call, on every arithmetic result.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero, ParameterOffCurve
+from .errors import DivisionByZero, LimitExceeded, ParameterOffCurve
 
-Rational = Fraction
 _RATIONAL_TYPES = (int, Fraction)
 
 
@@ -157,25 +157,19 @@ class Scalar:
     def __str__(self):
         c0, c1 = self.c0, self.c1
         if c1 == 0:
-            return str(c0)
-        r_part = "r" if c1 == 1 else ("-r" if c1 == -1 else f"{c1}*r")
+            return _text(c0)
+        r_part = "r" if c1 == 1 else ("-r" if c1 == -1 else f"{_text(c1)}*r")
         if c0 == 0:
             return r_part
         sep = "+" if c1 > 0 else ""
-        return f"{c0}{sep}{r_part}"
+        return f"{_text(c0)}{sep}{r_part}"
 
     def __repr__(self):
         return f"Scalar({self.c0!r}, {self.c1!r})"
 
-    # -- JSON ------------------------------------------------------------
-
     def to_json(self):
-        # str of an int or Fraction is "n" or "n/d"
-        return {"c0": str(self.c0), "c1": str(self.c1)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["c0"], obj["c1"])
+        # the text of an int or Fraction is "n" or "n/d"
+        return {"c0": _text(self.c0), "c1": _text(self.c1)}
 
 
 _new = object.__new__
@@ -187,6 +181,16 @@ def _view(n, d):
         return n
     g = gcd(n, d)
     return n // g if g == d else Fraction(n, d)
+
+
+def _text(v):
+    """str(v) of an int or Fraction, or LimitExceeded where a part has more
+    digits than the interpreter converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(v)
+    except ValueError:
+        raise LimitExceeded(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                            "digits to print") from None
 
 
 def _rational(v):
@@ -261,7 +265,7 @@ class CurvePoint:
 
 
 def curve_point_from_t(t) -> CurvePoint:
-    """Rational parametrization of the nodal cubic: t -> (t^2 - 1, t(t^2 - 1))."""
+    """The rational parametrization of the nodal cubic: t -> (t^2 - 1, t(t^2 - 1))."""
     t = Fraction(t)
     q = t * t - 1
     return CurvePoint(Scalar(q), Scalar(t * q))

@@ -54,7 +54,7 @@ def test_criterion_03_hopf_axioms(maps_by_t):
     t0 = time.time()
     ok = True
     for maps in maps_by_t.values():
-        report = hopf.check_hopf_axioms(maps, samples=200, max_len=6, seed=42)
+        report = hopf.check_hopf_axioms(maps, samples=200, seed=42)
         ok = ok and report.ok
     verdict(3, "Hopf axioms on generators and 200 random elements per point",
             ok, f"{time.time() - t0:.1f}s")

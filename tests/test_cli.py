@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,52 @@ class TestRules:
         code, out, _ = run(capsys, "rules", "--json", "--t", "-1/2")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
             "65e7d421a84c9fe2007272a6d0c8d2743dded549c2130bd782403aa7db131be2")
+
+
+class TestCoefficientTooLongToPrint:
+    """A coefficient with more digits than the interpreter converts to text
+    (sys.get_int_max_str_digits) is a usage error: exit 2, one error line and
+    nothing on stdout, in text and JSON mode alike."""
+
+    @staticmethod
+    def refused(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: a coefficient has more than {sys.get_int_max_str_digits()} "
+                       "digits to print\n")
+
+    @pytest.fixture
+    def limit_640(self):
+        """The interpreter's least digit limit, in place for one test."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv", [
+        ["nf", "(a^-1*x)^8", "--t", "1e300"], ["nf", "(a^-1*x)^8", "--t", "1e300", "--json"],
+        ["nf", "(a^-1*x)^3", "--t", "1e999"], ["nf", "(a^-1*x)^3", "--t", "1e999", "--json"],
+        ["mul", "(a^-1*x)^4", "(a^-1*x)^4", "--t", "1e300"],
+        ["mul", "(a^-1*x)^4", "(a^-1*x)^4", "--t", "1e300", "--json"]])
+    def test_a_result_coefficient(self, capsys, argv):
+        self.refused(capsys, *argv)
+
+    def test_a_coefficient_within_the_limit_prints(self, capsys):
+        code, out, _ = run(capsys, "nf", "y^40", "--t", "1e120")
+        assert code == 0 and out.startswith("x^60 + 20*x^59 + 190*x^58")
+        # a coefficient of 4,003 digits
+        code, out, _ = run(capsys, "nf", "(a^-1*x)^8", "--t", "1e250")
+        assert code == 0 and max(map(len, re.findall(r"\d+", out))) == 4003
+
+    # at t = 1e200 the point has 401 and 601 digits and some rule coefficients
+    # more than 640; at t = 1e300, p has 901
+    @pytest.mark.parametrize("command, t", [(["rules"], "1e200"), (["rules", "--json"], "1e200"),
+                                            (["suite", "diamond"], "1e300"),
+                                            (["suite", "diamond", "--json"], "1e300")])
+    def test_a_rule_or_point_coefficient(self, capsys, limit_640, command, t):
+        self.refused(capsys, *command, "--t", t)
+        code, _, _ = run(capsys, *command, "--t", "1e100")
+        assert code == 0
 
 
 class TestCensus:

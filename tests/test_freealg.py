@@ -82,11 +82,6 @@ def test_constructor_coerces():
     assert f.terms == {"x": Scalar(2)} and isinstance(f.terms["x"], Scalar)
 
 
-def test_json_round_trip():
-    f = NcPoly({"xag": Scalar(-1, 2), "": Scalar(7)})
-    assert NcPoly.from_json(f.to_json()) == f
-
-
 class TestTensorPoly:
     def test_componentwise_product(self):
         f = TensorPoly(2, {("", "x"): ONE})

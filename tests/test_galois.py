@@ -111,6 +111,17 @@ class TestWitness:
         # nonzero class in C: the two one-sided ideals differ
         assert report.fields["projection"]
 
+    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2)])
+    def test_witness_form_read_off_the_rules(self, t):
+        # the check passes only where NF(a^2 (x - q)) is rhs(aax) - q a^2,
+        # read off the algebra's rule; that is the relation's own form
+        alg = build_algebra(curve_point_from_t(t))
+        q = alg.point.q
+        report = witness_check(StructureMaps(alg))
+        assert report.ok
+        assert report.fields["normal_form"] == NcPoly(
+            {"xaa": -ONE, "axa": -ONE, "aa": -(ONE + q), "aaa": ONE + 3 * q})
+
     def test_witness_all_points(self, maps_by_t):
         for m in maps_by_t.values():
             assert witness_check(m).ok

@@ -222,6 +222,28 @@ class TestBDecomposition:
         # right multiplication by B mixes tails; recorded, not asserted
         assert report.fields["right_tail_pure"] is False
 
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5)], ids=["t=2", "t=7/5"])
+    def test_a_word_is_irreducible_iff_it_is_its_own_normal_form(self, t):
+        # freeness_check decides NF(b-word * tail) = b-word * tail by match
+        # alone; the products in either order, up to length 6, hold words of
+        # both kinds
+        alg = build_algebra(curve_point_from_t(t))
+        tails = pattern_words(6, tail_part)
+        words = {w for bw in pattern_words(6, b_part) for tl in tails
+                 for w in (bw + tl, tl + bw) if len(w) <= 6}
+        irreducible = {w for w in words if alg.system.match(w) is None}
+        assert irreducible == {w for w in words if alg.nf(NcPoly.word(w)) == NcPoly.word(w)}
+        assert 0 < len(irreducible) < len(words)
+
+    def test_a_reducible_product_fails(self, alg):
+        # a rule xa -> 0 makes the product x * a reducible
+        system = RuleSystem((*alg.system.rules, Rule("xa", NcPoly.zero())))
+        report = freeness_check(NodalAlgebra(alg.point, system, alg.completion_log),
+                                max_len=2, samples=0)
+        assert not report.ok
+        assert [f for f in report.fields["failures"] if f["kind"] == "concat"] == [
+            {"kind": "concat", "b": "x", "tail": "a"}]
+
     def test_roundtrip_multiplies_back_in_the_algebra(self, alg):
         # with every normal form doubled, the B-coefficients times their
         # tails multiply back to twice the doubled normal form
