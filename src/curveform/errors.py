@@ -10,11 +10,11 @@ class DivisionByZero(CurveformError, ZeroDivisionError):
 
 
 class ParameterOffCurve(CurveformError, ValueError):
-    """Raised when (q, p) does not satisfy p^2 = q^2 + q^3; carries the residual."""
+    """(q, p) is off p^2 = q^2 + q^3; carries the residual, shown as "= value" or by size."""
 
-    def __init__(self, residual):
+    def __init__(self, residual, shown):
         self.residual = residual
-        super().__init__(f"point is off the curve, residual p^2 - q^2 - q^3 = {residual}")
+        super().__init__(f"point is off the curve, residual p^2 - q^2 - q^3 {shown}")
 
 
 class UsageError(CurveformError, ValueError):

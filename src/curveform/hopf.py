@@ -16,12 +16,11 @@ compositions of these word maps on one coproduct delta(f): coassociativity
 applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
 The generator values are stored once, in the field form of scalar.field
-(int or Fraction; a Scalar only where an r-part enters), the form
-RuleSystem.nf_word runs on.  The word maps, axiom residuals and units
-elimination run on dicts in that form, each product accumulated before
-RuleSystem.nf_terms reduces it; Scalars appear only in what the module
-returns: apply_delta, apply_antipode, apply_counit, tensor_nf, every report
-residual and the units witness.
+(an int when integral, else a Scalar), the form RuleSystem.nf_word runs
+on.  The word maps, axiom residuals and units elimination run on dicts in
+that form, each product accumulated before RuleSystem.nf_terms reduces it;
+what the module returns holds Scalars only: apply_delta, apply_antipode,
+apply_counit, tensor_nf, every report residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  In
 check_welldefined, check_hopf_axioms and check_coideal a reduction that runs
 out of fuel fails the entries it was computing, with the FuelExhausted as
@@ -316,7 +315,7 @@ def _divide_content(row, b):
 
 def _solve_sparse(columns, target):
     """Solve sum_j u_j * columns[j] = target over the field of the
-    coefficients (int and Fraction, or Scalar where an r-part enters).
+    coefficients: ints and Scalars, the field form of scalar.field, or Fractions.
 
     columns: list of dicts {row_key: coefficient}; target likewise.  Returns
     the coefficient list or None if the system is infeasible.  Sparse
@@ -326,7 +325,7 @@ def _solve_sparse(columns, target):
     on a tie, and only the rows holding j are eliminated: a row whose entry
     is f, against the pivot entry pv, becomes (pv/g) row - (f/g) pivot row
     with g = gcd(pv, f), and is then divided by the gcd of its entries;
-    where a Scalar enters, that gcd is not taken (g = 1).  So every row
+    where an r-part enters, that gcd is not taken (g = 1).  So every row
     stays integral, and the one division per pivot is made in back
     substitution.
     The index only grows; a row that no longer holds j is skipped.

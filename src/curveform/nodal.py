@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 import random
 import re
-from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import FuelExhausted, NonOrientable
 from .freealg import ALPHABET, NcPoly, word_key
 from .parser import parse_expr
 from .report import Report
-from .scalar import CurvePoint, ONE, Scalar, field
+from .scalar import CurvePoint, ONE, Scalar, denominator, field, reciprocal
 from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 
 
@@ -131,20 +130,20 @@ def _weight(w: str) -> int:
     return 2 * w.count("x") + 3 * w.count("y")
 
 
-def _rescale(terms: dict, deg: int, base: Fraction, weights: dict, memo: dict) -> dict:
+def _rescale(terms: dict, deg: int, lam: int, sign: int, weights: dict, memo: dict) -> dict:
     """terms, the rhs of a rule whose lhs has weight deg or the normal form of
     a word of weight deg, with the coefficient c of word v times
-    base^(deg - weights[v]), an int where integral; memo maps (type, c,
-    exponent) to the product."""
+    lam^(sign (deg - weights[v])), an int power of lam or its reciprocal, in
+    the field form of scalar.field; memo maps (c, exponent) to the product,
+    whose form depends on its value only, so Scalar(2) and 2 share it."""
     out = {}
     for v, c in terms.items():
-        e = deg - weights[v]
+        e = sign * (deg - weights[v])
         if e:
-            key = (type(c), c, e)  # Scalar(2) == 2
+            key = (c, e)
             c = memo.get(key)
             if c is None:
-                c = key[1] * base ** e
-                memo[key] = c = field(c) if type(c) is Fraction else c
+                memo[key] = c = field(key[0] * (lam ** e if e > 0 else reciprocal(lam ** -e)))
         out[v] = c
     return out
 
@@ -156,16 +155,16 @@ def _rescaled(rs: RuleSystem, lam: int, sign: int = 1) -> RuleSystem:
     the same words and orient the same rules.  rs itself at lam = 1."""
     if lam == 1:
         return rs
-    base, cache, memo = Fraction(lam) ** sign, rs._nf_cache, {}
+    cache, memo = rs._nf_cache, {}
     # every word of a cached normal form is cached itself
     weights = {w: _weight(w) for w in chain(cache, *((r.lhs, *r.rhs.terms) for r in rs.rules))}
-    out = RuleSystem([Rule(r.lhs, r.rhs._new(_rescale(r.rhs.terms, weights[r.lhs], base, weights,
-                                                      memo)), r.origin) for r in rs.rules], rs.fuel)
+    out = RuleSystem([Rule(r.lhs, NcPoly(_rescale(r.rhs.terms, weights[r.lhs], lam, sign, weights,
+                                                  memo)), r.origin) for r in rs.rules], rs.fuel)
     mapped = {}  # (id of a cached dict, weight of its word) -> its image, which they share
     for w, nf in cache.items():
         key = (id(nf), weights[w])
         if key not in mapped:
-            mapped[key] = _rescale(nf, key[1], base, weights, memo)
+            mapped[key] = _rescale(nf, key[1], lam, sign, weights, memo)
         out._nf_cache[w] = mapped[key]
     return out
 
@@ -187,7 +186,7 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     Raises ValueError if some completed rhs leaves the pattern span.
     """
     q, p = point.q, point.p
-    lam = 1 if q.c1 or p.c1 or not q else (Fraction(field(p)) / field(q)).denominator
+    lam = 1 if q.c1 or p.c1 or not q else denominator(p / q)
     seed = RuleSystem(seed_rules(point), fuel)
     try:
         completed, log = complete(_rescaled(seed, lam), is_basis_word)
@@ -196,8 +195,8 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
             raise
         diff = exc.difference
         weights = {w: _weight(w) for w in diff.terms}
-        raise NonOrientable(diff._new(_rescale(diff.terms, _weight(exc.witness), Fraction(1, lam),
-                                               weights, {})), exc.witness) from None
+        raise NonOrientable(NcPoly(_rescale(diff.terms, _weight(exc.witness), lam, -1, weights,
+                                            {})), exc.witness) from None
     completed = _rescaled(completed, lam, -1)
     log.added = [(w, rule) for (w, _), rule in zip(log.added, completed.rules[len(seed.rules):])]
     for rule in completed.rules:
@@ -266,11 +265,7 @@ def growth(alg: NodalAlgebra, max_len: int) -> Report:
     exponent log2(c(2L)/c(L)) at the largest available L, which must lie
     within GROWTH_TOLERANCE of GROWTH_EXPONENT (None, below L = 2, fails)."""
     counts = [count_basis_words(length) for length in range(max_len + 1)]
-    cumulative = []
-    running = 0
-    for c in counts:
-        running += c
-        cumulative.append(running)
+    cumulative = list(accumulate(counts))
     half = max_len // 2
     exponent = math.log2(cumulative[2 * half] / cumulative[half]) if half >= 1 else None
     ok = exponent is not None and abs(exponent - GROWTH_EXPONENT) <= GROWTH_TOLERANCE

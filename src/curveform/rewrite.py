@@ -21,16 +21,16 @@ reduction order gives a reduct; on a confluent system the normal form does
 not depend on it.
 
 Normal forms are K-linear in the reduced element, so the word-level
-reduction runs over the field of definition of the rules: each rule's rhs
-is taken once in the field form of scalar.field (an int or Fraction, a
-Scalar only where a coefficient has an r-part), and K = Q(r) arithmetic
-enters only where an element's own Scalar coefficients multiply the cached
-normal forms of its words.  A word rewritten by a rule whose rhs is a
-single word with coefficient 1 shares that word's cached normal form
-instead of a copy.  Every sum of c * NF(key), over words or tensor legs, is
-made by one reducer, RuleSystem.nf_terms: normal forms of elements, branch
-differences of ambiguities (only the difference itself becomes an NcPoly of
-Scalars) and the word maps of the Hopf layer.
+reduction runs on the field form of scalar.field: each rule's rhs is taken
+once, an int where a coefficient is integral and a Scalar elsewhere, so an
+integral point reduces on ints alone, and an element's own Scalar
+coefficients multiply the cached normal forms of its words.  A word
+rewritten by a rule whose rhs is a single word with coefficient 1 shares
+that word's cached normal form instead of a copy.  Every sum of c *
+NF(key), over words or tensor legs, is made by one reducer,
+RuleSystem.nf_terms: normal forms of elements, branch differences of
+ambiguities (only the difference itself becomes an NcPoly of Scalars) and
+the word maps of the Hopf layer.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,

@@ -9,9 +9,10 @@ Fraction.  The norm form c0^2 + c0*c1 + c1^2 is positive definite over Q,
 so every nonzero Scalar is invertible and all arithmetic stays exact.
 
 This module is the one home of both coefficient forms, and no other module
-reads the slots.  Public polynomials hold Scalars; the reducer and the Hopf
-word maps run on the field form of the rules' field of definition: an int
-when integral, else a Fraction, and a Scalar only where an r-part enters.
+reads the slots.  Public polynomials hold Scalars; the reducer, the Hopf
+word maps and the rescaling of rational points run on the field form: an
+int when integral, else a Scalar.  Fraction, three times as slow per add or
+mul, stays at the text boundary (the views, printing and the parser).
 field(c) is the one conversion to it; reciprocal and denominator are its
 helpers.
 
@@ -220,18 +221,16 @@ R = Scalar(0, 1)
 # -- the field form --------------------------------------------------------
 
 def field(c):
-    """c in the field form: a Scalar without r-part as its rational, an
-    integral Fraction as an int, anything else as it is."""
+    """c, an int, Fraction or Scalar, in the field form: an int when
+    integral, else a Scalar."""
     if type(c) is Scalar:
-        return c if c.n1 else c.n0 if c.d == 1 else Fraction(c.n0, c.d)
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+        return c.n0 if c.d == 1 and not c.n1 else c
+    return c if type(c) is int else field(Scalar(c))
 
 
 def reciprocal(c):
     """1/c, for c and the result in the field form."""
-    return c.inverse() if type(c) is Scalar else field(Fraction(1, c))
+    return field(_coerce(c).inverse())
 
 
 def denominator(c):
@@ -276,5 +275,12 @@ def curve_point_validate(q, p) -> CurvePoint:
     q, p = _coerce(q), _coerce(p)
     residual = p * p - q * q - q * q * q
     if residual:
-        raise ParameterOffCurve(residual)
+        try:
+            shown = f"= {residual}"
+        except LimitExceeded:  # too many digits to print: count them, exactly and without text
+            from decimal import Decimal  # imported only here, where it is needed
+            num, den = (Decimal(v).adjusted() + 1
+                        for v in (max(abs(residual.n0), abs(residual.n1)), residual.d))
+            shown = f"has a {num}-digit numerator and a {den}-digit denominator"
+        raise ParameterOffCurve(residual, shown)
     return CurvePoint(q, p)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,31 @@ class TestNf:
     def test_off_curve_point_rejected(self, capsys):
         code, _, err = run(capsys, "nf", "x", "--q", "1", "--p", "1")
         assert code == 2 and "error" in err
+
+    def test_off_curve_residual_that_fits_is_printed_in_full(self, capsys):
+        # 1/3^1200 - 1/2^2000 - 1/2^3000 has a 1,476-digit denominator
+        q, p = Fraction(1, 2 ** 1000), Fraction(1, 3 ** 600)
+        code, out, err = run(capsys, "nf", "x", "--q", str(q), "--p", str(p))
+        assert code == 2 and out == ""
+        assert err == ("error: point is off the curve, residual p^2 - q^2 - q^3 = "
+                       f"{p * p - q * q - q ** 3}\n")
+
+    def test_off_curve_residual_too_long_to_print_is_named_by_its_size(self, capsys):
+        # q and p have 999 and 1,000 digits below the line, within the bound;
+        # the residual 1/3^4188 - 1/2^6636 - 1/2^9954 has more than 4,300
+        q, p = Fraction(1, 2 ** 3318), Fraction(1, 3 ** 2094)
+        residual = p * p - q * q - q ** 3
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # to count the digits as text
+        try:
+            sizes = len(str(-residual.numerator)), len(str(residual.denominator))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert sizes == (2997, 4995)
+        code, out, err = run(capsys, "nf", "x", "--q", str(q), "--p", str(p))
+        assert code == 2 and out == ""
+        assert err == ("error: point is off the curve, residual p^2 - q^2 - q^3 has a "
+                       "2997-digit numerator and a 4995-digit denominator\n")
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "nf", "x +")

@@ -314,8 +314,9 @@ class TestRescaledCompletion:
         point = curve_point_from_t(Fraction(t))
         want = outcome(lambda: plain(seed_rules(point)))
         assert outcome(lambda: built(point)) == want
-        # rational coefficients are kept in the cache, not only ints
-        assert any(c is Fraction for _, terms in want["cache"] for _, _, c in terms)
+        # non-integral rational coefficients are kept in the cache, as Scalars
+        assert any(kind is Scalar and not c.c1 and type(c.c0) is Fraction
+                   for _, terms in want["cache"] for _, c, kind in terms)
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(-9, 9), n=st.integers(2, 7))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -11,7 +12,7 @@ from curveform.freealg import ALPHABET, NcPoly
 from curveform.rewrite import (Rule, RuleSystem, branch_difference, check_diamond, complete,
                                greater, maximum, orient, rank, word_matrix)
 from curveform.scalar import ONE, R, Scalar, curve_point_from_t
-from curveform.hopf import tensor_nf
+from curveform.hopf import StructureMaps, check_welldefined, tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
@@ -411,9 +412,22 @@ r_scalars = st.builds(Scalar, st.builds(Fraction, st.integers(-8, 8), st.integer
                       st.integers(-5, 5).filter(bool))
 
 
-def polys(letters, max_len):
-    return st.dictionaries(st.text(letters, max_size=max_len), r_scalars,
+# rationals, integral or not, and coefficients with an r-part
+field_scalars = st.one_of(
+    r_scalars, st.builds(Scalar, st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7))))
+
+
+def polys(letters, max_len, coefficients=r_scalars):
+    return st.dictionaries(st.text(letters, max_size=max_len), coefficients,
                            min_size=1, max_size=4).map(NcPoly)
+
+
+@cache
+def welldefined_maps(m, n):
+    """The structure maps at t = m/n after check_welldefined filled their caches."""
+    maps = StructureMaps(build_algebra(curve_point_from_t(Fraction(m, n))))
+    check_welldefined(maps)
+    return maps
 
 
 def cached_coeffs(rs):
@@ -448,12 +462,26 @@ class TestFieldOfDefinition:
 
     def test_cached_coefficients_are_rational(self, algebras, alg75):
         exprs = ["b*y*x*a^-1*y", "y^3*b^2*x", "a^-2*x*b*y*a"]
-        for alg, kinds in ((algebras[2], {int}), (alg75, {int, Fraction})):
+        for alg, kinds in ((algebras[2], {int}), (alg75, {int, Scalar})):
             for e in exprs:
                 nf = alg.nf(parse_expr(e, alg.point) * parse_expr("1 + r*x", alg.point))
                 assert all(type(c) is Scalar for c in nf.terms.values())
             seen = {type(c) for c in cached_coeffs(alg.system)}
             assert seen == kinds
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(-9, 9), n=st.integers(2, 7), f=polys("xyagb", 2, field_scalars),
+           g=polys("xyagb", 2, field_scalars))
+    def test_matches_uncached_reduction_at_rational_points(self, m, n, f, g):
+        # products of words of length <= 4: the uncached reference needs
+        # over 100,000 steps on some words of length 6 to 8
+        maps = welldefined_maps(m, n)
+        rs = maps.alg.system
+        assert maps.alg.nf(f * g) == normal_form_strategy(rs, f * g)
+        # the field form: ints and Scalars, no third coefficient type
+        for terms in (*rs._nf_cache.values(), *map(dict, rs._rhs.values()),
+                      *maps._delta_cache.values(), *maps._antipode_cache.values()):
+            assert all(type(c) in (int, Scalar) for c in terms.values())
 
     def test_tensor_nf_returns_scalars(self, alg):
         tp = TensorPoly(2, {("yx", "ba"): R, ("bx", "ag"): Scalar(3)})

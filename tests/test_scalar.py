@@ -222,7 +222,7 @@ class TestThreeIntForm:
         assert (s.n0, s.n1, s.d) == (-4, 15, 6)
 
     # a pair is a Scalar (one without r-part as often as not), a bare
-    # coordinate an int or Fraction
+    # coordinate an int or Fraction; only an integral value leaves as an int
     @given(st.one_of(st.tuples(coordinates, coordinates), st.tuples(coordinates, st.just(0)),
                      coordinates))
     def test_field_form(self, value):
@@ -230,10 +230,7 @@ class TestThreeIntForm:
         ref = reference(value)
         f = field(c)
         assert f == c
-        if ref[1]:
-            assert type(f) is Scalar
-        else:
-            assert type(f) is (int if ref[0].denominator == 1 else StdFraction)
+        assert type(f) is (int if ref[0].denominator == 1 and not ref[1] else Scalar)
         assert field(f) is f
 
     def test_stored_forms(self):
@@ -304,3 +301,17 @@ def test_only_scalar_reads_the_slots():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in ("n0", "n1", "d")]
     assert readers == []
+
+
+def test_fraction_stays_out_of_the_kernel():
+    # the reducer, the Hopf word maps and the rescaling run on ints and
+    # Scalars (scalar.field); Fraction is left to the text boundary
+    package = Path(curveform.__file__).parent
+    kernel = ("rewrite.py", "nodal.py", "hopf.py", "galois.py")
+    named = [f"{name}:{node.lineno}" for name in kernel
+             for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Name) and node.id == "Fraction")
+             or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+             or (isinstance(node, ast.alias) and node.name in ("Fraction", "fractions"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "fractions")]
+    assert named == []
