@@ -33,6 +33,15 @@ class ParseError(CurveformError, ValueError):
                          + (f" (expected one of: {', '.join(self.expected)})" if expected else ""))
 
 
+class NotPatternWord(CurveformError, ValueError):
+    """A word outside the basis pattern x^i y^j (ax)^l a^m b^n, met where a
+    normal-form word was expected; carries the word."""
+
+    def __init__(self, word):
+        self.word = word
+        super().__init__(f"{word!r} is not a pattern word")
+
+
 class FuelExhausted(CurveformError, RuntimeError):
     """Reduction ran out of fuel; carries the partially reduced element, the
     steps taken and the step budget."""

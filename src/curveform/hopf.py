@@ -36,7 +36,7 @@ from math import gcd, lcm
 
 from .errors import FuelExhausted
 from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product
-from .nodal import NodalAlgebra, b_part, is_b_word, pattern_words, random_poly, sample_coefficients
+from .nodal import NodalAlgebra, is_b_word, pattern_words, random_poly, sample_coefficients
 from .parser import parse_expr
 from .report import Report
 from .scalar import ONE, R, Scalar, ZERO, denominator, field, reciprocal
@@ -250,7 +250,7 @@ def check_coideal(maps: StructureMaps, max_deg=6) -> Report:
     """delta(B) is contained in B (x) A: every left tensor leg of delta on a
     B-basis word is a word in B's letters (nodal.is_b_word)."""
     report = Report("coideal", {"point": maps.alg.point, "entries": []})
-    for bw in pattern_words(max_deg, b_part):
+    for bw in filter(is_b_word, pattern_words(max_deg)):
         _add_element(report, [f"delta({bw or '1'}) left legs in B"], lambda: [TensorPoly(
             2, {k: c for k, c in _delta_word(bw, maps).items() if not is_b_word(k[0])})])
     return report

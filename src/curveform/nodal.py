@@ -4,7 +4,8 @@ Owns the normal-form pattern x^i y^j (ax)^l a^m b^n (with a^m meaning g^-m
 for m < 0, j and n in {0, 1}), the seed relations, basis/growth counting,
 and the decomposition of elements into B-coefficients times tail words,
 where B is the (commutative) subalgebra generated by x and y.
-The pattern is the regular expression PATTERN, one group per factor.
+The pattern is the regular expression PATTERN, one group per factor, and
+the basis words are listed by walking its language (pattern_words).
 The census, growth and freeness checks each return a report.Report.
 """
 
@@ -13,10 +14,11 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import cache
 from itertools import accumulate, chain
 
-from .errors import FuelExhausted, NonOrientable
-from .freealg import ALPHABET, NcPoly, word_key
+from .errors import FuelExhausted, NonOrientable, NotPatternWord
+from .freealg import ALPHABET, NcPoly
 from .parser import parse_expr
 from .report import Report
 from .scalar import CurvePoint, ONE, Scalar, denominator, field, reciprocal
@@ -27,38 +29,8 @@ from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 PATTERN = re.compile(r"(x*)(y?)((?:ax)*)(a*|g*)(b?)")
 
 
-def basis_index(w: str):
-    """Index (i, j, l, m, n) of a pattern word, or None if w does not match."""
-    match = PATTERN.fullmatch(w)
-    if match is None:
-        return None
-    xs, y, ax, mid, b = match.groups()
-    return (len(xs), len(y), len(ax) // 2, -len(mid) if mid[:1] == "g" else len(mid), len(b))
-
-
 def is_basis_word(w: str) -> bool:
     return PATTERN.fullmatch(w) is not None
-
-
-def index_word(i, j, l, m, n) -> str:
-    """Inverse of basis_index."""
-    mid = "a" * m if m >= 0 else "g" * (-m)
-    return "x" * i + "y" * j + "ax" * l + mid + "b" * n
-
-
-def pattern_words(max_len: int, keep=None):
-    """Pattern words of length <= max_len, in graded-lex order, whose index
-    (i, j, l, m, n) satisfies keep (all of them when keep is None)."""
-    out = []
-    for i in range(max_len + 1):
-        for j in (0, 1):
-            for l in range((max_len - i - j) // 2 + 1):
-                for n in (0, 1):
-                    rem = max_len - i - j - 2 * l - n
-                    for m in range(-rem, rem + 1):
-                        if keep is None or keep(i, j, l, m, n):
-                            out.append(index_word(i, j, l, m, n))
-    return sorted(out, key=word_key)
 
 
 def is_b_word(w: str) -> bool:
@@ -66,14 +38,16 @@ def is_b_word(w: str) -> bool:
     return not w.strip("xy")
 
 
-def b_part(i, j, l, m, n) -> bool:
-    """pattern_words filter for the B-basis words x^i y^j."""
-    return not (l or m or n)
-
-
-def tail_part(i, j, l, m, n) -> bool:
-    """pattern_words filter for the tail words (ax)^l a^m b^n."""
-    return not (i or j)
+@cache
+def pattern_words(max_len: int) -> tuple:
+    """Pattern words of length <= max_len, in graded-lex order.  PATTERN's
+    language is prefix-closed, so each length is the one-letter extensions,
+    in ALPHABET order, of the pattern words one shorter that still match."""
+    words, level = [""], [""]
+    for _ in range(max_len):
+        level = [w + ch for w in level for ch in ALPHABET if is_basis_word(w + ch)]
+        words += level
+    return tuple(words)
 
 
 def seed_rules(point: CurvePoint):
@@ -279,7 +253,7 @@ def split_pattern_word(w: str):
     """Split a pattern word into (B-prefix x^i y^j, tail (ax)^l a^m b^n)."""
     match = PATTERN.fullmatch(w)
     if match is None:
-        raise ValueError(f"{w!r} is not a pattern word")
+        raise NotPatternWord(w)
     cut = match.end(2)
     return w[:cut], w[cut:]
 
@@ -311,33 +285,30 @@ def random_poly(rng, coeff_pool, max_len=6) -> NcPoly:
 
 
 def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Report:
-    """Left-freeness evidence: every concatenation b-word * tail of combined
-    length <= max_len is irreducible, so its own normal form (each step
-    lowers a word in the termination order), and on random elements f the
-    decomposition multiplies back in A: sum over tails t of NF(coeff_t * t)
-    is NF(f).  Also records (without asserting) whether the right-handed
-    products NF(tail * b-word) stay tail-pure.  A sample or right-handed
-    product whose reduction runs out of fuel is a failure that holds the
-    error, and the check goes on."""
+    """Left-freeness evidence: every pattern word of length <= max_len, which
+    is uniquely a b-word times a tail, is irreducible, so its own normal
+    form (each step lowers a word in the termination order), and on random
+    elements f the decomposition multiplies back in A: sum over tails t of
+    NF(coeff_t * t) is NF(f).  Also records (without asserting) whether the
+    right-handed products NF(tail * b-word) stay tail-pure.  A sample or
+    right-handed product whose reduction runs out of fuel or meets a word
+    outside the pattern is a failure that holds the error, and the check
+    goes on."""
     failures = []
-    checked = 0
 
     def attempt(failure, compute):
-        """compute(), or None when it runs out of fuel: then failure is
-        recorded with the error."""
+        """compute(), or None when it runs out of fuel or meets a word
+        outside the pattern: then failure is recorded with the error."""
         try:
             return compute()
-        except FuelExhausted as exc:
+        except (FuelExhausted, NotPatternWord) as exc:
             failures.append({**failure, "error": exc})
 
-    tails = pattern_words(max_len, tail_part)
-    for bw in pattern_words(max_len, b_part):
-        for t in tails:
-            if len(bw) + len(t) > max_len:
-                continue
-            checked += 1
-            if alg.system.match(bw + t) is not None:
-                failures.append({"kind": "concat", "b": bw, "tail": t})
+    words = pattern_words(max_len)
+    for w in words:
+        if alg.system.match(w) is not None:
+            bw, t = split_pattern_word(w)
+            failures.append({"kind": "concat", "b": bw, "tail": t})
     rng = random.Random(seed)
     pool = sample_coefficients(alg.point)
     for _ in range(samples):
@@ -348,14 +319,15 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
                 NcPoly.zero()) != alg.nf(f)):
             failures.append(failure)
     right_pure = True
-    for bw in pattern_words(min(max_len, 4), b_part):
-        for t in pattern_words(min(max_len, 4), tail_part):
-            if not bw or not t:
-                continue
-            nf = attempt({"kind": "right_product", "b": bw, "tail": t},
-                         lambda: alg.nf(NcPoly.word(t + bw)))
-            if nf is not None and {split_pattern_word(w)[1] for w in nf.terms} != {t}:
+    short = pattern_words(min(max_len, 4))
+    b_words = [w for w in short if w and is_b_word(w)]
+    tails = [w for w in short if w and not split_pattern_word(w)[0]]
+    for bw in b_words:
+        for t in tails:
+            nf_tails = attempt({"kind": "right_product", "b": bw, "tail": t}, lambda: {
+                split_pattern_word(w)[1] for w in alg.nf(NcPoly.word(t + bw)).terms})
+            if nf_tails is not None and nf_tails != {t}:
                 right_pure = False
-    return Report("freeness", {"checked_products": checked, "roundtrip_samples": samples,
+    return Report("freeness", {"checked_products": len(words), "roundtrip_samples": samples,
                                "right_tail_pure": right_pure,
                                "failures": failures[:20]}, not failures)

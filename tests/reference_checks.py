@@ -1,7 +1,8 @@
 """Unoptimised references that the tests compare the package's checks with.
 
 census_by_scan is the basis census over all 5^L words of each length, with
-no pruning.  solve_gauss_jordan is the sparse Gauss-Jordan elimination over
+no pruning.  pattern_words_by_index lists the pattern words from their
+index tuples (i, j, l, m, n), the words x^i y^j (ax)^l a^m b^n.  solve_gauss_jordan is the sparse Gauss-Jordan elimination over
 the field of the coefficients that the units check used before its
 elimination became fraction-free: every pivot row is normalised to a
 leading 1, so its entries are Fractions.
@@ -10,7 +11,7 @@ leading 1, so its entries are Fractions.
 from fractions import Fraction
 from itertools import product
 
-from curveform.freealg import ALPHABET, accumulate
+from curveform.freealg import ALPHABET, accumulate, word_key
 from curveform.nodal import count_basis_words, is_basis_word
 from curveform.report import Report
 from curveform.scalar import Scalar
@@ -41,6 +42,27 @@ def census_by_scan(alg, max_len: int) -> Report:
                              "pattern_scan_counts": scan_counts,
                              "pattern_enum_counts": enum_counts,
                              "mismatches": mismatches[:20]}, ok)
+
+
+def index_word(i, j, l, m, n) -> str:
+    """The pattern word x^i y^j (ax)^l a^m b^n, a^m meaning g^-m for m < 0."""
+    mid = "a" * m if m >= 0 else "g" * (-m)
+    return "x" * i + "y" * j + "ax" * l + mid + "b" * n
+
+
+def pattern_words_by_index(max_len: int, keep=lambda i, j, l, m, n: True) -> list:
+    """The pattern words of length <= max_len whose index satisfies keep, in
+    graded-lex order, listed by looping over the indices."""
+    out = []
+    for i in range(max_len + 1):
+        for j in (0, 1):
+            for l in range((max_len - i - j) // 2 + 1):
+                for n in (0, 1):
+                    rem = max_len - i - j - 2 * l - n
+                    for m in range(-rem, rem + 1):
+                        if keep(i, j, l, m, n):
+                            out.append(index_word(i, j, l, m, n))
+    return sorted(out, key=word_key)
 
 
 def _inverse(c):

@@ -7,30 +7,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveform import nodal
-from curveform.errors import CurveformError, NonOrientable
+from curveform.errors import CurveformError, NonOrientable, NotPatternWord
 from curveform.freealg import ALPHABET, NcPoly, accumulate, word_key
-from curveform.nodal import (NodalAlgebra, b_decompose, b_part, basis_census,
-                             basis_index, build_algebra, count_basis_words,
-                             freeness_check, growth, index_word, is_basis_word,
-                             pattern_words, random_poly, seed_rules,
-                             split_pattern_word, tail_part)
+from curveform.galois import recovery_check, witness_check
+from curveform.hopf import StructureMaps, check_coideal
+from curveform.nodal import (NodalAlgebra, b_decompose, basis_census, build_algebra,
+                             count_basis_words, freeness_check, growth, is_b_word,
+                             is_basis_word, pattern_words, random_poly, seed_rules,
+                             split_pattern_word)
+from curveform.report import Report
 from curveform.rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 from curveform.scalar import ONE, Scalar, curve_point_from_t
 
-from reference_checks import census_by_scan
+from reference_checks import census_by_scan, index_word, pattern_words_by_index
 
 
 class TestPattern:
-    def test_basis_index_examples(self):
-        assert basis_index("") == (0, 0, 0, 0, 0)
-        assert basis_index("xxy") == (2, 1, 0, 0, 0)
-        assert basis_index("axax") == (0, 0, 2, 0, 0)
-        assert basis_index("yaxggb") == (0, 1, 1, -2, 1)
-        assert basis_index("xaaab") == (1, 0, 0, 3, 1)
+    def test_pattern_word_examples(self):
+        assert split_pattern_word("") == ("", "")
+        assert split_pattern_word("xxy") == ("xxy", "")
+        assert split_pattern_word("axax") == ("", "axax")
+        assert split_pattern_word("yaxggb") == ("y", "axggb")
+        assert split_pattern_word("xaaab") == ("x", "aaab")
 
     def test_non_pattern_words(self):
         for w in ["yx", "ba", "ag", "bax", "axgx", "xbya", "yax" + "y"]:
-            assert basis_index(w) is None
+            assert not is_basis_word(w)
+            with pytest.raises(NotPatternWord) as exc:
+                split_pattern_word(w)
+            assert exc.value.word == w
 
     def test_index_word_round_trip(self):
         rng = random.Random(3)
@@ -41,8 +46,18 @@ class TestPattern:
             m = rng.randint(-3, 3)
             n = rng.randint(0, 1)
             w = index_word(i, j, l, m, n)
-            assert basis_index(w) == (i, j, l, m, n)
+            assert split_pattern_word(w) == (index_word(i, j, 0, 0, 0), index_word(0, 0, l, m, n))
             assert is_basis_word(w)
+
+    @pytest.mark.parametrize("max_len", range(11))
+    def test_walk_equals_the_index_enumeration(self, max_len):
+        words = pattern_words(max_len)
+        assert type(words) is tuple
+        assert list(words) == pattern_words_by_index(max_len)
+        assert [w for w in words if is_b_word(w)] == pattern_words_by_index(
+            max_len, lambda i, j, l, m, n: not (l or m or n))
+        assert [w for w in words if not split_pattern_word(w)[0]] == pattern_words_by_index(
+            max_len, lambda i, j, l, m, n: not (i or j))
 
     def test_recogniser_agrees_with_enumerator(self):
         recognised = {"".join(letters) for length in range(8)
@@ -54,7 +69,7 @@ class TestPattern:
         assert split_pattern_word("xxyaxab") == ("xxy", "axab")
         assert split_pattern_word("ggg") == ("", "ggg")
         assert split_pattern_word("xy") == ("xy", "")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'yx' is not a pattern word"):
             split_pattern_word("yx")
 
 
@@ -121,7 +136,7 @@ class TestCensus:
 
     def test_count_matches_enumeration(self):
         words = pattern_words(8)
-        assert words == sorted(set(words), key=word_key)
+        assert list(words) == sorted(set(words), key=word_key)
         assert all(is_basis_word(w) for w in words)
         for n in range(9):
             assert count_basis_words(n) == sum(1 for w in words if len(w) == n)
@@ -194,9 +209,9 @@ class TestGrowth:
 
 class TestBDecomposition:
     def test_word_lists(self):
-        assert pattern_words(2, b_part) == ["", "x", "y", "xx", "xy"]
-        assert "axb" in pattern_words(3, tail_part) and "ggg" in pattern_words(3, tail_part)
-        assert all(is_basis_word(t) for t in pattern_words(4, tail_part))
+        assert [w for w in pattern_words(2) if is_b_word(w)] == ["", "x", "y", "xx", "xy"]
+        tails = [w for w in pattern_words(3) if not split_pattern_word(w)[0]]
+        assert "axb" in tails and "ggg" in tails and "xa" not in tails
 
     def test_decompose_recompose(self, alg):
         f = alg.parse_nf("x*a^2*b + y*a^2*b - 3*a^-1")
@@ -228,8 +243,8 @@ class TestBDecomposition:
         # alone; the products in either order, up to length 6, hold words of
         # both kinds
         alg = build_algebra(curve_point_from_t(t))
-        tails = pattern_words(6, tail_part)
-        words = {w for bw in pattern_words(6, b_part) for tl in tails
+        tails = [w for w in pattern_words(6) if not split_pattern_word(w)[0]]
+        words = {w for bw in filter(is_b_word, pattern_words(6)) for tl in tails
                  for w in (bw + tl, tl + bw) if len(w) <= 6}
         irreducible = {w for w in words if alg.system.match(w) is None}
         assert irreducible == {w for w in words if alg.nf(NcPoly.word(w)) == NcPoly.word(w)}
@@ -243,6 +258,12 @@ class TestBDecomposition:
         assert not report.ok
         assert [f for f in report.fields["failures"] if f["kind"] == "concat"] == [
             {"kind": "concat", "b": "x", "tail": "a"}]
+        # the products are listed in graded-lex order of the word b * tail
+        report = freeness_check(NodalAlgebra(alg.point, system, alg.completion_log),
+                                max_len=3, samples=0)
+        assert [(f["b"], f["tail"]) for f in report.fields["failures"]] == [
+            ("x", "a"), ("xx", "a"), ("x", "ax"), ("x", "aa"), ("x", "ab"), ("", "axa")]
+        assert report.fields["checked_products"] == len(pattern_words(3)) == 44
 
     def test_roundtrip_multiplies_back_in_the_algebra(self, alg):
         # with every normal form doubled, the B-coefficients times their
@@ -251,6 +272,44 @@ class TestBDecomposition:
         doubled.nf = lambda f: alg.nf(f).scale(2)
         report = freeness_check(doubled, max_len=1, samples=30)
         assert any(e["kind"] == "roundtrip" for e in report.fields["failures"])
+
+
+# the lhs of the 17 rules at t = 2, in rule order; without gxa or gxaa the
+# system still reduces every word outside the pattern
+RULE_LHS_AT_2 = ["ag", "ga", "ba", "bg", "bx", "yx", "ay", "gy", "yy", "bb", "by",
+                 "aax", "axx", "axy", "gxaa", "gxa", "gx"]
+REDUNDANT_LHS = {"gxaa", "gxa"}
+
+
+class TestOneRuleRemoved:
+    """Every check of the basis on a system with one rule removed returns a
+    report: a word outside the pattern fails a check, it does not raise."""
+
+    def test_the_rules_at_2(self, alg):
+        assert [rule.lhs for rule in alg.system.rules] == RULE_LHS_AT_2
+
+    @pytest.mark.parametrize("lhs", RULE_LHS_AT_2)
+    def test_every_check_returns_a_report(self, alg, lhs):
+        a = with_rules(alg, [rule for rule in alg.system.rules if rule.lhs != lhs])
+        maps = StructureMaps(a)
+        census, freeness, coideal, recovery, witness = reports = [
+            basis_census(a, 6), freeness_check(a, 5, samples=100), check_coideal(maps),
+            recovery_check(maps), witness_check(maps)]
+        assert all(type(r) is Report for r in reports)
+        assert census.ok == freeness.ok == (lhs in REDUNDANT_LHS)
+        # the normal forms the samples meet leave the pattern
+        assert all(type(f["error"]) is NotPatternWord for f in freeness.fields["failures"])
+        recovery_errors = [f for f in recovery.fields["failures"] if "error" in f]
+        assert bool(recovery_errors) == (lhs in {"ag", "yx", "aax", "axx"})
+        assert all(type(f["error"]) is NotPatternWord for f in recovery_errors)
+        if lhs == "aax":
+            # no rule to read the normal form off, and pi meets aax itself
+            assert not witness.ok
+            assert witness.to_json()["projection"] == "'aax' is not a pattern word"
+            assert witness.fields["in_B+A"] is None
+        else:
+            assert witness.ok
+
 
 
 # -- completion at the rescaled integral point -----------------------------
