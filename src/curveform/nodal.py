@@ -15,13 +15,13 @@ import math
 import random
 import re
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate
 
-from .errors import FuelExhausted, NonOrientable, NotPatternWord
+from .errors import FuelExhausted, NotPatternWord
 from .freealg import ALPHABET, NcPoly
 from .parser import parse_expr
 from .report import Report
-from .scalar import CurvePoint, ONE, Scalar, denominator, field, reciprocal
+from .scalar import CurvePoint, ONE, Scalar
 from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 
 
@@ -99,50 +99,6 @@ class NodalAlgebra:
         return self.nf(parse_expr(text, self.point))
 
 
-def _weight(w: str) -> int:
-    """2 #x + 3 #y: x -> lam^2 x, y -> lam^3 y multiplies w by lam^_weight(w)."""
-    return 2 * w.count("x") + 3 * w.count("y")
-
-
-def _rescale(terms: dict, deg: int, lam: int, sign: int, weights: dict, memo: dict) -> dict:
-    """terms, the rhs of a rule whose lhs has weight deg or the normal form of
-    a word of weight deg, with the coefficient c of word v times
-    lam^(sign (deg - weights[v])), an int power of lam or its reciprocal, in
-    the field form of scalar.field; memo maps (c, exponent) to the product,
-    whose form depends on its value only, so Scalar(2) and 2 share it."""
-    out = {}
-    for v, c in terms.items():
-        e = sign * (deg - weights[v])
-        if e:
-            key = (c, e)
-            c = memo.get(key)
-            if c is None:
-                memo[key] = c = field(key[0] * (lam ** e if e > 0 else reciprocal(lam ** -e)))
-        out[v] = c
-    return out
-
-
-def _rescaled(rs: RuleSystem, lam: int, sign: int = 1) -> RuleSystem:
-    """rs, its rules and nf cache, under x -> lam^(2 sign) x, y -> lam^(3 sign) y:
-    an automorphism of the free algebra that multiplies each word by a
-    nonzero scalar, so both systems make the same matches and steps, cache
-    the same words and orient the same rules.  rs itself at lam = 1."""
-    if lam == 1:
-        return rs
-    cache, memo = rs._nf_cache, {}
-    # every word of a cached normal form is cached itself
-    weights = {w: _weight(w) for w in chain(cache, *((r.lhs, *r.rhs.terms) for r in rs.rules))}
-    out = RuleSystem([Rule(r.lhs, NcPoly(_rescale(r.rhs.terms, weights[r.lhs], lam, sign, weights,
-                                                  memo)), r.origin) for r in rs.rules], rs.fuel)
-    mapped = {}  # (id of a cached dict, weight of its word) -> its image, which they share
-    for w, nf in cache.items():
-        key = (id(nf), weights[w])
-        if key not in mapped:
-            mapped[key] = _rescale(nf, key[1], lam, sign, weights, memo)
-        out._nf_cache[w] = mapped[key]
-    return out
-
-
 def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     """Seed, complete, and verify the rule system at a point.
 
@@ -151,28 +107,9 @@ def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
     last completion round, log.diamond: every ambiguity of the completed
     system reduced along both branches over the rules' field of definition,
     with no second pass over the witnesses.
-    A rational point is completed once, at the integral point of the
-    rescaled presentation (lam the denominator of t = p/q); the rules, the
-    log's added rules, the nf cache and a NonOrientable difference (at the
-    weight of its witness) are mapped back, so every error is the one the
-    given coordinates raise: FuelExhausted and LimitExceeded name only the
-    witness word, steps, budget or cap, which the rescaling keeps.
     Raises ValueError if some completed rhs leaves the pattern span.
     """
-    q, p = point.q, point.p
-    lam = 1 if q.c1 or p.c1 or not q else denominator(p / q)
-    seed = RuleSystem(seed_rules(point), fuel)
-    try:
-        completed, log = complete(_rescaled(seed, lam), is_basis_word)
-    except NonOrientable as exc:
-        if lam == 1:
-            raise
-        diff = exc.difference
-        weights = {w: _weight(w) for w in diff.terms}
-        raise NonOrientable(NcPoly(_rescale(diff.terms, _weight(exc.witness), lam, -1, weights,
-                                            {})), exc.witness) from None
-    completed = _rescaled(completed, lam, -1)
-    log.added = [(w, rule) for (w, _), rule in zip(log.added, completed.rules[len(seed.rules):])]
+    completed, log = complete(RuleSystem(seed_rules(point), fuel), is_basis_word)
     for rule in completed.rules:
         bad = [w for w in rule.rhs.terms if not is_basis_word(w)]
         if bad:

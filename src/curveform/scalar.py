@@ -9,12 +9,11 @@ Fraction.  The norm form c0^2 + c0*c1 + c1^2 is positive definite over Q,
 so every nonzero Scalar is invertible and all arithmetic stays exact.
 
 This module is the one home of both coefficient forms, and no other module
-reads the slots.  Public polynomials hold Scalars; the reducer, the Hopf
-word maps and the rescaling of rational points run on the field form: an
-int when integral, else a Scalar.  Fraction, three times as slow per add or
-mul, stays at the text boundary (the views, printing and the parser).
-field(c) is the one conversion to it; reciprocal and denominator are its
-helpers.
+reads the slots.  Public polynomials hold Scalars; the reducer and the Hopf
+word maps run on the field form: an int when integral, else a Scalar.
+Fraction, three times as slow per add or mul, stays at the text boundary
+(the views, printing and the parser).  field(c) is the one conversion to
+it; reciprocal and denominator are its helpers.
 
 A Scalar is a value: its slots are written once, where it is made, and
 never after.  No __setattr__ guards them, since a guard would turn each

@@ -148,9 +148,9 @@ class TestWelldefined:
 
     @pytest.mark.parametrize("t", [2, Fraction(7, 5), Fraction(-1, 2)])
     def test_relations_are_the_seed_relations(self, t):
-        # read off the built algebra's given and folded rules, which a
-        # rational point completes rescaled and maps back: the seed relations,
-        # term for term
+        # read off the built algebra's given and folded rules, which every
+        # point completes in its own coordinates: the seed relations, term
+        # for term
         point = curve_point_from_t(t)
         seed = {rule.lhs: NcPoly.word(rule.lhs) - rule.rhs for rule in seed_rules(point)}
         assert [(name, list(rel.terms.items())) for name, rel in

@@ -312,7 +312,7 @@ class TestOneRuleRemoved:
 
 
 
-# -- completion at the rescaled integral point -----------------------------
+# -- completion at rational points -----------------------------------------
 
 def completion_state(system, log, report):
     """Everything a build returns, in order and with coefficient types: the
@@ -368,6 +368,11 @@ def mutated_seed(i, word):
 
 
 class TestRescaledCompletion:
+    """A rational point completes in its own coordinates, as an integral
+    point does: the build is the plain completion of the seed, its errors
+    included.  (The name is that of the rescaled completion these tests
+    were written for.)"""
+
     @pytest.mark.parametrize("t", ["7/5", "-1/2", "5/3", "11/7", "-9/7", "1/2"])
     def test_equals_the_plain_completion(self, t):
         point = curve_point_from_t(Fraction(t))
@@ -398,8 +403,8 @@ class TestRescaledCompletion:
         assert outcome(lambda: built(SEVEN_FIFTHS)) == want
 
     def test_a_non_orientable_mutant_names_the_plain_witness(self, monkeypatch):
-        # the rescaled difference, mapped back at its witness's weight, is
-        # the plain one term for term, coefficient types included
+        # the build's difference is the plain one term for term,
+        # coefficient types included
         raised = 0
         for i, word in MUTANTS:
             rules = mutated_seed(i, word)
@@ -448,16 +453,15 @@ class TestRescaledCompletion:
         for alg in [*algebras.values(), *built_mutants]:
             assert alg.diamond_report is alg.completion_log.diamond and alg.diamond_report.ok
 
-    def test_the_rescaled_errors_differ(self):
-        # what the mutant test guards against: 13 of the 18 NonOrientable
-        # differences of the rescaled system print other coefficients
-        differ = 0
-        for i, word in MUTANTS:
-            rules = mutated_seed(i, word)
-            want = outcome(lambda: plain(rules))
-            if want.get("error") == "NonOrientable":
-                with pytest.raises(NonOrientable) as exc:
-                    complete(nodal._rescaled(RuleSystem(rules), 5), is_basis_word)
-                differ += str(exc.value) != want["message"]
-        assert differ == 13
-
+    def test_integral_coefficients_stay_ints(self):
+        # the field form (scalar.field) holds an integral coefficient as an
+        # int, never as a Scalar; the reducer's own arithmetic keeps it so
+        scalars = 0
+        for t in sorted({Fraction(m, n) for m in range(-9, 10) for n in range(2, 8)}):
+            system = build_algebra(curve_point_from_t(t)).system
+            coeffs = [c for terms in system._rhs.values() for _, c in terms]
+            coeffs += [c for nf in system._nf_cache.values() for c in nf.values()]
+            assert [c for c in coeffs if type(c) is Scalar
+                    and not c.c1 and type(c.c0) is int] == [], t
+            scalars += sum(type(c) is Scalar for c in coeffs)
+        assert scalars

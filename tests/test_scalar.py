@@ -304,8 +304,8 @@ def test_only_scalar_reads_the_slots():
 
 
 def test_fraction_stays_out_of_the_kernel():
-    # the reducer, the Hopf word maps and the rescaling run on ints and
-    # Scalars (scalar.field); Fraction is left to the text boundary
+    # the reducer and the Hopf word maps run on ints and Scalars
+    # (scalar.field); Fraction is left to the text boundary
     package = Path(curveform.__file__).parent
     kernel = ("rewrite.py", "nodal.py", "hopf.py", "galois.py")
     named = [f"{name}:{node.lineno}" for name in kernel
