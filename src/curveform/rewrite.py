@@ -13,8 +13,6 @@ alone: in matches, ambiguities, branches and diamond entries.
 Normal forms of words are computed prefix first: a word w = h.l reduces
 through the normal form of its head h, as NF(h).l, and only a word whose
 head is irreducible is matched, where every match ends at the last letter.
-One method, RuleSystem._step, makes this step for nf_word and for the
-cache that completion carries from one round to the next.
 So the cache holds the prefixes of the reduced words and words of the form
 "normal word times one letter", which products of normal forms share.  Any
 reduction order gives a reduct; on a confluent system the normal form does
@@ -37,11 +35,15 @@ round makes the diamond report of the current system, and the last round,
 where every difference vanishes, is the diamond report of the completed
 system.  Rounds are incremental: when a rule with lhs L is added, the nf
 cache drops in place the words that hold L or whose head or prefix-first
-children were dropped.  Each ambiguity is one record for the whole build,
-its sort key and branches made once; it keeps its entry unreduced, and the
-rank of a nonzero difference, while its branch words stay cached.  So the
-final report holds entries of earlier rounds, each equal to the one a fresh
-system computes, and each new rule adds the records of its own pairs.
+children were dropped, the child words nf_word stored as it cached each
+word (while completion runs only: the completed system stores none).  Each
+ambiguity is one record for the whole build, its branches made once; it
+keeps its entry unreduced, and the rank of a nonzero difference, while its
+branch words stay cached.  So the final report holds entries of earlier
+rounds, each equal to the one a fresh system computes, and each new rule
+adds the records of its own pairs.  Two memos live as long as the process,
+as their values depend on words alone: word_matrix, and _pair_ambiguities,
+whose ambiguities and sort keys every system shares.
 
 Termination is proved by one well-founded order, a matrix interpretation
 (Hofbauer & Waldmann 2006): a word maps to the product of its letters'
@@ -139,6 +141,7 @@ class RuleSystem:
         # alternatives are tried in order, so longest first; (?!) never matches
         self._lhs_re = re.compile("|".join(sorted(self._rhs, key=len, reverse=True)) or "(?!)")
         self._nf_cache = {"": {"": 1}}
+        self._children = None  # a dict while completion runs: see nf_word
 
     # -- matching --------------------------------------------------------
 
@@ -148,35 +151,24 @@ class RuleSystem:
         m = self._lhs_re.search(w)
         return None if m is None else (m.start(), m.group())
 
-    def _step(self, w: str, head_nf: dict):
-        """The prefix-first children of w as (word, coefficient) pairs, None
-        when w is irreducible: head_nf, the normal form of the head w[:-1],
-        times the last letter when the head is reducible (not in head_nf),
-        else w rewritten at its match, which ends at the last letter."""
-        head = w[:-1]
-        if head not in head_nf:
-            last = w[-1]
-            return [(n + last, c) for n, c in head_nf.items()]
-        m = self.match(w)
-        if m is None:
-            return None
-        pos, lhs = m
-        return [(w[:pos] + t, c) for t, c in self._rhs[lhs]]
-
     # -- reduction -------------------------------------------------------
 
     def nf_word(self, w: str) -> dict:
         """Normal form of a single word as a dict {word: coefficient} over the
-        rules' field; cached, with every prefix of w, each word's children
-        from self._step.  A word that one step rewrites to a single word with
-        coefficient 1 is cached as that word's dict itself, so cached dicts
-        are shared and must never be mutated once inserted.  Reducing a word
-        that is not cached yet may visit at most self.fuel words; the words
-        cached on the way cost later calls nothing."""
+        rules' field; cached, with every prefix of w.  A word's children are
+        NF(head) times its last letter, else the word rewritten at its match;
+        while completion runs, self._children is a dict, and a reducible
+        word's child words are stored there as a tuple when it is cached.  A
+        word that one step rewrites to a single word with coefficient 1 is
+        cached as that word's dict itself, so cached dicts are shared and must
+        never be mutated once inserted.  Reducing a word that is not cached
+        yet may visit at most self.fuel words; the words cached on the way
+        cost later calls nothing."""
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
             return hit
+        record = self._children
         budget = self.fuel
         steps = 0
         pending = {}
@@ -196,11 +188,15 @@ class RuleSystem:
                 if head_nf is None:
                     stack.append(head)
                     continue
-                children = self._step(cur, head_nf)
-                if children is None:
+                if head not in head_nf:  # the head is reducible
+                    last = cur[-1]
+                    children = [(n + last, c) for n, c in head_nf.items()]
+                elif (m := self.match(cur)) is None:
                     cache[cur] = {cur: 1}
                     stack.pop()
                     continue
+                else:  # the match ends at the last letter
+                    children = [(cur[:m[0]] + t, c) for t, c in self._rhs[m[1]]]
                 pending[cur] = children
             missing = [cw for cw, _ in children if cw not in cache]
             if missing:
@@ -211,6 +207,8 @@ class RuleSystem:
             else:
                 cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
                                              for w2, c2 in cache[cw].items()))
+            if record is not None:
+                record[cur] = tuple([cw for cw, _ in children])
             del pending[cur]
             stack.pop()
         return cache[w]
@@ -248,16 +246,15 @@ class RuleSystem:
         return [r.to_json() for r in self.rules]
 
 
-def _pair_ambiguities(li: str, lj: str):
+@cache
+def _pair_ambiguities(li: str, lj: str) -> tuple:
     """The ambiguities of the rule with lhs li on the left and the one with
     lhs lj on the right: each proper suffix of li that is a proper prefix of
-    lj, and each occurrence of a shorter lj inside li."""
-    for k in range(1, min(len(li), len(lj))):
-        if li.endswith(lj[:k]):
-            yield Ambiguity("overlap", li, lj, li + lj[k:], len(li) - k)
-    if len(lj) < len(li):
-        yield from (Ambiguity("inclusion", li, lj, li, pos)
-                    for pos in range(len(li) - len(lj) + 1) if li.startswith(lj, pos))
+    lj, and each occurrence of a shorter lj inside li; memoised."""
+    return (*(Ambiguity("overlap", li, lj, li + lj[k:], len(li) - k)
+              for k in range(1, min(len(li), len(lj))) if li.endswith(lj[:k])),
+            *(Ambiguity("inclusion", li, lj, li, pos) for pos in range(len(li) - len(lj) + 1)
+              if len(lj) < len(li) and li.startswith(lj, pos)))
 
 
 def _branches(rs: RuleSystem, amb: Ambiguity):
@@ -402,24 +399,24 @@ class CompletionLog:
                 "added": [{"witness": w, "rule": r.to_json()} for w, r in self.added]}
 
 
-def _carry(rs: RuleSystem, cache: dict) -> dict:
-    """Cuts cache, the nf cache of rs before its last rule was added, in
-    place to what rs computes the same: a word is dropped when it holds the
-    new lhs, or when its head or one of its prefix-first children was
-    dropped.  A word is cached after its head and children, so one pass in
-    insertion order finds them, children only once some word was dropped.  A
-    kept word holds no new lhs, so rs._step gives its children as they were."""
+def _carry(rs: RuleSystem, cache: dict, children: dict) -> dict:
+    """Cuts cache, the nf cache of rs before its last rule was added, and
+    children, the child words nf_word stored for its words, in place to what
+    rs computes the same: a word is dropped when it holds the new lhs, or when
+    its head or one of its prefix-first children was dropped.  Words are
+    cached after their head and children, so one pass in insertion order finds
+    them, children only once some word was dropped.  A kept word holds no new
+    lhs, so its stored children are those rs makes."""
     lhs = rs.rules[-1].lhs
     dropped = set()
     for w, nf in cache.items():
-        head = w[:-1]
-        if w.endswith(lhs) or head in dropped:
+        if w.endswith(lhs) or w[:-1] in dropped:
             dropped.add(w)
-        elif dropped and w not in nf and not dropped.isdisjoint(  # w reducible
-                cw for cw, _ in rs._step(w, cache[head])):
+        elif dropped and w not in nf and not dropped.isdisjoint(children[w]):  # w reducible
             dropped.add(w)
     for w in dropped:
         del cache[w]
+        children.pop(w, None)
     return cache
 
 
@@ -445,6 +442,7 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     """
     log = CompletionLog()
     current = RuleSystem(rs.rules, rs.fuel)
+    current._children = children = {}
     records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
         log.counts.append((len(records), sum(rec.entry is None for rec in records),
@@ -461,6 +459,7 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
                 candidates.append(rec)
         if not candidates:
             log.diamond = report
+            current._children = None
             return current, log
         if len(current.rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
@@ -468,7 +467,8 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
         rule = _monic(best.entry.residual, best.rank[-1])
         log.added.append((best.amb.witness, rule))
         current, old = RuleSystem((*current.rules, rule), rs.fuel), current
-        current._nf_cache = carried = _carry(current, old._nf_cache)
+        current._nf_cache = carried = _carry(current, old._nf_cache, children)
+        current._children = children
         for rec in records:
             if not all(w in carried for branch in rec.branches for w, _ in branch):
                 rec.entry = rec.rank = None

@@ -5,7 +5,12 @@ no pruning.  pattern_words_by_index lists the pattern words from their
 index tuples (i, j, l, m, n), the words x^i y^j (ax)^l a^m b^n.  solve_gauss_jordan is the sparse Gauss-Jordan elimination over
 the field of the coefficients that the units check used before its
 elimination became fraction-free: every pivot row is normalised to a
-leading 1, so its entries are Fractions.
+leading 1, so its entries are Fractions.  pair_ambiguities_by_scan
+enumerates the ambiguities of two lhs afresh on every call, the unmemoised
+reference for rewrite._pair_ambiguities, and carry_by_step cuts a
+completion round's nf cache by deriving each word's children again from
+the new system, the reference for rewrite._carry, which reads the children
+nf_word stored.
 """
 
 from fractions import Fraction
@@ -13,6 +18,7 @@ from itertools import product
 
 from curveform.freealg import ALPHABET, accumulate, word_key
 from curveform.nodal import count_basis_words, is_basis_word
+from curveform.rewrite import Ambiguity
 from curveform.report import Report
 from curveform.scalar import Scalar
 
@@ -108,3 +114,51 @@ def solve_gauss_jordan(columns, target):
     for j, prow, prhs in reversed(eliminated):
         assignments[j] = prhs - sum(v * assignments[k] for k, v in prow.items() if k != j)
     return assignments
+
+
+def pair_ambiguities_by_scan(li: str, lj: str) -> list:
+    """The ambiguities of the rule with lhs li on the left and the one with
+    lhs lj on the right: each proper suffix of li that is a proper prefix of
+    lj, and each occurrence of a shorter lj inside li."""
+    out = []
+    for k in range(1, min(len(li), len(lj))):
+        if li.endswith(lj[:k]):
+            out.append(Ambiguity("overlap", li, lj, li + lj[k:], len(li) - k))
+    if len(lj) < len(li):
+        out.extend(Ambiguity("inclusion", li, lj, li, pos)
+                   for pos in range(len(li) - len(lj) + 1) if li.startswith(lj, pos))
+    return out
+
+
+def step_children(rs, w: str, head_nf: dict):
+    """The prefix-first children of w as (word, coefficient) pairs, None
+    when w is irreducible: head_nf, the normal form of the head w[:-1],
+    times the last letter when the head is reducible (not in head_nf),
+    else w rewritten at its match, which ends at the last letter."""
+    head = w[:-1]
+    if head not in head_nf:
+        return [(n + w[-1], c) for n, c in head_nf.items()]
+    m = rs.match(w)
+    if m is None:
+        return None
+    pos, lhs = m
+    return [(w[:pos] + t, c) for t, c in rs._rhs[lhs]]
+
+
+def carry_by_step(rs, cache: dict) -> dict:
+    """cache, the nf cache of rs before its last rule was added, cut in
+    place to what rs computes the same: a word is dropped when it holds the
+    new lhs, or when its head or one of its children, from step_children,
+    was dropped."""
+    lhs = rs.rules[-1].lhs
+    dropped = set()
+    for w, nf in cache.items():
+        head = w[:-1]
+        if w.endswith(lhs) or head in dropped:
+            dropped.add(w)
+        elif dropped and w not in nf and not dropped.isdisjoint(
+                cw for cw, _ in step_children(rs, w, cache[head])):
+            dropped.add(w)
+    for w in dropped:
+        del cache[w]
+    return cache

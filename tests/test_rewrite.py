@@ -16,6 +16,7 @@ from curveform.hopf import StructureMaps, check_welldefined, tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
+from reference_checks import carry_by_step, pair_ambiguities_by_scan
 from reference_reduction import apply_at, match_directional, normal_form_strategy, reduce_once
 
 
@@ -192,6 +193,16 @@ class TestAmbiguities:
     def test_deterministic_order(self):
         rs = RuleSystem(seed_rules(curve_point_from_t(2)))
         assert rs.find_ambiguities() == rs.find_ambiguities()
+
+    @settings(max_examples=200, deadline=None)
+    @given(li=st.text("xyagb", min_size=1, max_size=5),
+           lj=st.none() | st.text("xyagb", min_size=1, max_size=5))
+    def test_pair_memo_equals_a_fresh_enumeration(self, li, lj):
+        # lj None is the self-pair (li, li)
+        lj = li if lj is None else lj
+        memo = rewrite._pair_ambiguities(li, lj)
+        assert type(memo) is tuple and list(memo) == pair_ambiguities_by_scan(li, lj)
+        assert rewrite._pair_ambiguities(li, lj) is memo
 
 
 class TestDiamond:
@@ -688,9 +699,13 @@ class TestIncrementalCompletion:
         assert set(log.to_json()) == {"rounds", "added"}
 
     def test_branches_keys_and_ranks_are_made_once_per_build(self, monkeypatch):
-        # one branch pair and one sort key per ambiguity, 51 in all, and one
-        # rank per entry with a nonzero difference, however many rounds see
-        # it: each added rule is made from its record's rank
+        # one branch pair per ambiguity, 51 in all, and one rank per entry
+        # with a nonzero difference, however many rounds see it: each added
+        # rule is made from its record's rank.  The ambiguities of an lhs
+        # pair, with their sort keys, are made once per process, so a cold
+        # memo makes 51 keys in the first build and none in a build at
+        # another point, whose lhs are the same words
+        rewrite._pair_ambiguities.cache_clear()
         made = {"branches": 0, "keys": 0, "ranks": []}
         branches, word_key = rewrite._branches, rewrite.word_key
         rank = rewrite.rank
@@ -713,6 +728,41 @@ class TestIncrementalCompletion:
         assert made["branches"] == made["keys"] == len(rounds[-1][1]) == 51
         assert len(made["ranks"]) == len(nonzero) == 19
         assert {id(d) for d in made["ranks"]} == nonzero
+        made.update(branches=0, keys=0)
+        rounds = completion_rounds(monkeypatch, Fraction(7, 5))
+        assert made["branches"] == len(rounds[-1][1]) == 51 and made["keys"] == 0
+
+    @pytest.mark.parametrize("t", [*POINTS, "0", "1"])
+    def test_carry_equals_the_reference_carry(self, monkeypatch, t):
+        # every round's carry keeps the words, in their order, that a carry
+        # deriving each word's children again keeps, and the stored children
+        # are those of the carried reducible words
+        carry, seen = rewrite._carry, []
+
+        def checked(rs, cache, children):
+            expected = list(carry_by_step(rs, dict(cache)))
+            carried = carry(rs, cache, children)
+            seen.append((list(carried), expected))
+            assert set(children) == {w for w, nf in carried.items() if w not in nf}
+            return carried
+
+        monkeypatch.setattr(rewrite, "_carry", checked)
+        build_algebra(curve_point_from_t(Fraction(t)))
+        assert len(seen) == 4 and all(len(carried) > 1 for carried, _ in seen)
+        for carried, expected in seen:
+            assert carried == expected
+
+    def test_children_are_stored_only_while_completing(self):
+        rng = random.Random(0)
+        alg = build_algebra(curve_point_from_t(2))
+        direct = RuleSystem(alg.system.rules)
+        assert alg.system._children is None and direct._children is None
+        for _ in range(50):
+            f, g = (NcPoly.word("".join(rng.choices("xyagb", k=rng.randint(1, 5))))
+                    for _ in "fg")
+            alg.nf(f * g)
+            direct.normal_form(f * g)
+        assert alg.system._children is None and direct._children is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_final_report_equals_a_fresh_check(self, seed):
