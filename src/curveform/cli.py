@@ -163,8 +163,8 @@ SUITE_RUNNERS = {
     "diamond": lambda alg, maps, args: [_diamond_summary(alg)],
     "basis": lambda alg, maps, args: [basis_census(alg, _bound(args.max_len, 6))],
     "growth": lambda alg, maps, args: [growth(alg, _bound(args.max_len, 200))],
-    "freeness": lambda alg, maps, args: [freeness_check(
-        alg, _bound(args.max_len, 5), samples=100, seed=args.seed)],
+    "freeness": lambda alg, maps, args: [
+        freeness_check(alg, _bound(args.max_len, 5), seed=args.seed)],
     "hopf": lambda alg, maps, args: [
         hopf.check_welldefined(maps),
         hopf.check_hopf_axioms(maps, samples=args.samples, seed=args.seed)],

@@ -13,11 +13,10 @@ The recovery and witness checks each return a report.Report.
 
 from __future__ import annotations
 
-from .errors import NotPatternWord
 from .freealg import NcPoly, Sparse, TensorPoly, accumulate, word_key
 from .hopf import StructureMaps, _counit_word, _delta_word, apply_counit
-from .nodal import NodalAlgebra, is_b_word, pattern_words, split_pattern_word
-from .report import Report
+from .nodal import NodalAlgebra, b_decompose, is_b_word, pattern_words, split_pattern_word
+from .report import Report, attempt
 
 
 class CPoly(Sparse):
@@ -36,13 +35,9 @@ class CPoly(Sparse):
 
 
 def project_pi(f: NcPoly, maps: StructureMaps) -> CPoly:
-    """pi(f): each normal-form word prefix * tail of f goes to
-    eps(prefix) [tail]."""
-    pairs = []
-    for w, c in maps.alg.nf(f).terms.items():
-        prefix, tail = split_pattern_word(w)
-        pairs.append((tail, c * _counit_word(prefix, maps)))
-    return CPoly(pairs)
+    """pi(f): the counit of each B-coefficient of f (nodal.b_decompose) on
+    the class of its tail."""
+    return CPoly((t, apply_counit(coeff, maps)) for t, coeff in b_decompose(f, maps.alg).items())
 
 
 def _coaction_terms(pairs, maps: StructureMaps) -> dict:
@@ -80,7 +75,8 @@ def _is_trivial(w: str, maps: StructureMaps) -> bool:
 def recovery_check(maps: StructureMaps, max_deg=6) -> Report:
     """On basis words: lambda(f) = 1-bar (x) f exactly for the B-side, and
     never for basis words with a nontrivial tail.  A word whose coaction
-    meets a word outside the pattern fails, holding the error."""
+    cannot finish (report.attempt) is a failure that holds the error under
+    "error"."""
     alg = maps.alg
     words = pattern_words(max_deg)
     b_words = [w for w in words if is_b_word(w)]
@@ -89,11 +85,11 @@ def recovery_check(maps: StructureMaps, max_deg=6) -> Report:
     for kind, words, trivial in (("b_word", b_words, True),
                                  ("non_b_word", non_b_words, False)):
         for w in words:
-            try:
-                if _is_trivial(w, maps) != trivial:
-                    failures.append({"kind": kind, "word": w})
-            except NotPatternWord as exc:
-                failures.append({"kind": kind, "word": w, "error": exc})
+            is_trivial, error = attempt(lambda: _is_trivial(w, maps))
+            if error:
+                failures.append({"kind": kind, "word": w, "error": error})
+            elif is_trivial != trivial:
+                failures.append({"kind": kind, "word": w})
     return Report("galois_recovery", {"point": alg.point,
                                       "b_words_checked": len(b_words),
                                       "non_b_words_checked": len(non_b_words),
@@ -103,27 +99,24 @@ def recovery_check(maps: StructureMaps, max_deg=6) -> Report:
 def witness_check(maps: StructureMaps) -> Report:
     """a^2 (x - q) lies in AB+ (right factor in B+) but not in B+A, so the
     two one-sided ideals differ and C is not a Hopf quotient.  Its normal
-    form is read off the algebra's rule a^2 x -> rhs, as rhs - q a^2; with
-    no such rule, or with a projection that meets a word outside the
-    pattern (then the projection field holds the error), the check fails."""
+    form is read off the algebra's rule a^2 x -> rhs, as rhs - q a^2.  The
+    check fails with no such rule, or when the normal form or the projection
+    cannot finish (report.attempt): then its field holds the error."""
     alg = maps.alg
     q = alg.point.q
     a2 = NcPoly.word("aa")
     x_minus_q = NcPoly.word("x") - NcPoly.scalar(q)
     f = a2 * x_minus_q
-    nf = alg.nf(f)
+    nf, nf_error = attempt(lambda: alg.nf(f))
     rhs = next((rule.rhs for rule in alg.system.rules if rule.lhs == "aax"), None)
     # membership in AB+ holds by the factorization a^2 * (x - q) once the
     # right factor is checked to lie in B+ = B /\ ker eps
     in_ab_plus = all(map(is_b_word, x_minus_q.terms)) and not apply_counit(x_minus_q, maps)
-    try:
-        projection = project_pi(f, maps)
-        in_b_plus_a = not projection
-    except NotPatternWord as exc:
-        projection, in_b_plus_a = exc, None
+    projection, pi_error = attempt(lambda: project_pi(f, maps))
+    in_b_plus_a = None if pi_error else not projection
     return Report("galois_witness", {"point": alg.point, "element": "a^2*(x - q)",
-                                     "normal_form": nf, "in_AB+": in_ab_plus,
+                                     "normal_form": nf_error or nf, "in_AB+": in_ab_plus,
                                      "in_B+A": in_b_plus_a,
-                                     "projection": projection},
-                  rhs is not None and nf == rhs - a2.scale(q) and in_ab_plus
-                  and in_b_plus_a is False)
+                                     "projection": pi_error or projection},
+                  rhs is not None and not nf_error and nf == rhs - a2.scale(q)
+                  and in_ab_plus and in_b_plus_a is False)

@@ -17,10 +17,10 @@ import re
 from functools import cache
 from itertools import accumulate
 
-from .errors import FuelExhausted, NotPatternWord
+from .errors import NotPatternWord
 from .freealg import ALPHABET, NcPoly
 from .parser import parse_expr
-from .report import Report
+from .report import Report, attempt
 from .scalar import CurvePoint, ONE, Scalar
 from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
 
@@ -221,25 +221,23 @@ def random_poly(rng, coeff_pool, max_len=6) -> NcPoly:
     return NcPoly([term() for _ in range(rng.randint(1, 3))])
 
 
-def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Report:
+def freeness_check(alg: NodalAlgebra, max_len: int, samples=100, seed=0) -> Report:
     """Left-freeness evidence: every pattern word of length <= max_len, which
     is uniquely a b-word times a tail, is irreducible, so its own normal
     form (each step lowers a word in the termination order), and on random
     elements f the decomposition multiplies back in A: sum over tails t of
     NF(coeff_t * t) is NF(f).  Also records (without asserting) whether the
     right-handed products NF(tail * b-word) stay tail-pure.  A sample or
-    right-handed product whose reduction runs out of fuel or meets a word
-    outside the pattern is a failure that holds the error, and the check
-    goes on."""
+    right-handed product that cannot finish (report.attempt) is a failure
+    that holds the error under "error", and the check goes on."""
     failures = []
 
-    def attempt(failure, compute):
-        """compute(), or None when it runs out of fuel or meets a word
-        outside the pattern: then failure is recorded with the error."""
-        try:
-            return compute()
-        except (FuelExhausted, NotPatternWord) as exc:
-            failures.append({**failure, "error": exc})
+    def settle(failure, compute):
+        """compute(), or None once failure is recorded, holding the error it met."""
+        value, error = attempt(compute)
+        if error:
+            failures.append({**failure, "error": error})
+        return value
 
     words = pattern_words(max_len)
     for w in words:
@@ -251,7 +249,7 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
         failure = {"kind": "roundtrip", "poly": f}
-        if attempt(failure, lambda: sum(
+        if settle(failure, lambda: sum(
                 (alg.nf(coeff * NcPoly.word(t)) for t, coeff in b_decompose(f, alg).items()),
                 NcPoly.zero()) != alg.nf(f)):
             failures.append(failure)
@@ -261,7 +259,7 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=500, seed=0) -> Repo
     tails = [w for w in short if w and not split_pattern_word(w)[0]]
     for bw in b_words:
         for t in tails:
-            nf_tails = attempt({"kind": "right_product", "b": bw, "tail": t}, lambda: {
+            nf_tails = settle({"kind": "right_product", "b": bw, "tail": t}, lambda: {
                 split_pattern_word(w)[1] for w in alg.nf(NcPoly.word(t + bw)).terms})
             if nf_tails is not None and nf_tails != {t}:
                 right_pure = False

@@ -1,12 +1,25 @@
-"""The one report type of every check.
+"""The one report type of every check, and the one rule for a sub-check
+that cannot finish.
 
 A Report is a check name, a verdict and a dict of JSON fields; it prints as
 {"check", "status", **fields}, so every report carries its verdict under
 the same key.  An Entry is a named sub-check that passes iff its residual
-vanishes.
+vanishes.  A sub-check that cannot finish (attempt) becomes a failure that
+holds its error, and the check goes on; no other module catches the error.
 """
 
 from __future__ import annotations
+
+from .errors import FuelExhausted, NotPatternWord
+
+
+def attempt(compute):
+    """(compute(), None), or (None, error) when compute() cannot finish: it
+    raised FuelExhausted or NotPatternWord."""
+    try:
+        return compute(), None
+    except (FuelExhausted, NotPatternWord) as exc:
+        return None, exc
 
 
 def to_json(value):
@@ -27,8 +40,8 @@ def to_json(value):
 class Entry:
     """A named sub-check.  It passes iff its residual vanishes; a vanishing
     residual prints as null.  The residual of a sub-check that could not
-    finish is its exception, which fails the entry and prints as the error
-    message."""
+    finish (see attempt) is its error, which fails the entry and prints as
+    the error message."""
 
     __slots__ = ("name", "residual", "ok")
 
@@ -63,6 +76,14 @@ class Report:
 
     def add(self, name, residual):
         self.fields["entries"].append(Entry(name, residual))
+
+    def add_all(self, names, compute):
+        """Add one entry per name, with the residuals in the list compute()
+        returns; when compute() cannot finish (see attempt), each of these
+        entries fails holding the error."""
+        residuals, error = attempt(compute)
+        for name, residual in zip(names, [error] * len(names) if error else residuals):
+            self.add(name, residual)
 
     def to_json(self):
         return {"check": self.check, "status": "pass" if self.ok else "fail",

@@ -69,7 +69,7 @@ from operator import ge
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
 from .freealg import NcPoly, accumulate, check_word, word_key
-from .report import Entry, Report
+from .report import Entry, Report, attempt
 
 DEFAULT_FUEL = 100_000
 
@@ -287,18 +287,16 @@ class _Record:
 
 def _diamond(rs: RuleSystem, records) -> Report:
     """The diamond report of rs over the records, in their order.  A record
-    without an entry gets one: its branch difference as the residual, or the
-    FuelExhausted of a branch that ran out of fuel (a failing entry that
-    prints the error message).  Every other record keeps its entry, the same
-    object, without reducing anything."""
+    without an entry gets one: its branch difference as the residual, or,
+    when a branch cannot finish (report.attempt), the error, a failing
+    entry that prints the error message.  Every other record keeps its
+    entry, the same object, without reducing anything."""
     for rec in records:
         if rec.entry is None:
             amb = rec.amb
             name = f"{amb.kind} {amb.witness} ({amb.left}@0, {amb.right}@{amb.pos_right})"
-            try:
-                rec.entry = Entry(name, branch_difference(rs, amb, rec.branches))
-            except FuelExhausted as exc:
-                rec.entry = Entry(name, exc)
+            diff, error = attempt(lambda: branch_difference(rs, amb, rec.branches))
+            rec.entry = Entry(name, error or diff)
     entries = [rec.entry for rec in records]
     return Report("diamond", {"rules": len(rs.rules), "ambiguities": len(entries),
                               "unresolved": sum(1 for e in entries if not e.ok),
@@ -308,8 +306,8 @@ def _diamond(rs: RuleSystem, records) -> Report:
 def check_diamond(rs: RuleSystem) -> Report:
     """Reduce every ambiguity witness along both branches; the verdict is ok
     iff all differences vanish (local confluence).  Each entry is named by
-    its ambiguity; one whose reduction runs out of fuel fails with the error
-    message as its residual.  complete's last round makes the same report
+    its ambiguity; one whose reduction cannot finish fails with the error
+    as its residual.  complete's last round makes the same report
     for the system it returns, partly from earlier rounds' entries, so
     build_algebra does not call this."""
     return _diamond(rs, [_Record(rs, amb) for amb in rs.find_ambiguities()])
