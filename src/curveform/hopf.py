@@ -18,9 +18,13 @@ coassociative on the generators but does not respect the relations.
 The generator values are stored once, in the field form of scalar.field
 (an int when integral, else a Scalar), the form RuleSystem.nf_word runs
 on.  The word maps, axiom residuals and units elimination run on dicts in
-that form, each product accumulated before RuleSystem.nf_terms reduces it;
-what the module returns holds Scalars only: apply_delta, apply_antipode,
-apply_counit, tensor_nf, every report residual and the units witness.
+that form.  The word maps and the antipode residuals reduce their products
+one letter at a time: S and the residuals by RuleSystem.nf_times, delta as
+NF(u u2) (x) NF(v v2) for each term u (x) v of delta(w[:i]) and u2 (x) v2
+of delta(w[i]), whose legs have at most one letter; the units search
+reduces its columns by RuleSystem.nf_terms.  What the module returns holds
+Scalars only: apply_delta, apply_antipode, apply_counit, tensor_nf, every
+report residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  A
 sub-check that cannot finish (report.attempt) fails the entries it was
 computing, with the error as their residual, and the check goes on; in
@@ -80,17 +84,19 @@ def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
 def _delta_word(w: str, maps: StructureMaps) -> dict:
     """delta on a word as a dict {(u, v): coefficient} over the rules' field,
     multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1]), built up from
-    the longest cached prefix of w, caching every longer one."""
+    the longest cached prefix of w, caching every longer one.  Each product
+    of terms is reduced leg by leg, each leg a normal word times at most one
+    letter."""
     cache = maps._delta_cache
     n = len(w)
     while w[:n] not in cache:
         n -= 1
-    hit, gens = cache[w[:n]], maps.delta_terms
+    hit, gens, nf_word = cache[w[:n]], maps.delta_terms, maps.alg.system.nf_word
     for i in range(n, len(w)):
-        gen = gens[w[i]]
-        prod = accumulate({}, (((u + u2, v + v2), c * c2) for (u, v), c in hit.items()
-                               for (u2, v2), c2 in gen))
-        cache[w[:i + 1]] = hit = maps.alg.system.nf_terms(prod.items())
+        cache[w[:i + 1]] = hit = accumulate({}, (
+            ((s, t), cc * cs * ct) for (u, v), c in hit.items() for (u2, v2), c2 in gens[w[i]]
+            for left, right, cc in [(nf_word(u + u2), nf_word(v + v2), c * c2)]
+            for s, cs in left.items() for t, ct in right.items()))
     return hit
 
 
@@ -122,8 +128,8 @@ def _antipode_word(w: str, maps: StructureMaps) -> dict:
         n += 1
     hit, gens = cache[w[n:]], maps.antipode_terms
     for i in range(n - 1, -1, -1):
-        prod = concat_product(hit.items(), gens[w[i]])
-        cache[w[i:]] = hit = maps.alg.system.nf_terms(prod.items())
+        cache[w[i:]] = hit = maps.alg.system.nf_times(
+            {t: {s: c * cs for s, cs in hit.items()} for t, c in gens[w[i]] if c})
     return hit
 
 
@@ -191,9 +197,11 @@ def check_hopf_axioms(maps: StructureMaps, samples=200, seed=0) -> Report:
 
 def _hopf_residuals(f: NcPoly, maps: StructureMaps):
     """The residuals of the HOPF_AXIOMS on f, in that order.  They are
-    computed over the rules' field, the two antipode sums reduced only once
-    both are built, and become a TensorPoly and NcPolys at the end."""
-    nf_terms = maps.alg.system.nf_terms
+    computed over the rules' field and become a TensorPoly and NcPolys at
+    the end.  The antipode sums are grouped by their right words, S(u) v by
+    v and u S(v) by the words s of S(v), and RuleSystem.nf_times reduces
+    each only once both are built."""
+    nf_terms, nf_times = maps.alg.system.nf_terms, maps.alg.system.nf_times
     terms = f.field_terms()
     d = accumulate({}, ((k, c * cd) for w, c in terms
                         for k, cd in _delta_word(w, maps).items())).items()
@@ -206,14 +214,16 @@ def _hopf_residuals(f: NcPoly, maps: StructureMaps):
          for (v1, v2), cv in _delta_word(v, maps).items())))
     counit_l = accumulate({}, ((v, c * _counit_word(u, maps)) for (u, v), c in d))
     counit_r = accumulate({}, ((u, c * _counit_word(v, maps)) for (u, v), c in d))
-    antipode_l = accumulate({}, ((s + v, c * cs) for (u, v), c in d
-                                 for s, cs in _antipode_word(u, maps).items()))
-    antipode_r = accumulate({}, ((u + s, c * cs) for (u, v), c in d
-                                 for s, cs in _antipode_word(v, maps).items()))
+    antipode_l, antipode_r = {}, {}
+    for (u, v), c in d:
+        accumulate(antipode_l.setdefault(v, {}),
+                   ((s, c * cs) for s, cs in _antipode_word(u, maps).items()))
+        for s, cs in _antipode_word(v, maps).items():
+            accumulate(antipode_r.setdefault(s, {}), [(u, c * cs)])
     return [TensorPoly(3, coassoc),
             NcPoly(accumulate(counit_l, minus_f)), NcPoly(accumulate(counit_r, minus_f)),
-            NcPoly(accumulate(nf_terms(antipode_l.items()), minus_eps)),
-            NcPoly(accumulate(nf_terms(antipode_r.items()), minus_eps))]
+            NcPoly(accumulate(nf_times(antipode_l), minus_eps)),
+            NcPoly(accumulate(nf_times(antipode_r), minus_eps))]
 
 
 def check_identities(alg: NodalAlgebra) -> Report:

@@ -26,9 +26,11 @@ coefficients multiply the cached normal forms of its words.  A word
 rewritten by a rule whose rhs is a single word with coefficient 1 shares
 that word's cached normal form instead of a copy.  Every sum of c *
 NF(key), over words or tensor legs, is made by one reducer,
-RuleSystem.nf_terms: normal forms of elements, branch differences of
-ambiguities (only the difference itself becomes an NcPoly of Scalars) and
-the word maps of the Hopf layer.
+RuleSystem.nf_terms: normal forms of elements and branch differences of
+ambiguities (only the difference itself becomes an NcPoly of Scalars).  A
+sum of normal forms times words, as the Hopf layer's antipode makes, is
+reduced by RuleSystem.nf_times one letter at a time, so that only words
+of the form normal word times one letter are reduced and cached.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -223,6 +225,23 @@ class RuleSystem:
         return accumulate({}, ((w, c * cw) for key, c in pairs
                                for w, cw in (nf_word(key) if type(key) is str
                                              else self._nf_legs(key)).items()))
+
+    def nf_times(self, groups) -> dict:
+        """The normal form of the sum of P_v * v over groups = {v: P_v} as a
+        new dict, each P_v a dict over normal words, by Horner's scheme on the
+        suffixes of the v: longest v first, in insertion order, P_v times the
+        first letter of v is reduced (NF(n + letter) for each word n) and
+        added after the terms of the group of the rest of v.  So only a
+        normal word times one letter is reduced, and groups that share a
+        suffix merge before their next letter.  No P_v is written into."""
+        nf_word, groups = self.nf_word, dict(groups)
+        for size in range(max(map(len, groups), default=0), 0, -1):
+            for v in [v for v in groups if len(v) == size]:
+                prod = accumulate({}, ((w, c * cw) for n, c in groups.pop(v).items()
+                                       for w, cw in nf_word(n + v[0]).items()))
+                old = groups.get(v[1:])
+                groups[v[1:]] = prod if old is None else accumulate(dict(old), prod.items())
+        return dict(groups.get("", {}))
 
     def _nf_legs(self, key) -> dict:
         """NF(u1) (x) ... (x) NF(uk) for a tuple key (u1, ..., uk)."""

@@ -394,9 +394,9 @@ class TestArgHandling:
         assert err == "error: reduction of y^2*x exhausted its fuel: 1 steps taken, budget 1\n"
 
     def test_fuel_overrun_in_a_check_is_a_failing_entry(self, capsys):
-        # the random element 11 needs more than 200 steps: its five entries
-        # fail with the error, and the suite reports instead of stopping
-        code, out, err = run(capsys, "suite", "hopf", "--t", "2", "--fuel", "200",
+        # the random element 11 needs more than 150 steps (166 do): its five
+        # entries fail with the error, and the suite reports instead of stopping
+        code, out, err = run(capsys, "suite", "hopf", "--t", "2", "--fuel", "150",
                              "--samples", "20", "--json")
         assert code == 1 and err == ""
         welldefined, axioms = json.loads(out)["reports"]
@@ -407,7 +407,14 @@ class TestArgHandling:
             f"{kind} random 11" for kind in
             ("coassoc", "counit-left", "counit-right", "antipode-left", "antipode-right")]
         assert {e["residual"] for e in failed} == {
-            "reduction of a*x*a^-4*x^3*a^3 exhausted its fuel: 200 steps taken, budget 200"}
+            "reduction of a*x*a*x*a*x*a^-6*x exhausted its fuel: 150 steps taken, budget 150"}
+
+    def test_hopf_checks_pass_on_fuel_200(self, capsys):
+        # products are reduced a normal word times one letter at a time
+        code, out, err = run(capsys, "suite", "hopf", "--t", "2", "--fuel", "200",
+                             "--samples", "20", "--json")
+        assert code == 0 and err == ""
+        assert [r["status"] for r in json.loads(out)["reports"]] == ["pass", "pass"]
 
     def test_fuel_overrun_in_freeness_fails_a_sample(self, capsys):
         # the right product a*x*a^-1 * x^3 needs more than 110 steps

@@ -465,9 +465,20 @@ class ReferenceMaps:
             n += 1
         hit = self.antipode[w[n:]]
         for i in range(n - 1, -1, -1):
-            gen = NcPoly(self.maps.antipode_terms[w[i]])
-            self.antipode[w[i:]] = hit = self.alg.nf(hit * gen)
+            self.antipode[w[i:]] = hit = self.times(
+                {t: hit.scale(c) for t, c in self.maps.antipode_terms[w[i]] if c})
         return hit
+
+    def times(self, groups):
+        """The normal form of the sum of P * v over groups = {v: P}, each P a
+        normal NcPoly, letter at a time: longest v first, in insertion order,
+        P times the first letter of v is reduced by alg.nf and added to the
+        group of the rest of v."""
+        for size in range(max(map(len, groups), default=0), 0, -1):
+            for v in [v for v in groups if len(v) == size]:
+                prod = self.alg.nf(groups.pop(v) * NcPoly.word(v[0]))
+                groups[v[1:]] = groups[v[1:]] + prod if v[1:] in groups else prod
+        return groups.get("", NcPoly.zero())
 
     def counit_word(self, w):
         v = ONE
@@ -498,12 +509,13 @@ class ReferenceMaps:
              for (v1, v2), cv in self.delta_word(v).terms.items())))
         counit_l = NcPoly((v, c * self.counit_word(u)) for (u, v), c in d)
         counit_r = NcPoly((u, c * self.counit_word(v)) for (u, v), c in d)
-        antipode_l = NcPoly((s + v, c * cs) for (u, v), c in d
-                            for s, cs in self.antipode_word(u).terms.items())
-        antipode_r = NcPoly((u + s, c * cs) for (u, v), c in d
-                            for s, cs in self.antipode_word(v).terms.items())
+        antipode_l, antipode_r = {}, {}
+        for (u, v), c in d:
+            antipode_l[v] = antipode_l.get(v, NcPoly.zero()) + self.antipode_word(u).scale(c)
+            for s, cs in self.antipode_word(v).terms.items():
+                antipode_r[s] = antipode_r.get(s, NcPoly.zero()) + NcPoly.word(u, c * cs)
         return [coassoc, counit_l - nf_f, counit_r - nf_f,
-                alg.nf(antipode_l) - eps_f, alg.nf(antipode_r) - eps_f]
+                self.times(antipode_l) - eps_f, self.times(antipode_r) - eps_f]
 
 
 def hopf_elements(alg, samples, seed):

@@ -4,7 +4,7 @@ from functools import cache
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curveform import rewrite
 from curveform.errors import FuelExhausted, LimitExceeded, NonOrientable
@@ -542,6 +542,70 @@ class TestPrefixFirst:
         rs = RuleSystem(alg.system.rules)
         assert rs.nf_word("bbx") == alg.system.nf_word("aaax")
         assert {"", "b", "bb", "bbx", "aaax"} <= set(rs._nf_cache)
+
+
+# -- products of normal forms with words, one letter at a time ------------
+
+# a group's P_v: a word, whose cached normal form is passed as it is, or
+# (word, coefficient) pairs, whose normal form nf_terms makes
+group_values = st.one_of(
+    st.text(ALPHABET, max_size=4),
+    st.lists(st.tuples(st.text(ALPHABET, max_size=4), st.integers(-3, 3).filter(bool)),
+             max_size=3))
+# suffixes over three letters share suffixes often
+group_specs = st.dictionaries(st.text("xag", max_size=3) | st.text(ALPHABET, max_size=3),
+                              group_values, max_size=4)
+SHARED_SUFFIXES = {"gax": "xy", "ax": [("b", 2), ("xa", -1)], "x": "ba", "": "y", "yx": "g"}
+
+
+def times_groups(rs, spec):
+    return {v: rs.nf_word(p) if type(p) is str else rs.nf_terms(p) for v, p in spec.items()}
+
+
+class TestNfTimes:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.sampled_from(["2", "7/5"]), spec=group_specs)
+    @example(t="2", spec={}).via("the empty sum")
+    @example(t="2", spec={"": "xy"}).via("v empty only")
+    @example(t="7/5", spec=SHARED_SUFFIXES).via("shared suffixes")
+    def test_equals_nf_terms_of_the_concatenations(self, systems_by_t, t, spec):
+        rs = RuleSystem(systems_by_t[t].rules)
+        groups = times_groups(rs, spec)
+        before = {v: list(p.items()) for v, p in groups.items()}
+        got = rs.nf_times(groups)
+        want = rs.nf_terms((n + v, c) for v, p in groups.items() for n, c in p.items())
+        assert NcPoly(got) == NcPoly(want)
+        # a new dict; neither the groups nor any P_v written into
+        assert all(got is not p for p in groups.values())
+        assert {v: list(p.items()) for v, p in groups.items()} == before
+
+    def test_leaves_cached_dicts_unchanged(self, alg):
+        # x and "" are cached normal forms that the groups of gax and ax
+        # merge into on their way down
+        rs = RuleSystem(alg.system.rules)
+        groups = {v: rs.nf_word(w) for v, w in (("gax", "b"), ("ax", "y"), ("x", "bx"), ("", "a"))}
+        cache = {w: list(nf.items()) for w, nf in rs._nf_cache.items()}
+        got = rs.nf_times(groups)
+        assert got == rs.nf_terms([("bgax", 1), ("yax", 1), ("bxx", 1), ("a", 1)])
+        assert all(list(rs._nf_cache[w].items()) == terms for w, terms in cache.items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.sampled_from(["2", "7/5"]), spec=group_specs)
+    @example(t="2", spec=SHARED_SUFFIXES).via("shared suffixes")
+    def test_reduces_only_a_normal_word_times_one_letter(self, systems_by_t, t, spec):
+        rs = RuleSystem(systems_by_t[t].rules)
+        groups = times_groups(rs, spec)
+        reduced, nf_word = [], rs.nf_word
+
+        def recording(w):
+            reduced.append(w)
+            return nf_word(w)
+
+        rs.nf_word = recording
+        rs.nf_times(groups)
+        del rs.nf_word
+        assert all(w and rs.nf_word(w[:-1]) == {w[:-1]: 1} for w in reduced)
+        assert reduced or not any(v and p for v, p in groups.items())
 
 
 # -- completion in the field of definition, its last round the diamond check
