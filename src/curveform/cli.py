@@ -174,7 +174,7 @@ SUITE_RUNNERS = {
     "galois": lambda alg, maps, args: [
         galois.recovery_check(maps, _bound(args.max_deg, 6)),
         galois.witness_check(maps)],
-    "units": lambda alg, maps, args: [hopf.units_suite(alg, max_len=_bound(args.max_len, 6))],
+    "units": lambda alg, maps, args: [hopf.units_suite(maps, max_len=_bound(args.max_len, 6))],
 }
 SUITES = (*SUITE_RUNNERS, "all")
 

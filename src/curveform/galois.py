@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .freealg import NcPoly, Sparse, TensorPoly, accumulate, word_key
 from .hopf import StructureMaps, _counit_word, _delta_word, apply_counit
-from .nodal import NodalAlgebra, b_decompose, is_b_word, pattern_words, split_pattern_word
+from .nodal import b_decompose, is_b_word, pattern_words, split_pattern_word
 from .report import Report, attempt
 
 
@@ -58,11 +58,6 @@ def coaction(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     """lambda(f) = (pi (x) id) delta(f) in C (x) A, keyed by (tail class,
     word), right legs in normal form."""
     return TensorPoly(2, _coaction_terms(f.terms.items(), maps))
-
-
-def trivial_coaction(f: NcPoly, alg: NodalAlgebra) -> TensorPoly:
-    """The value 1-bar (x) f that characterizes membership in B."""
-    return TensorPoly(2, {("", w): c for w, c in alg.nf(f).terms.items()})
 
 
 def _is_trivial(w: str, maps: StructureMaps) -> bool:

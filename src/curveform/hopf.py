@@ -21,10 +21,13 @@ on.  The word maps, axiom residuals and units elimination run on dicts in
 that form.  The word maps and the antipode residuals reduce their products
 one letter at a time: S and the residuals by RuleSystem.nf_times, delta as
 NF(u u2) (x) NF(v v2) for each term u (x) v of delta(w[:i]) and u2 (x) v2
-of delta(w[i]), whose legs have at most one letter; the units search
-reduces its columns by RuleSystem.nf_terms.  What the module returns holds
-Scalars only: apply_delta, apply_antipode, apply_counit, tensor_nf, every
-report residual and the units witness.
+of delta(w[i]), whose legs have at most one letter.  A unit candidate f
+is inverted by its antipode when S(f) lies within the search bound and
+f S(f) and S(f) f both reduce to 1, as for a group-like f; any other
+candidate goes to the bounded search, which reduces its columns by
+RuleSystem.nf_terms.  What the module returns holds Scalars only:
+apply_delta, apply_antipode, apply_counit, tensor_nf, every report
+residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  A
 sub-check that cannot finish (report.attempt) fails the entries it was
 computing, with the error as their residual, and the check goes on; in
@@ -401,18 +404,34 @@ def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6):
     return NcPoly(witness) if nf_terms(concat_product(terms, witness).items()) == {"": 1} else None
 
 
-def units_suite(alg: NodalAlgebra, max_len=6) -> Report:
+def units_suite(maps: StructureMaps, max_len=6) -> Report:
     """The reference sample: a, b, a^2 b, a^-1 b are units; 1+x, x, c,
     1+y admit no inverse with bounded support.  Each candidate is its key
     in EXPECTED_UNITS read as an expression, c that of alt_generators; the
-    verdict is that every candidate matches its value.  A candidate whose search cannot finish (report.attempt) matches
-    nothing: its entry holds the error under "error", and the check goes
-    on."""
+    verdict is that every candidate matches its value.  The witness is S(f)
+    when S(f) is supported on pattern words of length <= max_len and is a
+    two-sided inverse of f, so the one inverse the search would find (a
+    group-like g has g^-1 = S(g)); otherwise it is the search's,
+    units_bounded_check.  A candidate whose inversion cannot finish
+    (report.attempt) matches nothing: its entry holds the error under
+    "error", and the check goes on."""
+    alg = maps.alg
+    nf_terms, support = alg.system.nf_terms, set(pattern_words(max_len))
     c = alt_generators(alg)[0]
+
+    def inverse(f):
+        s = apply_antipode(f, maps)
+        terms, s_terms = f.field_terms(), s.field_terms()
+        if s.terms.keys() <= support and all(
+                nf_terms(concat_product(left, right).items()) == {"": 1}
+                for left, right in ((terms, s_terms), (s_terms, terms))):
+            return s
+        return units_bounded_check(alg, f, max_len)
+
     entries = []
     for name in EXPECTED_UNITS:
         f = c if name == "c" else parse_expr(name, alg.point)
-        inv, error = attempt(lambda: units_bounded_check(alg, f, max_len))
+        inv, error = attempt(lambda: inverse(f))
         entry = {"element": name, "invertible": inv is not None, "witness": inv}
         entries.append({**entry, "invertible": None, "error": error} if error else entry)
     ok = all(e["invertible"] == EXPECTED_UNITS[e["element"]] for e in entries)

@@ -200,8 +200,13 @@ def b_decompose(f: NcPoly, alg: NodalAlgebra) -> dict:
     coefficient an NcPoly in the words x^i y^j.  Left freeness of A over B
     says f is the sum in A of coefficient * tail, with these coefficients
     unique."""
+    return group_by_tail(alg.nf(f))
+
+
+def group_by_tail(nf: NcPoly) -> dict:
+    """The words of a normal form grouped by tail, as b_decompose."""
     coeffs = {}
-    for w, c in alg.nf(f).terms.items():
+    for w, c in nf.terms.items():
         prefix, tail = split_pattern_word(w)
         coeffs.setdefault(tail, {})[prefix] = c
     return {t: NcPoly(d) for t, d in coeffs.items()}
@@ -249,9 +254,9 @@ def freeness_check(alg: NodalAlgebra, max_len: int, samples=100, seed=0) -> Repo
     for _ in range(samples):
         f = random_poly(rng, pool, max_len=min(max_len, 8))
         failure = {"kind": "roundtrip", "poly": f}
-        if settle(failure, lambda: sum(
-                (alg.nf(coeff * NcPoly.word(t)) for t, coeff in b_decompose(f, alg).items()),
-                NcPoly.zero()) != alg.nf(f)):
+        if settle(failure, lambda: (nf := alg.nf(f)) != sum(
+                (alg.nf(coeff * NcPoly.word(t)) for t, coeff in group_by_tail(nf).items()),
+                NcPoly.zero())):
             failures.append(failure)
     right_pure = True
     short = pattern_words(min(max_len, 4))

@@ -10,16 +10,22 @@ enumerates the ambiguities of two lhs afresh on every call, the unmemoised
 reference for rewrite._pair_ambiguities, and carry_by_step cuts a
 completion round's nf cache by deriving each word's children again from
 the new system, the reference for rewrite._carry, which reads the children
-nf_word stored.
+nf_word stored.  trivial_coaction is the value 1-bar (x) NF(f) that
+galois._is_trivial compares the coaction with, as a TensorPoly.
+units_by_search is the units report with every witness found by the
+search, units_bounded_check, the reference for the witnesses units_suite
+takes from the antipode.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from curveform.freealg import ALPHABET, accumulate, word_key
+from curveform.freealg import ALPHABET, TensorPoly, accumulate, word_key
+from curveform.hopf import EXPECTED_UNITS, alt_generators, units_bounded_check
 from curveform.nodal import count_basis_words, is_basis_word
 from curveform.rewrite import Ambiguity
-from curveform.report import Report
+from curveform.parser import parse_expr
+from curveform.report import Report, attempt
 from curveform.scalar import Scalar
 
 
@@ -162,3 +168,25 @@ def carry_by_step(rs, cache: dict) -> dict:
     for w in dropped:
         del cache[w]
     return cache
+
+
+def trivial_coaction(f, alg) -> TensorPoly:
+    """The value 1-bar (x) f that characterizes membership in B."""
+    return TensorPoly(2, {("", w): c for w, c in alg.nf(f).terms.items()})
+
+
+def units_by_search(maps, max_len=6) -> Report:
+    """hopf.units_suite(maps, max_len), each candidate inverted by the search."""
+    alg = maps.alg
+    c = alt_generators(alg)[0]
+    entries = []
+    for name in EXPECTED_UNITS:
+        f = c if name == "c" else parse_expr(name, alg.point)
+        inv, error = attempt(lambda: units_bounded_check(alg, f, max_len))
+        entry = {"element": name, "invertible": inv is not None, "witness": inv}
+        entries.append({**entry, "invertible": None, "error": error} if error else entry)
+    ok = all(e["invertible"] == EXPECTED_UNITS[e["element"]] for e in entries)
+    return Report("units", {"point": alg.point, "max_len": max_len,
+                            "note": "non-invertibility is bounded evidence only "
+                                    f"(inverse support searched up to length {max_len})",
+                            "entries": entries}, ok)

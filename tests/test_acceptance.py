@@ -142,8 +142,8 @@ def test_criterion_10_alt_presentation(algebras):
             "bd = -db - 6p a^3 holds", ok, detail)
 
 
-def test_criterion_11_units(alg):
-    report = hopf.units_suite(alg, max_len=6)
+def test_criterion_11_units(alg, maps):
+    report = hopf.units_suite(maps, max_len=6)
     expected = {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                 "1+x": False, "x": False, "c": False, "1+y": False}
     got = {e["element"]: e["invertible"] for e in report.entries}

@@ -4,11 +4,13 @@ import pytest
 
 from curveform.freealg import NcPoly, TensorPoly
 from curveform.galois import (CPoly, _is_trivial, coaction, project_pi, recovery_check,
-                              trivial_coaction, witness_check)
+                              witness_check)
 from curveform.hopf import StructureMaps, _counit_word
 from curveform.nodal import build_algebra, pattern_words, split_pattern_word
 from curveform.parser import parse_expr
 from curveform.scalar import ONE, Scalar, ZERO, curve_point_from_t
+
+from reference_checks import trivial_coaction
 
 
 class TestCPoly:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curveform import hopf
 from curveform.errors import FuelExhausted
 from curveform.freealg import NcPoly, TensorPoly, accumulate
-from curveform.hopf import (StructureMaps, alt_generators, apply_antipode,
+from curveform.hopf import (EXPECTED_UNITS, StructureMaps, alt_generators, apply_antipode,
                             apply_counit, apply_delta, check_alt_presentation,
                             check_coideal, check_hopf_axioms, check_identities,
                             check_welldefined, relation_polys, tensor_nf,
@@ -21,7 +21,7 @@ from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
 from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t, field
 
-from reference_checks import solve_gauss_jordan
+from reference_checks import solve_gauss_jordan, units_by_search
 
 
 class TestStructureMaps:
@@ -387,9 +387,9 @@ class TestFractionFreeSolver:
                              ids=["t=2", "t=3", "t=7/5", "t=-1/2"])
     def test_units_equal_the_gauss_jordan_units(self, t, monkeypatch):
         a = build_algebra(curve_point_from_t(t))
-        report = units_suite(a).to_json()
+        report = units_suite(StructureMaps(a)).to_json()
         monkeypatch.setattr(hopf, "_solve_sparse", solve_gauss_jordan)
-        assert report == units_suite(build_algebra(a.point)).to_json()
+        assert report == units_suite(StructureMaps(build_algebra(a.point))).to_json()
         assert report["status"] == "pass"
 
 
@@ -405,23 +405,61 @@ class TestUnits:
         for text in ("x", "1 + x"):
             assert units_bounded_check(alg, alg.parse_nf(text), max_len=4) is None
 
-    def test_suite_expected_pattern(self, alg):
+    def test_suite_expected_pattern(self, maps):
         # a^2 b needs the length-6 inverse a^-5 b, so bound at 6
-        report = units_suite(alg, max_len=6)
+        report = units_suite(maps, max_len=6)
         verdicts = {e["element"]: e["invertible"] for e in report.entries}
         assert verdicts == {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                             "1+x": False, "x": False, "c": False, "1+y": False}
 
-    def test_suite_verdict(self, alg):
-        assert units_suite(alg, max_len=6).to_json()["status"] == "pass"
+    def test_suite_verdict(self, maps):
+        assert units_suite(maps, max_len=6).to_json()["status"] == "pass"
         # with support {1} not even a and b invert, so the pattern is missed
-        report = units_suite(alg, max_len=0)
+        report = units_suite(maps, max_len=0)
         assert not any(e["invertible"] for e in report.entries)
         assert not report.ok and report.to_json()["status"] == "fail"
 
     def test_rejects_zero(self, alg):
         with pytest.raises(ValueError):
             units_bounded_check(alg, NcPoly.zero())
+
+
+# wrong antipodes: the first three are no inverse of a unit, the last is
+# the inverse written off the pattern words, since ag - 1 is zero in A
+WRONG_ANTIPODES = {
+    "zero": lambda f, maps: NcPoly.zero(),
+    "f": lambda f, maps: f,
+    "doubled": lambda f, maps: apply_antipode(f, maps).scale(2),
+    "plus ag - 1": lambda f, maps: apply_antipode(f, maps) + NcPoly.word("ag") - NcPoly.one(),
+}
+
+
+class TestUnitsByAntipode:
+    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2), 0],
+                             ids=["t=2", "t=3", "t=7/5", "t=-1/2", "t=0"])
+    def test_each_unit_is_inverted_by_its_antipode(self, t):
+        alg = build_algebra(curve_point_from_t(t))
+        maps = StructureMaps(alg)
+        witnesses = {e["element"]: e["witness"] for e in units_suite(maps).entries}
+        for name in filter(EXPECTED_UNITS.get, EXPECTED_UNITS):
+            f = parse_expr(name, alg.point)
+            inverse = apply_antipode(f, maps)
+            assert inverse == units_bounded_check(alg, f, max_len=6) == witnesses[name]
+
+    @pytest.mark.parametrize("max_len", range(9))
+    def test_equals_the_search_at_every_bound(self, maps, max_len):
+        assert units_suite(maps, max_len).to_json() == units_by_search(maps, max_len).to_json()
+
+    @pytest.mark.parametrize("wrong", WRONG_ANTIPODES)
+    def test_a_wrong_antipode_falls_back_to_the_search(self, maps, monkeypatch, wrong):
+        expected = units_by_search(maps).to_json()
+        wrong_antipode, search = WRONG_ANTIPODES[wrong], hopf.units_bounded_check
+        searched = []
+        monkeypatch.setattr(hopf, "apply_antipode", wrong_antipode)
+        monkeypatch.setattr(hopf, "units_bounded_check",
+                            lambda alg, f, max_len: searched.append(f) or search(alg, f, max_len))
+        assert units_suite(maps).to_json() == expected
+        assert len(searched) == len(EXPECTED_UNITS)
 
 
 # -- the structure maps over the rules' field -------------------------------
@@ -616,12 +654,12 @@ class TestFieldCoefficients:
 
 class TestUnitsFuel:
     def test_overrun_fails_the_candidate(self, alg):
-        starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=110),
+        starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=30),
                                alg.completion_log)
-        report = units_suite(starved)
+        report = units_suite(StructureMaps(starved))
         assert not report.ok and len(report.entries) == 8
         failed = [e for e in report.entries if "error" in e]
-        assert [e["element"] for e in failed] == ["a^-1*b"]
+        assert [e["element"] for e in failed] == ["c"]
         assert isinstance(failed[0]["error"], FuelExhausted)
         assert failed[0]["invertible"] is None and failed[0]["witness"] is None
-        assert "budget 110" in report.to_json()["entries"][3]["error"]
+        assert "budget 30" in report.to_json()["entries"][6]["error"]

@@ -273,6 +273,15 @@ class TestBDecomposition:
         report = freeness_check(doubled, max_len=1, samples=30)
         assert any(e["kind"] == "roundtrip" for e in report.fields["failures"])
 
+    def test_each_sample_is_reduced_once(self, alg, monkeypatch):
+        # every polynomial freeness_check reduces is a new one: the round
+        # trip compares with the normal form it decomposed
+        reduced, normal_form = [], RuleSystem.normal_form
+        monkeypatch.setattr(RuleSystem, "normal_form",
+                            lambda rs, f: reduced.append(f) or normal_form(rs, f))
+        assert freeness_check(alg, max_len=5, samples=20).ok
+        assert len(reduced) > 20 and len({id(f) for f in reduced}) == len(reduced)
+
 
 # the lhs of the 17 rules at t = 2, in rule order; without gxa or gxaa the
 # system still reduces every word outside the pattern

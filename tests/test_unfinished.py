@@ -34,7 +34,7 @@ CHECKS = {
     "galois_recovery": (lambda alg, maps: recovery_check(maps), {("failures", "error")}),
     "galois_witness": (lambda alg, maps: witness_check(maps),
                        {("normal_form",), ("projection",)}),
-    "units": (lambda alg, maps: units_suite(alg), {("entries", "error")}),
+    "units": (lambda alg, maps: units_suite(maps), {("entries", "error")}),
 }
 POINTS = {"2": 2, "7/5": Fraction(7, 5), "-1/2": Fraction(-1, 2)}
 FUELS = (1, 2, 3, 5, 10, 20)
