@@ -88,7 +88,8 @@ def recovery_check(maps: StructureMaps, max_deg=6) -> Report:
     return Report("galois_recovery", {"point": alg.point,
                                       "b_words_checked": len(b_words),
                                       "non_b_words_checked": len(non_b_words),
-                                      "failures": failures[:20]}, not failures)
+                                      "failures": failures[:20],
+                                      "failure_count": len(failures)}, not failures)
 
 
 def witness_check(maps: StructureMaps) -> Report:

@@ -80,8 +80,14 @@ class StructureMaps:
 
 
 def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
-    """alg.nf of a tensor polynomial, leg by leg: a name of its own for bench/tracing.py."""
-    return alg.nf(tp)
+    """The normal form of a tensor polynomial, each leg reduced by nf_word."""
+    nf_word, acc = alg.system.nf_word, {}
+    for key, c in tp.terms.items():
+        terms = [((), c)]
+        for leg in map(nf_word, key):
+            terms = [(done + (w,), cd * cw) for done, cd in terms for w, cw in leg.items()]
+        accumulate(acc, terms)
+    return tp._new(acc)
 
 
 def _delta_word(w: str, maps: StructureMaps) -> dict:

@@ -6,13 +6,13 @@ and the decomposition of elements into B-coefficients times tail words,
 where B is the (commutative) subalgebra generated by x and y.
 The pattern is the regular expression PATTERN, one group per factor, and
 the basis words are listed by walking its language (pattern_words).
-The census, growth and freeness checks each return a report.Report.
+The census, growth and freeness checks each return a report.Report, and
+freeness takes its verdict from the census.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import re
 from functools import cache
 from itertools import accumulate
@@ -93,6 +93,7 @@ class NodalAlgebra:
         return self.completion_log.diamond
 
     def nf(self, f: NcPoly) -> NcPoly:
+        """The normal form of the NcPoly f."""
         return self.system.normal_form(f)
 
     def parse_nf(self, text: str) -> NcPoly:
@@ -136,6 +137,7 @@ def basis_census(alg: NodalAlgebra, max_len: int) -> Report:
     reducible and not a pattern word, and the counts and the mismatches,
     in product order, are those of a scan of all 5^L words; at the
     completed systems a level holds 5 times the pattern words one shorter.
+    The report lists the first 20 mismatches and counts them all.
     """
     match = alg.system.match
     irr_counts, scan_counts, enum_counts, mismatches = [], [], [], []
@@ -163,7 +165,8 @@ def basis_census(alg: NodalAlgebra, max_len: int) -> Report:
     return Report("census", {"max_len": max_len, "irreducible_counts": irr_counts,
                              "pattern_scan_counts": scan_counts,
                              "pattern_enum_counts": enum_counts,
-                             "mismatches": mismatches[:20]}, ok)
+                             "mismatches": mismatches[:20],
+                             "mismatch_count": len(mismatches)}, ok)
 
 
 # GK-dimension 3: the doubling exponent must land within 3.0 +- 0.2
@@ -200,13 +203,8 @@ def b_decompose(f: NcPoly, alg: NodalAlgebra) -> dict:
     coefficient an NcPoly in the words x^i y^j.  Left freeness of A over B
     says f is the sum in A of coefficient * tail, with these coefficients
     unique."""
-    return group_by_tail(alg.nf(f))
-
-
-def group_by_tail(nf: NcPoly) -> dict:
-    """The words of a normal form grouped by tail, as b_decompose."""
     coeffs = {}
-    for w, c in nf.terms.items():
+    for w, c in alg.nf(f).terms.items():
         prefix, tail = split_pattern_word(w)
         coeffs.setdefault(tail, {})[prefix] = c
     return {t: NcPoly(d) for t, d in coeffs.items()}
@@ -226,48 +224,37 @@ def random_poly(rng, coeff_pool, max_len=6) -> NcPoly:
     return NcPoly([term() for _ in range(rng.randint(1, 3))])
 
 
-def freeness_check(alg: NodalAlgebra, max_len: int, samples=100, seed=0) -> Report:
-    """Left-freeness evidence: every pattern word of length <= max_len, which
-    is uniquely a b-word times a tail, is irreducible, so its own normal
-    form (each step lowers a word in the termination order), and on random
-    elements f the decomposition multiplies back in A: sum over tails t of
-    NF(coeff_t * t) is NF(f).  Also records (without asserting) whether the
-    right-handed products NF(tail * b-word) stay tail-pure.  A sample or
-    right-handed product that cannot finish (report.attempt) is a failure
-    that holds the error under "error", and the check goes on."""
+def freeness_check(alg: NodalAlgebra, max_len: int) -> Report:
+    """Left-freeness evidence read off basis_census(alg, max_len): up to
+    max_len the pattern words are the irreducible words, so a basis of A
+    (diamond lemma), each uniquely a b-word times a tail.  Each census
+    mismatch is one failure: a reducible pattern word as its split
+    ("concat"), an irreducible word outside the pattern as "irreducible".
+    Also records (without asserting) whether the right-handed products
+    NF(tail * b-word) stay tail-pure; one that cannot finish
+    (report.attempt) is a failure that holds the error under "error"."""
+    census = basis_census(alg, max_len)
     failures = []
-
-    def settle(failure, compute):
-        """compute(), or None once failure is recorded, holding the error it met."""
-        value, error = attempt(compute)
-        if error:
-            failures.append({**failure, "error": error})
-        return value
-
-    words = pattern_words(max_len)
-    for w in words:
-        if alg.system.match(w) is not None:
+    for w in census.fields["mismatches"]:
+        if is_basis_word(w):
             bw, t = split_pattern_word(w)
             failures.append({"kind": "concat", "b": bw, "tail": t})
-    rng = random.Random(seed)
-    pool = sample_coefficients(alg.point)
-    for _ in range(samples):
-        f = random_poly(rng, pool, max_len=min(max_len, 8))
-        failure = {"kind": "roundtrip", "poly": f}
-        if settle(failure, lambda: (nf := alg.nf(f)) != sum(
-                (alg.nf(coeff * NcPoly.word(t)) for t, coeff in group_by_tail(nf).items()),
-                NcPoly.zero())):
-            failures.append(failure)
+        else:
+            failures.append({"kind": "irreducible", "word": w})
+    count = census.fields["mismatch_count"]
     right_pure = True
     short = pattern_words(min(max_len, 4))
     b_words = [w for w in short if w and is_b_word(w)]
     tails = [w for w in short if w and not split_pattern_word(w)[0]]
     for bw in b_words:
         for t in tails:
-            nf_tails = settle({"kind": "right_product", "b": bw, "tail": t}, lambda: {
+            nf_tails, error = attempt(lambda: {
                 split_pattern_word(w)[1] for w in alg.nf(NcPoly.word(t + bw)).terms})
-            if nf_tails is not None and nf_tails != {t}:
+            if error:
+                failures.append({"kind": "right_product", "b": bw, "tail": t, "error": error})
+                count += 1
+            elif nf_tails != {t}:
                 right_pure = False
-    return Report("freeness", {"checked_products": len(words), "roundtrip_samples": samples,
-                               "right_tail_pure": right_pure,
-                               "failures": failures[:20]}, not failures)
+    return Report("freeness", {"checked_products": sum(census.fields["pattern_scan_counts"]),
+                               "right_tail_pure": right_pure, "failures": failures[:20],
+                               "failure_count": count}, census.ok and not failures)

@@ -25,12 +25,12 @@ integral point reduces on ints alone, and an element's own Scalar
 coefficients multiply the cached normal forms of its words.  A word
 rewritten by a rule whose rhs is a single word with coefficient 1 shares
 that word's cached normal form instead of a copy.  Every sum of c *
-NF(key), over words or tensor legs, is made by one reducer,
-RuleSystem.nf_terms: normal forms of elements and branch differences of
-ambiguities (only the difference itself becomes an NcPoly of Scalars).  A
-sum of normal forms times words, as the Hopf layer's antipode makes, is
-reduced by RuleSystem.nf_times one letter at a time, so that only words
-of the form normal word times one letter are reduced and cached.
+NF(w) over words is made by one reducer, RuleSystem.nf_terms: normal
+forms of elements and branch differences of ambiguities (only the
+difference itself becomes an NcPoly of Scalars).  A sum of normal forms
+times words, as the Hopf layer's antipode makes, is reduced by
+RuleSystem.nf_times one letter at a time, so that only words of the form
+normal word times one letter are reduced and cached.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -216,15 +216,13 @@ class RuleSystem:
         return cache[w]
 
     def nf_terms(self, pairs) -> dict:
-        """The normal form of the sum of c * key over the (key, c) pairs as a
-        new dict, in the field of the c and of the rules: a key is a word, or
-        a tuple of words (tensor legs).  Each key is reduced when its pair is
-        reached, its legs left to right, and the terms accumulate in that
+        """The normal form of the sum of c * w over the (word, c) pairs as a
+        new dict, in the field of the c and of the rules.  Each word is
+        reduced when its pair is reached, and the terms accumulate in that
         order."""
         nf_word = self.nf_word
-        return accumulate({}, ((w, c * cw) for key, c in pairs
-                               for w, cw in (nf_word(key) if type(key) is str
-                                             else self._nf_legs(key)).items()))
+        return accumulate({}, ((w, c * cw) for word, c in pairs
+                               for w, cw in nf_word(word).items()))
 
     def nf_times(self, groups) -> dict:
         """The normal form of the sum of P_v * v over groups = {v: P_v} as a
@@ -243,15 +241,8 @@ class RuleSystem:
                 groups[v[1:]] = prod if old is None else accumulate(dict(old), prod.items())
         return dict(groups.get("", {}))
 
-    def _nf_legs(self, key) -> dict:
-        """NF(u1) (x) ... (x) NF(uk) for a tuple key (u1, ..., uk)."""
-        terms = {(): 1}
-        for leg in [self.nf_word(u) for u in key]:
-            terms = {done + (w,): cd * cw for done, cd in terms.items() for w, cw in leg.items()}
-        return terms
-
     def normal_form(self, f: NcPoly) -> NcPoly:
-        """Fully reduce f: the sum of c * NF(w) over its terms c * w."""
+        """Fully reduce the NcPoly f: the sum of c * NF(w) over its terms c * w."""
         return f._new(self.nf_terms(f.terms.items()))
 
     # -- ambiguities -----------------------------------------------------

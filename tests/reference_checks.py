@@ -53,7 +53,8 @@ def census_by_scan(alg, max_len: int) -> Report:
     return Report("census", {"max_len": max_len, "irreducible_counts": irr_counts,
                              "pattern_scan_counts": scan_counts,
                              "pattern_enum_counts": enum_counts,
-                             "mismatches": mismatches[:20]}, ok)
+                             "mismatches": mismatches[:20],
+                             "mismatch_count": len(mismatches)}, ok)
 
 
 def index_word(i, j, l, m, n) -> str:

@@ -270,9 +270,9 @@ class TestSuites:
     # reference points other than t = 2 (criterion 12 pins t = 2); t = 7/5
     # mixes integral and non-integral coefficients
     @pytest.mark.parametrize("t, digest, exit_code", [
-        ("3", "09981d985e47cf029e2cfd8da8b9986241976bf4f4268a73d33cf5c31e5c64b3", 1),
-        ("1", "e81506e0de1ff216bf8ad234153abeb69b3409b0e0aae333c2a3d1f16cb2dc9b", 0),
-        ("7/5", "cd53fcad4569e6ecd867b4fafd9ba624a51d0fd462f6e5098a92ab8d7903409b", 1),
+        ("3", "9c1df0bcc46320a667ad055bf29716f4cb70e1394f12e3b0c89cac0fc99e47ce", 1),
+        ("1", "7e543f1f2ea8b5c893d876e445c4c87f1e310d8e7addf23b610a1effa0cf63df", 0),
+        ("7/5", "9873af3bf63b312a8d3563c97b999622f7055f4cfdbe7239804fafd25c6d3d9b", 1),
     ], ids=["3", "1", "7/5"])
     def test_suite_all_digest(self, capsys, t, digest, exit_code):
         code, out, _ = run(capsys, "suite", "all", "--json", "--seed", "42", "--t", t)
@@ -423,9 +423,8 @@ class TestArgHandling:
         assert code == 1 and err == ""
         (starved,), (ref,) = json.loads(out)["reports"], json.loads(full)["reports"]
         assert ref["status"] == "pass" and starved["status"] == "fail"
-        for key in ("checked_products", "roundtrip_samples"):
-            assert starved[key] == ref[key]
-        assert ref["failures"] == []
+        assert starved["checked_products"] == ref["checked_products"]
+        assert (ref["failures"], ref["failure_count"], starved["failure_count"]) == ([], 0, 1)
         assert starved["failures"] == [{
             "kind": "right_product", "b": "xxx", "tail": "axg",
             "error": "reduction of a*x*a^-1*x^3 exhausted its fuel: "

@@ -607,6 +607,18 @@ class TestFieldCoefficients:
         assert all(type(c) is Scalar for v in values for c in v.terms.values())
         assert type(apply_counit(f, maps)) is Scalar
 
+    @pytest.mark.parametrize("t", POINTS[:2], ids=["t=2", "t=7/5"])
+    def test_tensor_nf_equals_the_reference(self, t):
+        maps = StructureMaps(fresh(t))
+        alg = maps.alg
+        f = parse_expr("x*y*a^-1 + 2*b*y - x^2", alg.point)
+        g = parse_expr("b*x + r*a*y", alg.point)
+        for tp in (apply_delta(f, maps) * apply_delta(g, maps),
+                   TensorPoly(3, {("yx", "ba", "bb"): R, ("bx", "ag", ""): Scalar(3)})):
+            got, want = tensor_nf(tp, alg), ReferenceMaps(maps).tensor_nf(tp)
+            # term for term, in the same order
+            assert got and list(got.terms.items()) == list(want.terms.items())
+
     @pytest.mark.parametrize("kind", [None, "delta", "antipode", "counit"])
     @pytest.mark.parametrize("t", POINTS, ids=["t=2", "t=7/5", "t=-1/2"])
     def test_residuals_equal_the_scalar_reference(self, t, kind):
