@@ -9,8 +9,7 @@ from .nodal import (NodalAlgebra, b_decompose, basis_census, build_algebra,
                     freeness_check, growth, is_basis_word)
 from .hopf import (StructureMaps, apply_antipode, apply_counit, apply_delta,
                    check_alt_presentation, check_coideal, check_hopf_axioms,
-                   check_identities, check_welldefined, units_bounded_check,
-                   units_suite)
+                   check_identities, check_welldefined, units_suite)
 from .galois import CPoly, coaction, project_pi, recovery_check, witness_check
 
 __version__ = "0.1.0"
@@ -24,6 +23,6 @@ __all__ = [
     "check_diamond", "check_hopf_axioms", "check_identities",
     "check_welldefined", "coaction", "complete", "curve_point_from_t",
     "curve_point_validate", "freeness_check", "growth", "is_basis_word",
-    "parse_expr", "project_pi", "recovery_check", "units_bounded_check",
-    "units_suite", "witness_check",
+    "parse_expr", "project_pi", "recovery_check", "units_suite",
+    "witness_check",
 ]

@@ -1,12 +1,13 @@
 """Command-line front-end.
 
-Subcommands: nf, mul, suite, rules, census, each accepting only the options
-it reads.  The curve point comes from --t (rational parameter, default 2) or
-from an explicit --q/--p pair, which must satisfy p^2 = q^2 + q^3 exactly;
-each value has at most MAX_DIGITS digits above and below the line.  --fuel
-(default DEFAULT_FUEL) sets the reduction budget of the algebra when it is
-built; every command on that algebra spends it.  Malformed input is a usage
-error, one line on stderr starting "error: " and exit 2; a failing check exits 1.
+Subcommands: nf, mul, suite NAME, rules, census, each accepting only the
+options it reads.  The curve point comes from --t (rational parameter,
+default 2) or from an explicit --q/--p pair, which must satisfy
+p^2 = q^2 + q^3 exactly; each value has at most MAX_DIGITS digits above
+and below the line.  --fuel (default DEFAULT_FUEL) sets the reduction
+budget of the algebra when it is built; every command on that algebra
+spends it.  Malformed input is a usage error, one line on stderr starting
+"error: " and exit 2; a failing check exits 1.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _budget = _int_at_least(1)
 _CHECK_OPTIONS = {
     "--seed": dict(type=int, default=0, help="seed of the Hopf-axiom samples"),
     "--max-len": dict(type=_count, help="word-length bound; defaults: census and suite basis 6, "
-                                        "growth 200, freeness 5, units 6"),
+                                        "growth 200, freeness 5"),
     "--max-deg": dict(type=_count, help="degree bound for coideal/galois checks"),
     "--samples": dict(type=_count, default=200, help="random elements for the Hopf axiom check")}
 
@@ -119,8 +120,9 @@ def build_parser():
     _add_options(p_mul)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
-    p_suite.add_argument("name", choices=SUITES)
-    _add_options(p_suite, *_CHECK_OPTIONS)
+    names = p_suite.add_subparsers(dest="name", required=True)
+    for name in SUITES:
+        _add_options(names.add_parser(name), *SUITE_OPTIONS.get(name, ()))
 
     p_rules = sub.add_parser("rules", help="dump the completed rule system")
     _add_options(p_rules)
@@ -174,9 +176,13 @@ SUITE_RUNNERS = {
     "galois": lambda alg, maps, args: [
         galois.recovery_check(maps, _bound(args.max_deg, 6)),
         galois.witness_check(maps)],
-    "units": lambda alg, maps, args: [hopf.units_suite(maps, max_len=_bound(args.max_len, 6))],
+    "units": lambda alg, maps, args: [hopf.units_suite(maps)],
 }
 SUITES = (*SUITE_RUNNERS, "all")
+# the _CHECK_OPTIONS each suite reads, where it reads any; all takes every one
+SUITE_OPTIONS = {"basis": ["--max-len"], "growth": ["--max-len"], "freeness": ["--max-len"],
+                 "hopf": ["--samples", "--seed"], "coideal": ["--max-deg"],
+                 "galois": ["--max-deg"], "all": list(_CHECK_OPTIONS)}
 
 
 def run_suites(name, alg, args):
@@ -220,7 +226,7 @@ def main(argv=None):
         # suite
         reports = run_suites(args.name, alg, args)
         all_pass = all(rep.ok for rep in reports)
-        obj = {"point": point.to_json(), "suite": args.name, "seed": args.seed,
+        obj = {"point": point.to_json(), "suite": args.name, "seed": getattr(args, "seed", None),
                "status": "pass" if all_pass else "fail",
                "reports": [rep.to_json() for rep in reports]}
         lines = [f"[{'PASS' if rep.ok else 'FAIL'}] {rep.check}" for rep in reports]

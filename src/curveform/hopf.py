@@ -17,21 +17,20 @@ applies delta to its normal-form legs, so it can fail for a delta that is
 coassociative on the generators but does not respect the relations.
 The generator values are stored once, in the field form of scalar.field
 (an int when integral, else a Scalar), the form RuleSystem.nf_word runs
-on.  The word maps, axiom residuals and units elimination run on dicts in
-that form.  The word maps and the antipode residuals reduce their products
-one letter at a time: S and the residuals by RuleSystem.nf_times, delta as
+on.  The word maps and axiom residuals run on dicts in that form.  The
+word maps and the antipode residuals reduce their products one letter at
+a time: S and the residuals by RuleSystem.nf_times, delta as
 NF(u u2) (x) NF(v v2) for each term u (x) v of delta(w[:i]) and u2 (x) v2
-of delta(w[i]), whose legs have at most one letter.  A unit candidate f
-is inverted by its antipode when S(f) lies within the search bound and
-f S(f) and S(f) f both reduce to 1, as for a group-like f; any other
-candidate goes to the bounded search, which reduces its columns by
-RuleSystem.nf_terms.  What the module returns holds Scalars only:
+of delta(w[i]), whose legs have at most one letter.  units_suite settles
+each unit candidate by a proof and searches for no inverse; the solver
+_solve_sparse serves the tests' bounded search (tests/reference_checks.py)
+and the benchmark's tracer.  What the module returns holds Scalars only:
 apply_delta, apply_antipode, apply_counit, tensor_nf, every report
 residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  A
 sub-check that cannot finish (report.attempt) fails the entries it was
 computing, with the error as their residual, and the check goes on; in
-units_suite it fails the candidate it was inverting.
+units_suite it fails the candidate it was settling.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from itertools import chain
 from math import gcd, lcm
 
 from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product
-from .nodal import NodalAlgebra, is_b_word, pattern_words, random_poly, sample_coefficients
+from .nodal import (NodalAlgebra, is_b_word, is_basis_word, pattern_words, random_poly,
+                    sample_coefficients)
 from .parser import parse_expr
 from .report import Report, attempt
 from .scalar import ONE, R, Scalar, ZERO, denominator, field, reciprocal
@@ -385,63 +385,56 @@ def _solve_sparse(columns, target):
     return assignments
 
 
-# the group-likes times scalars invert; the rest admit no bounded inverse
+# the group-likes times scalars invert; the rest are no units
 EXPECTED_UNITS = {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                   "1+x": False, "x": False, "c": False, "1+y": False}
 
 
-def units_bounded_check(alg: NodalAlgebra, f: NcPoly, max_len=6):
-    """Search for u with f*u = 1 supported on basis words of length <=
-    max_len, as an exact linear system; return u, or None if there is none.
-    Absence of a solution is evidence of non-invertibility at the chosen
-    bound, not a proof."""
-    if not f:
-        raise ValueError("cannot invert the zero element")
-    nf_terms = alg.system.nf_terms
-    terms = f.field_terms()
-    support = pattern_words(max_len)
-    columns = [nf_terms((u + w, c) for u, c in terms) for w in support]
-    solution = _solve_sparse(columns, {"": 1})
-    if solution is None:
-        return None
-    witness = [(w, c) for w, c in zip(support, solution) if c]
-    # elimination can return a least-squares-like artifact only if the system
-    # was inconsistent, which _solve_sparse already rejects; verify anyway
-    return NcPoly(witness) if nf_terms(concat_product(terms, witness).items()) == {"": 1} else None
-
-
-def units_suite(maps: StructureMaps, max_len=6) -> Report:
-    """The reference sample: a, b, a^2 b, a^-1 b are units; 1+x, x, c,
-    1+y admit no inverse with bounded support.  Each candidate is its key
-    in EXPECTED_UNITS read as an expression, c that of alt_generators; the
-    verdict is that every candidate matches its value.  The witness is S(f)
-    when S(f) is supported on pattern words of length <= max_len and is a
-    two-sided inverse of f, so the one inverse the search would find (a
-    group-like g has g^-1 = S(g)); otherwise it is the search's,
-    units_bounded_check.  A candidate whose inversion cannot finish
-    (report.attempt) matches nothing: its entry holds the error under
-    "error", and the check goes on."""
+def units_suite(maps: StructureMaps) -> Report:
+    """The reference sample: a, b, a^2 b, a^-1 b are units; 1+x, x, c, 1+y
+    are not.  Each candidate f, its EXPECTED_UNITS key as an expression (c
+    that of alt_generators), is settled by the first proof that applies,
+    named under "proof":
+    - "counit": eps(f) = 0, and eps is an algebra map, so f is no unit (c;
+      also x where q = 0 and 1+x where q = -1).
+    - "B": NF(f) is a nonconstant element of B, so f is no unit (x, 1+x,
+      1+y).  A is free as a left B-module on the tails, so f u = 1 gives
+      f u_1 = 1 in B; the norm u^2 - (x^2+x^3) v^2 of u + v y is
+      multiplicative, and the degrees of its terms differ in parity, so the
+      units of B are K*.  This rests on left freeness, which the basis
+      census checks up to its length bound only.
+    - "antipode": S(f) is written in pattern words and f S(f) and S(f) f
+      reduce to 1, so S(f) is the inverse of f, whatever its length (the
+      group-likes).
+    A candidate that no proof settles, or whose proof cannot finish
+    (report.attempt; its error under "error"), has null "invertible" and
+    "proof" and fails the report, and the check goes on."""
     alg = maps.alg
-    nf_terms, support = alg.system.nf_terms, set(pattern_words(max_len))
+    nf_terms = alg.system.nf_terms
     c = alt_generators(alg)[0]
 
-    def inverse(f):
+    def settle(f):
+        """(invertible, proof, witness) of f, or None when no proof applies."""
+        if not apply_counit(f, maps):
+            return False, "counit", None
+        terms = f.field_terms()
+        words = nf_terms(terms)
+        if any(words) and all(map(is_b_word, words)):
+            return False, "B", None
         s = apply_antipode(f, maps)
-        terms, s_terms = f.field_terms(), s.field_terms()
-        if s.terms.keys() <= support and all(
+        s_terms = s.field_terms()
+        if all(map(is_basis_word, s.terms)) and all(
                 nf_terms(concat_product(left, right).items()) == {"": 1}
                 for left, right in ((terms, s_terms), (s_terms, terms))):
-            return s
-        return units_bounded_check(alg, f, max_len)
+            return True, "antipode", s
+        return None
 
     entries = []
     for name in EXPECTED_UNITS:
         f = c if name == "c" else parse_expr(name, alg.point)
-        inv, error = attempt(lambda: inverse(f))
-        entry = {"element": name, "invertible": inv is not None, "witness": inv}
-        entries.append({**entry, "invertible": None, "error": error} if error else entry)
+        settled, error = attempt(lambda: settle(f))
+        invertible, proof, witness = settled or (None, None, None)
+        entry = {"element": name, "invertible": invertible, "proof": proof, "witness": witness}
+        entries.append({**entry, "error": error} if error else entry)
     ok = all(e["invertible"] == EXPECTED_UNITS[e["element"]] for e in entries)
-    return Report("units", {"point": alg.point, "max_len": max_len,
-                            "note": "non-invertibility is bounded evidence only "
-                                    f"(inverse support searched up to length {max_len})",
-                            "entries": entries}, ok)
+    return Report("units", {"point": alg.point, "evidence": "proof", "entries": entries}, ok)

@@ -12,17 +12,19 @@ completion round's nf cache by deriving each word's children again from
 the new system, the reference for rewrite._carry, which reads the children
 nf_word stored.  trivial_coaction is the value 1-bar (x) NF(f) that
 galois._is_trivial compares the coaction with, as a TensorPoly.
-units_by_search is the units report with every witness found by the
-search, units_bounded_check, the reference for the witnesses units_suite
-takes from the antipode.
+units_bounded_check searches for an inverse supported on the pattern
+words up to a length bound, as an exact linear system solved by
+hopf._solve_sparse; units_by_search is the units report with every
+verdict and witness found by that search, the cross-check of the proofs
+hopf.units_suite settles its candidates by.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from curveform.freealg import ALPHABET, TensorPoly, accumulate, word_key
-from curveform.hopf import EXPECTED_UNITS, alt_generators, units_bounded_check
-from curveform.nodal import count_basis_words, is_basis_word
+from curveform.freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product, word_key
+from curveform.hopf import EXPECTED_UNITS, _solve_sparse, alt_generators
+from curveform.nodal import count_basis_words, is_basis_word, pattern_words
 from curveform.rewrite import Ambiguity
 from curveform.parser import parse_expr
 from curveform.report import Report, attempt
@@ -176,8 +178,29 @@ def trivial_coaction(f, alg) -> TensorPoly:
     return TensorPoly(2, {("", w): c for w, c in alg.nf(f).terms.items()})
 
 
+def units_bounded_check(alg, f, max_len=6):
+    """Search for u with f*u = 1 supported on basis words of length <=
+    max_len, as an exact linear system; return u, or None if there is none.
+    Absence of a solution is evidence of non-invertibility at the chosen
+    bound, not a proof."""
+    if not f:
+        raise ValueError("cannot invert the zero element")
+    nf_terms = alg.system.nf_terms
+    terms = f.field_terms()
+    support = pattern_words(max_len)
+    columns = [nf_terms((u + w, c) for u, c in terms) for w in support]
+    solution = _solve_sparse(columns, {"": 1})
+    if solution is None:
+        return None
+    witness = [(w, c) for w, c in zip(support, solution) if c]
+    # elimination can return a least-squares-like artifact only if the system
+    # was inconsistent, which _solve_sparse already rejects; verify anyway
+    return NcPoly(witness) if nf_terms(concat_product(terms, witness).items()) == {"": 1} else None
+
+
 def units_by_search(maps, max_len=6) -> Report:
-    """hopf.units_suite(maps, max_len), each candidate inverted by the search."""
+    """The units report of the bounded search: each candidate inverted by
+    units_bounded_check(alg, f, max_len), so a non-unit only at that bound."""
     alg = maps.alg
     c = alt_generators(alg)[0]
     entries = []

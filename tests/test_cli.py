@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from curveform.cli import main
+from curveform.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -245,7 +245,7 @@ class TestSuites:
         assert code == 0
 
     def test_units(self, capsys):
-        code, out, _ = run(capsys, "suite", "units", "--max-len", "6")
+        code, out, _ = run(capsys, "suite", "units")
         assert code == 0
 
     def test_hopf_seeded(self, capsys):
@@ -253,8 +253,8 @@ class TestSuites:
         assert code == 0
 
     def test_suite_json_deterministic(self, capsys):
-        _, first, _ = run(capsys, "suite", "identities", "--json", "--seed", "42")
-        _, second, _ = run(capsys, "suite", "identities", "--json", "--seed", "42")
+        _, first, _ = run(capsys, "suite", "identities", "--json")
+        _, second, _ = run(capsys, "suite", "identities", "--json")
         assert first == second
 
     def test_every_report_prints_status(self, capsys):
@@ -270,9 +270,9 @@ class TestSuites:
     # reference points other than t = 2 (criterion 12 pins t = 2); t = 7/5
     # mixes integral and non-integral coefficients
     @pytest.mark.parametrize("t, digest, exit_code", [
-        ("3", "9c1df0bcc46320a667ad055bf29716f4cb70e1394f12e3b0c89cac0fc99e47ce", 1),
-        ("1", "7e543f1f2ea8b5c893d876e445c4c87f1e310d8e7addf23b610a1effa0cf63df", 0),
-        ("7/5", "9873af3bf63b312a8d3563c97b999622f7055f4cfdbe7239804fafd25c6d3d9b", 1),
+        ("3", "4303ab198e7a4f5ef56e0e867226a3324304b9e84a05f9ced3512ac5b503894c", 1),
+        ("1", "e7b2788c825dc1fbbced5522d639f81b7d450b337ff632b712c6c99bbc74fdfc", 0),
+        ("7/5", "4ec8dec049596b068e8e09e28974e66aae48a764efc5768e2c89b5e802caf24b", 1),
     ], ids=["3", "1", "7/5"])
     def test_suite_all_digest(self, capsys, t, digest, exit_code):
         code, out, _ = run(capsys, "suite", "all", "--json", "--seed", "42", "--t", t)
@@ -349,7 +349,8 @@ class TestArgHandling:
         ["nf", "x", "--max-deg", "2"], ["mul", "x", "y", "--seed", "1"],
         ["mul", "x", "y", "--max-len", "2"], ["rules", "--samples", "1"],
         ["rules", "--max-deg", "1"], ["census", "--seed", "1"], ["census", "--samples", "1"],
-        ["census", "--max-deg", "1"]])
+        ["census", "--max-deg", "1"], ["suite", "units", "--max-len", "5"],
+        ["suite", "freeness", "--seed", "3"]])
     def test_an_option_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -357,6 +358,32 @@ class TestArgHandling:
         assert exc.value.code == 2 and out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+    # the check options each suite reads; identities, alt, diamond and units read none
+    SUITE_READS = {"basis": {"--max-len"}, "growth": {"--max-len"}, "freeness": {"--max-len"},
+                   "hopf": {"--samples", "--seed"}, "coideal": {"--max-deg"},
+                   "galois": {"--max-deg"},
+                   "all": {"--max-len", "--max-deg", "--samples", "--seed"}}
+
+    @pytest.mark.parametrize("name", ["diamond", "basis", "growth", "freeness", "hopf",
+                                      "coideal", "identities", "alt", "galois", "units", "all"])
+    def test_a_suite_takes_only_the_check_options_it_reads(self, capsys, name):
+        reads = self.SUITE_READS.get(name, set())
+        for option in ("--max-len", "--max-deg", "--samples", "--seed"):
+            argv = ["suite", name, option, "3"]
+            if option in reads:
+                assert vars(build_parser().parse_args(argv))[option[2:].replace("-", "_")] == 3
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(argv)
+                err = capsys.readouterr().err
+                assert exc.value.code == 2 and err == (
+                    f"error: curveform: unrecognized arguments: {option} 3\n")
+
+    def test_the_seed_of_a_suite_that_reads_none_is_null(self, capsys):
+        _, out, _ = run(capsys, "suite", "units", "--json")
+        _, hopf_out, _ = run(capsys, "suite", "hopf", "--samples", "0", "--json")
+        assert json.loads(out)["seed"] is None and json.loads(hopf_out)["seed"] == 0
 
     @pytest.mark.parametrize("argv", [
         ["suite", "basis", "--max-len", "-1"], ["census", "--max-len", "-2"],

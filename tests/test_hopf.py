@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import pytest
@@ -11,17 +12,16 @@ from curveform.freealg import NcPoly, TensorPoly, accumulate
 from curveform.hopf import (EXPECTED_UNITS, StructureMaps, alt_generators, apply_antipode,
                             apply_counit, apply_delta, check_alt_presentation,
                             check_coideal, check_hopf_axioms, check_identities,
-                            check_welldefined, relation_polys, tensor_nf,
-                            units_bounded_check, units_suite, _hopf_residuals,
-                            _solve_sparse)
-from curveform.nodal import (NodalAlgebra, build_algebra, pattern_words, random_poly,
-                             sample_coefficients, seed_rules)
+                            check_welldefined, relation_polys, tensor_nf, units_suite,
+                            _hopf_residuals, _solve_sparse)
+from curveform.nodal import (NodalAlgebra, build_algebra, is_b_word, pattern_words,
+                             random_poly, sample_coefficients, seed_rules)
 from curveform.parser import parse_expr
 from curveform.report import Entry, Report
 from curveform.rewrite import RuleSystem
 from curveform.scalar import ONE, R, Scalar, ZERO, curve_point_from_t, field
 
-from reference_checks import solve_gauss_jordan, units_by_search
+from reference_checks import solve_gauss_jordan, units_bounded_check, units_by_search
 
 
 class TestStructureMaps:
@@ -383,15 +383,6 @@ class TestFractionFreeSolver:
         assert _combination(cols, sol) == {"u": 1, "v": 1, "w": 10}
         assert len(divisions) == 3 and all(type(c) is int for c in divisions)
 
-    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2)],
-                             ids=["t=2", "t=3", "t=7/5", "t=-1/2"])
-    def test_units_equal_the_gauss_jordan_units(self, t, monkeypatch):
-        a = build_algebra(curve_point_from_t(t))
-        report = units_suite(StructureMaps(a)).to_json()
-        monkeypatch.setattr(hopf, "_solve_sparse", solve_gauss_jordan)
-        assert report == units_suite(StructureMaps(build_algebra(a.point))).to_json()
-        assert report["status"] == "pass"
-
 
 class TestUnits:
     def test_group_like_units(self, alg):
@@ -406,17 +397,17 @@ class TestUnits:
             assert units_bounded_check(alg, alg.parse_nf(text), max_len=4) is None
 
     def test_suite_expected_pattern(self, maps):
-        # a^2 b needs the length-6 inverse a^-5 b, so bound at 6
-        report = units_suite(maps, max_len=6)
+        report = units_suite(maps)
         verdicts = {e["element"]: e["invertible"] for e in report.entries}
         assert verdicts == {"a": True, "b": True, "a^2*b": True, "a^-1*b": True,
                             "1+x": False, "x": False, "c": False, "1+y": False}
 
-    def test_suite_verdict(self, maps):
-        assert units_suite(maps, max_len=6).to_json()["status"] == "pass"
-        # with support {1} not even a and b invert, so the pattern is missed
-        report = units_suite(maps, max_len=0)
-        assert not any(e["invertible"] for e in report.entries)
+    def test_suite_verdict(self, maps, monkeypatch):
+        assert units_suite(maps).to_json()["status"] == "pass"
+        # every candidate is settled, but x is not settled as expected
+        monkeypatch.setitem(hopf.EXPECTED_UNITS, "x", True)
+        report = units_suite(maps)
+        assert all(e["proof"] for e in report.entries)
         assert not report.ok and report.to_json()["status"] == "fail"
 
     def test_rejects_zero(self, alg):
@@ -433,33 +424,124 @@ WRONG_ANTIPODES = {
     "plus ag - 1": lambda f, maps: apply_antipode(f, maps) + NcPoly.word("ag") - NcPoly.one(),
 }
 
+UNITS = [name for name, unit in EXPECTED_UNITS.items() if unit]
+POINTS_OF_UNITS = pytest.mark.parametrize(
+    "t", [2, 3, Fraction(7, 5), Fraction(-1, 2), 0], ids=["t=2", "t=3", "t=7/5", "t=-1/2", "t=0"])
+
+
+def unsettled(report):
+    """The candidates of a units report that no proof settled."""
+    return [e["element"] for e in report.entries if e["proof"] is None]
+
 
 class TestUnitsByAntipode:
-    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2), 0],
-                             ids=["t=2", "t=3", "t=7/5", "t=-1/2", "t=0"])
+    @POINTS_OF_UNITS
     def test_each_unit_is_inverted_by_its_antipode(self, t):
         alg = build_algebra(curve_point_from_t(t))
         maps = StructureMaps(alg)
         witnesses = {e["element"]: e["witness"] for e in units_suite(maps).entries}
-        for name in filter(EXPECTED_UNITS.get, EXPECTED_UNITS):
+        for name in UNITS:
             f = parse_expr(name, alg.point)
             inverse = apply_antipode(f, maps)
             assert inverse == units_bounded_check(alg, f, max_len=6) == witnesses[name]
 
     @pytest.mark.parametrize("max_len", range(9))
     def test_equals_the_search_at_every_bound(self, maps, max_len):
-        assert units_suite(maps, max_len).to_json() == units_by_search(maps, max_len).to_json()
+        # the search finds each proved witness whose words fit the bound,
+        # no inverse of the other units, and none of the non-units
+        fits = set(pattern_words(max_len)).issuperset
+        expected = [{"element": e["element"], "invertible": found,
+                     "witness": e["witness"] if found else None}
+                    for e in units_suite(maps).entries
+                    for found in [e["witness"] is not None and fits(e["witness"].terms)]]
+        assert units_by_search(maps, max_len).entries == expected
 
     @pytest.mark.parametrize("wrong", WRONG_ANTIPODES)
-    def test_a_wrong_antipode_falls_back_to_the_search(self, maps, monkeypatch, wrong):
-        expected = units_by_search(maps).to_json()
-        wrong_antipode, search = WRONG_ANTIPODES[wrong], hopf.units_bounded_check
-        searched = []
-        monkeypatch.setattr(hopf, "apply_antipode", wrong_antipode)
-        monkeypatch.setattr(hopf, "units_bounded_check",
-                            lambda alg, f, max_len: searched.append(f) or search(alg, f, max_len))
-        assert units_suite(maps).to_json() == expected
-        assert len(searched) == len(EXPECTED_UNITS)
+    def test_a_wrong_antipode_leaves_the_units_unsettled(self, maps, monkeypatch, wrong):
+        monkeypatch.setattr(hopf, "apply_antipode", WRONG_ANTIPODES[wrong])
+        report = units_suite(maps)
+        assert unsettled(report) == UNITS and not report.ok
+        assert all(e["invertible"] is None and e["witness"] is None and "error" not in e
+                   for e in report.entries if e["element"] in UNITS)
+
+    def test_a_wrong_antipode_of_a_leaves_its_units_unsettled(self):
+        # S(a) = a: a and a^2 b are settled by S(a) only; b and a^-1 b = g b
+        # do not meet it
+        maps = StructureMaps(build_algebra(curve_point_from_t(2)))
+        maps.antipode_terms["a"] = [("a", 1)]
+        report = units_suite(maps)
+        assert unsettled(report) == ["a", "a^2*b"] and not report.ok
+
+
+class TestUnitsByProof:
+    @POINTS_OF_UNITS
+    def test_verdicts_and_witnesses_equal_the_search(self, t):
+        maps = StructureMaps(build_algebra(curve_point_from_t(t)))
+        proved, searched = units_suite(maps), units_by_search(maps, max_len=6)
+        assert proved.ok and searched.ok
+        assert [(e["element"], e["invertible"], e["witness"]) for e in proved.entries] == [
+            (e["element"], e["invertible"], e["witness"]) for e in searched.entries]
+
+    def test_each_candidate_is_settled_by_its_proof(self, maps):
+        report = units_suite(maps).to_json()
+        assert report["evidence"] == "proof" and "max_len" not in report
+        assert {e["element"]: e["proof"] for e in report["entries"]} == {
+            "a": "antipode", "b": "antipode", "a^2*b": "antipode", "a^-1*b": "antipode",
+            "1+x": "B", "x": "B", "c": "counit", "1+y": "B"}
+
+    @pytest.mark.parametrize("t", [2, 3, Fraction(7, 5), Fraction(-1, 2)],
+                             ids=["t=2", "t=3", "t=7/5", "t=-1/2"])
+    def test_units_never_call_the_solver(self, t, monkeypatch):
+        def refuse(columns, target):
+            raise AssertionError("units_suite called the solver")
+
+        monkeypatch.setattr(hopf, "_solve_sparse", refuse)
+        assert not hasattr(hopf, "units_bounded_check")
+        assert units_suite(StructureMaps(build_algebra(curve_point_from_t(t)))).ok
+
+    def test_the_constants_are_left_to_the_antipode(self, maps, monkeypatch):
+        # a constant lies in B but is no nonconstant element of it: 1 and -1
+        # are their own antipodes and inverses, and no proof settles 2
+        for name in ("1", "-1", "2"):
+            monkeypatch.setitem(hopf.EXPECTED_UNITS, name, True)
+        proofs = {e["element"]: e["proof"] for e in units_suite(maps).entries}
+        assert (proofs["1"], proofs["-1"], proofs["2"]) == ("antipode", "antipode", None)
+
+    def test_a_wrong_counit_leaves_c_unsettled(self):
+        # eps(a) = 2 gives eps(c) = -3q - 1, which is not 0
+        maps = StructureMaps(build_algebra(curve_point_from_t(2)))
+        maps.counit_values["a"] = 2
+        report = units_suite(maps)
+        assert unsettled(report) == ["c"] and not report.ok
+        entry = report.entries[list(EXPECTED_UNITS).index("c")]
+        assert entry["invertible"] is None and entry["witness"] is None and "error" not in entry
+
+
+algebra_at = cache(lambda t: build_algebra(curve_point_from_t(t)))
+
+
+def b_norm(f, alg):
+    """N(f) = u^2 - (x^2+x^3) v^2 of an element f = u + v y of B in normal
+    form, with u and v polynomials in x."""
+    u = NcPoly((w, c) for w, c in f.terms.items() if not w.endswith("y"))
+    v = NcPoly((w[:-1], c) for w, c in f.terms.items() if w.endswith("y"))
+    return alg.nf(u * u - parse_expr("x^2 + x^3", alg.point) * v * v)
+
+
+# elements of B: one to three words in x and y with small integer coefficients
+b_elements = st.lists(st.tuples(st.text("xy", max_size=4), st.integers(-3, 3).filter(bool)),
+                      min_size=1, max_size=3).map(NcPoly)
+
+
+class TestBNorm:
+    @pytest.mark.parametrize("t", [2, Fraction(7, 5)], ids=["t=2", "t=7/5"])
+    @settings(max_examples=60, deadline=None)
+    @given(f=b_elements, g=b_elements)
+    def test_multiplicative(self, t, f, g):
+        alg = algebra_at(t)
+        f, g = alg.nf(f), alg.nf(g)
+        assert all(map(is_b_word, f.terms))
+        assert b_norm(alg.nf(f * g), alg) == alg.nf(b_norm(f, alg) * b_norm(g, alg))
 
 
 # -- the structure maps over the rules' field -------------------------------
@@ -658,20 +740,21 @@ class TestFieldCoefficients:
         assert list(maps._delta_cache) == list(reference.delta)
         assert list(maps._antipode_cache) == list(reference.antipode)
 
-    def test_units_witness_is_scalar(self, alg):
-        witness = units_bounded_check(alg, alg.parse_nf("a^2*b"), max_len=6)
+    def test_units_witness_is_scalar(self, alg, maps):
+        witness = {e["element"]: e["witness"] for e in units_suite(maps).entries}["a^2*b"]
         assert witness == alg.parse_nf("a^-5*b")
         assert all(type(c) is Scalar for c in witness.terms.values())
 
 
 class TestUnitsFuel:
     def test_overrun_fails_the_candidate(self, alg):
-        starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=30),
+        # b S(b) = b a^-3 b takes 25 steps, and at 24 only b's proof runs out
+        starved = NodalAlgebra(alg.point, RuleSystem(alg.system.rules, fuel=24),
                                alg.completion_log)
         report = units_suite(StructureMaps(starved))
         assert not report.ok and len(report.entries) == 8
         failed = [e for e in report.entries if "error" in e]
-        assert [e["element"] for e in failed] == ["c"]
+        assert [e["element"] for e in failed] == ["b"]
         assert isinstance(failed[0]["error"], FuelExhausted)
         assert failed[0]["invertible"] is None and failed[0]["witness"] is None
-        assert "budget 30" in report.to_json()["entries"][6]["error"]
+        assert "budget 24" in report.to_json()["entries"][1]["error"]
