@@ -397,6 +397,8 @@ def units_suite(maps: StructureMaps) -> Report:
     named under "proof":
     - "counit": eps(f) = 0, and eps is an algebra map, so f is no unit (c;
       also x where q = 0 and 1+x where q = -1).
+    - "constant": NF(f) is a nonzero constant k, so f is a unit with
+      inverse 1/k (no constant is in the sample).
     - "B": NF(f) is a nonconstant element of B, so f is no unit (x, 1+x,
       1+y).  A is free as a left B-module on the tails, so f u = 1 gives
       f u_1 = 1 in B; the norm u^2 - (x^2+x^3) v^2 of u + v y is
@@ -419,6 +421,8 @@ def units_suite(maps: StructureMaps) -> Report:
             return False, "counit", None
         terms = f.field_terms()
         words = nf_terms(terms)
+        if words.keys() == {""}:
+            return True, "constant", NcPoly.scalar(reciprocal(words[""]))
         if any(words) and all(map(is_b_word, words)):
             return False, "B", None
         s = apply_antipode(f, maps)

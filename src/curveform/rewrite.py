@@ -39,13 +39,17 @@ system.  Rounds are incremental: when a rule with lhs L is added, the nf
 cache drops in place the words that hold L or whose head or prefix-first
 children were dropped, the child words nf_word stored as it cached each
 word (while completion runs only: the completed system stores none).  Each
-ambiguity is one record for the whole build, its branches made once; it
-keeps its entry unreduced, and the rank of a nonzero difference, while its
-branch words stay cached.  So the final report holds entries of earlier
-rounds, each equal to the one a fresh system computes, and each new rule
-adds the records of its own pairs.  Two memos live as long as the process,
-as their values depend on words alone: word_matrix, and _pair_ambiguities,
-whose ambiguities and sort keys every system shares.
+ambiguity is one record for the whole build, its branches made once.  A
+resolved entry is kept for the rest of the build: rules are only added,
+never inter-reduced, so the reductions that resolved it stay reductions of
+every later system, and an ambiguity resolvable under some rules stays so
+under more (Bergman 1978).  An unresolved entry, with the rank of its
+difference, is kept while its branch words stay cached.  So the final
+report holds entries of earlier rounds, each equal to the one a fresh check
+of the completed system computes, and each new rule adds the records of its
+own pairs.  Two memos live as long as the process, as their values depend
+on words alone: word_matrix, and _pair_ambiguities, whose ambiguities and
+sort keys every system shares.
 
 Termination is proved by one well-founded order, a matrix interpretation
 (Hofbauer & Waldmann 2006): a word maps to the product of its letters'
@@ -438,7 +442,14 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     ties broken by the ambiguity key, is made from its rank and added.  So
     every rule added decreases under the order, and when the rules of rs do
     too, every intermediate system terminates.  Rounds are incremental, as
-    the module docstring says.  Every intermediate system, and the result,
+    the module docstring says: a resolved entry is never reduced again, and
+    an unresolved one is reduced again once one of its branch words leaves
+    the carried cache.  Keeping resolved entries assumes that the rules only
+    grow: a change that removes rules (ROADMAP item 6, inter-reduction) must
+    revisit them, since a resolution may use a removed rule.  The last round
+    is still the diamond check of the result: each kept entry resolves by
+    reductions the result still makes, and every other one vanishes under
+    the result itself.  Every intermediate system, and the result,
     keeps the fuel of rs; carried words cost none.  A branch that runs out
     of fuel ends completion: the first such record in key order raises
     FuelExhausted on its witness, from the branch's error.
@@ -478,7 +489,8 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
         current._nf_cache = carried = _carry(current, old._nf_cache, children)
         current._children = children
         for rec in records:
-            if not all(w in carried for branch in rec.branches for w, _ in branch):
+            if not rec.entry.ok and not all(w in carried for branch in rec.branches
+                                            for w, _ in branch):
                 rec.entry = rec.rank = None
         records += [_Record(current, amb) for lhs in current._rhs for pair in
                     {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]

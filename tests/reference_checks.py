@@ -10,8 +10,11 @@ enumerates the ambiguities of two lhs afresh on every call, the unmemoised
 reference for rewrite._pair_ambiguities, and carry_by_step cuts a
 completion round's nf cache by deriving each word's children again from
 the new system, the reference for rewrite._carry, which reads the children
-nf_word stored.  trivial_coaction is the value 1-bar (x) NF(f) that
-galois._is_trivial compares the coaction with, as a TensorPoly.
+nf_word stored.  complete_redropping_resolved is completion that reduces
+a record again whenever a new rule drops one of its branch words from the
+carried cache, resolved or not, the reference for rewrite.complete, which
+keeps every resolved entry.  trivial_coaction is the value 1-bar (x) NF(f)
+that galois._is_trivial compares the coaction with, as a TensorPoly.
 units_bounded_check searches for an inverse supported on the pattern
 words up to a length bound, as an exact linear system solved by
 hopf._solve_sparse; units_by_search is the units report with every
@@ -25,7 +28,9 @@ from itertools import product
 from curveform.freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product, word_key
 from curveform.hopf import EXPECTED_UNITS, _solve_sparse, alt_generators
 from curveform.nodal import count_basis_words, is_basis_word, pattern_words
-from curveform.rewrite import Ambiguity
+from curveform.errors import FuelExhausted, LimitExceeded
+from curveform.rewrite import (Ambiguity, CompletionLog, RuleSystem, _carry, _diamond, _monic,
+                               _pair_ambiguities, _Record, rank)
 from curveform.parser import parse_expr
 from curveform.report import Report, attempt
 from curveform.scalar import Scalar
@@ -171,6 +176,47 @@ def carry_by_step(rs, cache: dict) -> dict:
     for w in dropped:
         del cache[w]
     return cache
+
+
+def complete_redropping_resolved(rs, is_target, max_rules=64):
+    """rewrite.complete with an entry reduced again whenever one of its
+    branch words leaves the carried cache, resolved or not; returns
+    (RuleSystem, CompletionLog) as complete does."""
+    log = CompletionLog()
+    current = RuleSystem(rs.rules, rs.fuel)
+    current._children = children = {}
+    records = [_Record(current, amb) for amb in current.find_ambiguities()]
+    while True:
+        log.counts.append((len(records), sum(rec.entry is None for rec in records),
+                           len(current._nf_cache)))
+        report = _diamond(current, records)
+        candidates = []
+        for rec in records:
+            residual = rec.entry.residual
+            if isinstance(residual, FuelExhausted):
+                raise FuelExhausted(NcPoly.word(rec.amb.witness), residual.steps,
+                                    residual.budget) from residual
+            if not rec.entry.ok:
+                rec.rank = rec.rank or rank(residual, is_target, rec.amb.witness)
+                candidates.append(rec)
+        if not candidates:
+            log.diamond = report
+            current._children = None
+            return current, log
+        if len(current.rules) >= max_rules:
+            raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
+        best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
+        rule = _monic(best.entry.residual, best.rank[-1])
+        log.added.append((best.amb.witness, rule))
+        current, old = RuleSystem((*current.rules, rule), rs.fuel), current
+        current._nf_cache = carried = _carry(current, old._nf_cache, children)
+        current._children = children
+        for rec in records:
+            if not all(w in carried for branch in rec.branches for w, _ in branch):
+                rec.entry = rec.rank = None
+        records += [_Record(current, amb) for lhs in current._rhs for pair in
+                    {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]
+        records.sort(key=lambda rec: rec.amb.key)
 
 
 def trivial_coaction(f, alg) -> TensorPoly:

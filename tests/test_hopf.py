@@ -499,13 +499,20 @@ class TestUnitsByProof:
         assert not hasattr(hopf, "units_bounded_check")
         assert units_suite(StructureMaps(build_algebra(curve_point_from_t(t)))).ok
 
-    def test_the_constants_are_left_to_the_antipode(self, maps, monkeypatch):
-        # a constant lies in B but is no nonconstant element of it: 1 and -1
-        # are their own antipodes and inverses, and no proof settles 2
-        for name in ("1", "-1", "2"):
+    def test_the_constants_are_settled_by_their_reciprocal(self, maps, monkeypatch):
+        # NF(k) = k != 0 is a unit with inverse 1/k, before the antipode is
+        # tried; 0 is no unit, by the counit
+        constants = {"1": 1, "-1": -1, "2": Fraction(1, 2), "-3/4": Fraction(-4, 3)}
+        for name in constants:
             monkeypatch.setitem(hopf.EXPECTED_UNITS, name, True)
-        proofs = {e["element"]: e["proof"] for e in units_suite(maps).entries}
-        assert (proofs["1"], proofs["-1"], proofs["2"]) == ("antipode", "antipode", None)
+        monkeypatch.setitem(hopf.EXPECTED_UNITS, "0", False)
+        report = units_suite(maps)
+        entries = {e["element"]: e for e in report.entries}
+        assert report.ok
+        for name, inverse in constants.items():
+            assert (entries[name]["proof"], entries[name]["witness"]) == (
+                "constant", NcPoly.scalar(inverse))
+        assert (entries["0"]["invertible"], entries["0"]["proof"]) == (False, "counit")
 
     def test_a_wrong_counit_leaves_c_unsettled(self):
         # eps(a) = 2 gives eps(c) = -3q - 1, which is not 0

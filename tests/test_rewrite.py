@@ -16,7 +16,8 @@ from curveform.hopf import StructureMaps, check_welldefined, tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
-from reference_checks import carry_by_step, pair_ambiguities_by_scan
+from reference_checks import (carry_by_step, complete_redropping_resolved,
+                              pair_ambiguities_by_scan)
 from reference_reduction import apply_at, match_directional, normal_form_strategy, reduce_once
 
 
@@ -655,6 +656,8 @@ def entry_terms(report):
 
 
 POINTS = ["2", "3", "7/5", "-1/2"]
+# the points whose rules --json digests tests/test_cli.py pins
+PINNED_RULES_POINTS = ["2", "3", "1", "0", "7/5", "-1/2"]
 
 
 class TestCompletionRounds:
@@ -710,10 +713,22 @@ class TestCompletionRounds:
             str(e.residual) for e in report.entries]
 
 
+def seeded_points(n, seed=0):
+    """n distinct rationals: t = 0, 1 and -1, then seeded ones."""
+    rng, points = random.Random(seed), [Fraction(0), Fraction(1), Fraction(-1)]
+    while len(points) < n:
+        t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        if t not in points:
+            points.append(t)
+    return points
+
+
 class TestIncrementalCompletion:
     """Each round starts from the last round's nf cache less the words the
-    new rule changes, and keeps the entries whose branch words all stayed;
-    part of the final diamond report therefore comes from earlier rounds."""
+    new rule changes.  It keeps every resolved entry, since rules are only
+    added and the reductions that resolved it stay valid (Bergman), and
+    each unresolved entry whose branch words all stayed; part of the final
+    diamond report therefore comes from earlier rounds."""
 
     @pytest.mark.parametrize("t", POINTS)
     def test_every_round_equals_a_cold_diamond(self, monkeypatch, t):
@@ -752,11 +767,38 @@ class TestIncrementalCompletion:
             impure = any(not is_basis_word(w) for w in rule.rhs.terms)
             assert rank(diff, is_basis_word) == (impure, len(rule.lhs), rule.lhs)
 
+    @pytest.mark.parametrize("t", [
+        *(pytest.param(t, id=f"pinned {t}") for t in PINNED_RULES_POINTS),
+        *(pytest.param(t, id=f"seeded {t}") for t in seeded_points(20))])
+    def test_equals_the_completion_that_reduces_resolved_entries_again(self, t):
+        # the rules, the log and the final diamond report, as JSON
+        seed = RuleSystem(seed_rules(curve_point_from_t(Fraction(t))))
+        (fast, log), (slow, reference) = (completion(seed, is_basis_word) for completion in
+                                          (complete, complete_redropping_resolved))
+        assert fast.to_json() == slow.to_json()
+        assert log.to_json() == reference.to_json()
+        assert log.diamond.to_json() == reference.diamond.to_json()
+
+    @pytest.mark.parametrize("t", [*POINTS, "0", "1"])
+    def test_a_resolved_entry_is_kept_to_the_final_report(self, monkeypatch, t):
+        built = []
+        rounds = recorded_rounds(monkeypatch, lambda: built.append(
+            build_algebra(curve_point_from_t(Fraction(t)))))
+        assert rounds[-1][-1] is built[0].completion_log.diamond
+        kept = 0
+        for i, (_, ambiguities, _, _, report) in enumerate(rounds):
+            for amb, entry in zip(ambiguities, report.entries):
+                if entry.ok:
+                    for _, later, _, _, after in rounds[i + 1:]:
+                        assert after.entries[later.index(amb)] is entry
+                        kept += 1
+        assert kept
+
     def test_round_counts(self):
         log = build_algebra(curve_point_from_t(2)).completion_log
         ambiguities, reduced, cache_words = map(list, zip(*log.counts))
         assert ambiguities == [26, 31, 39, 47, 51]
-        assert reduced == [26, 6, 9, 17, 21]
+        assert reduced == [26, 6, 9, 15, 14]
         # only the empty word before the first round
         assert cache_words[0] == 1 and all(n > 1 for n in cache_words[1:])
         # not in the pinned rules --json output
