@@ -9,8 +9,10 @@ deterministic.
 
 Every sparse map in the package (polynomials, tensors, quotient classes,
 coaction values, reduction caches, elimination rows) is summed by
-accumulate(), so the rule "add into an entry, drop it at zero" lives in one
-place.  Dict insertion order is part of the contract: a new key goes last,
+accumulate(), or by accumulate_scaled(), its form for c times a dict, which
+adds c itself for a value 1 (as an irreducible word's normal form {w: 1}
+in rewrite), so the rule "add into an entry, drop it at zero" lives here
+alone.  Dict insertion order is part of the contract: a new key goes last,
 a surviving key keeps its place and a cancelled key is removed.
 """
 
@@ -23,6 +25,7 @@ from .scalar import ONE, Scalar, field
 
 ALPHABET = "xyagb"
 _ORD = str.maketrans(ALPHABET, "01234")
+_INT_ONE = 1
 
 
 def word_key(w: str):
@@ -50,6 +53,22 @@ def accumulate(acc: dict, pairs) -> dict:
                 acc[key] = c
             else:
                 del acc[key]
+    return acc
+
+
+def accumulate_scaled(acc: dict, c, terms: dict) -> dict:
+    """accumulate(acc, ((key, c * v) for key, v in terms.items())), terms only
+    read, without the pairs, and adding c itself, unmultiplied, for a value
+    that is the int 1 (an identity test, so no value is compared)."""
+    for key, v in terms.items():
+        v = c if v is _INT_ONE else c * v
+        old = acc.get(key)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[key] = v
+        elif old is not None:
+            del acc[key]
     return acc
 
 

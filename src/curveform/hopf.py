@@ -36,10 +36,11 @@ units_suite it fails the candidate it was settling.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import chain
 from math import gcd, lcm
 
-from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product
+from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, accumulate_scaled, concat_product
 from .nodal import (NodalAlgebra, is_b_word, is_basis_word, pattern_words, random_poly,
                     sample_coefficients)
 from .parser import parse_expr
@@ -223,12 +224,12 @@ def _hopf_residuals(f: NcPoly, maps: StructureMaps):
          for (v1, v2), cv in _delta_word(v, maps).items())))
     counit_l = accumulate({}, ((v, c * _counit_word(u, maps)) for (u, v), c in d))
     counit_r = accumulate({}, ((u, c * _counit_word(v, maps)) for (u, v), c in d))
-    antipode_l, antipode_r = {}, {}
+    antipode_l, right = defaultdict(dict), defaultdict(list)
     for (u, v), c in d:
-        accumulate(antipode_l.setdefault(v, {}),
-                   ((s, c * cs) for s, cs in _antipode_word(u, maps).items()))
+        accumulate_scaled(antipode_l[v], c, _antipode_word(u, maps))
         for s, cs in _antipode_word(v, maps).items():
-            accumulate(antipode_r.setdefault(s, {}), [(u, c * cs)])
+            right[s].append((u, c * cs))
+    antipode_r = {s: accumulate({}, pairs) for s, pairs in right.items()}
     return [TensorPoly(3, coassoc),
             NcPoly(accumulate(counit_l, minus_f)), NcPoly(accumulate(counit_r, minus_f)),
             NcPoly(accumulate(nf_times(antipode_l), minus_eps)),

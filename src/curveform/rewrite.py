@@ -24,13 +24,15 @@ once, an int where a coefficient is integral and a Scalar elsewhere, so an
 integral point reduces on ints alone, and an element's own Scalar
 coefficients multiply the cached normal forms of its words.  A word
 rewritten by a rule whose rhs is a single word with coefficient 1 shares
-that word's cached normal form instead of a copy.  Every sum of c *
-NF(w) over words is made by one reducer, RuleSystem.nf_terms: normal
-forms of elements and branch differences of ambiguities (only the
-difference itself becomes an NcPoly of Scalars).  A sum of normal forms
-times words, as the Hopf layer's antipode makes, is reduced by
-RuleSystem.nf_times one letter at a time, so that only words of the form
-normal word times one letter are reduced and cached.
+that word's cached normal form instead of a copy.  Every sum of c * NF(w)
+(nf_word's cache fill, nf_terms, each letter of nf_times) is made by
+_nf_sum from the cached dicts with freealg.accumulate_scaled, so an
+irreducible word, whose NF is {w: 1}, adds c itself, unmultiplied.
+nf_terms reduces normal forms of elements and branch differences of
+ambiguities (only the difference becomes an NcPoly of Scalars).  A sum of
+normal forms times words, as the Hopf layer's antipode makes, is reduced
+by nf_times one letter at a time, so that only words of the form normal
+word times one letter are reduced and cached.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -74,7 +76,7 @@ from functools import cache, cached_property
 from operator import ge
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
-from .freealg import NcPoly, accumulate, check_word, word_key
+from .freealg import NcPoly, accumulate, accumulate_scaled, check_word, word_key
 from .report import Entry, Report, attempt
 
 DEFAULT_FUEL = 100_000
@@ -167,15 +169,16 @@ class RuleSystem:
         word's child words are stored there as a tuple when it is cached.  A
         word that one step rewrites to a single word with coefficient 1 is
         cached as that word's dict itself, so cached dicts are shared and must
-        never be mutated once inserted.  Reducing a word that is not cached
-        yet may visit at most self.fuel words; the words cached on the way
-        cost later calls nothing."""
+        never be mutated once inserted; any other, as the _nf_sum of its
+        children.  Reducing a word that is not cached yet may visit at most
+        self.fuel words; the words cached on the way cost later calls
+        nothing."""
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
             return hit
-        record = self._children
-        budget = self.fuel
+        record, budget, lookup = self._children, self.fuel, cache.get
+        match, rhs = self.match, self._rhs
         steps = 0
         pending = {}
         stack = [w]
@@ -187,63 +190,61 @@ class RuleSystem:
             if cur in cache:
                 stack.pop()
                 continue
-            children = pending.get(cur)
+            children = pending.pop(cur, None)
             if children is None:
                 head = cur[:-1]
-                head_nf = cache.get(head)
+                head_nf = lookup(head)
                 if head_nf is None:
                     stack.append(head)
                     continue
                 if head not in head_nf:  # the head is reducible
                     last = cur[-1]
                     children = [(n + last, c) for n, c in head_nf.items()]
-                elif (m := self.match(cur)) is None:
+                elif (m := match(cur)) is None:
                     cache[cur] = {cur: 1}
                     stack.pop()
                     continue
                 else:  # the match ends at the last letter
-                    children = [(cur[:m[0]] + t, c) for t, c in self._rhs[m[1]]]
-                pending[cur] = children
+                    children = [(cur[:m[0]] + t, c) for t, c in rhs[m[1]]]
             missing = [cw for cw, _ in children if cw not in cache]
             if missing:
+                pending[cur] = children
                 stack.extend(missing)
                 continue
             if len(children) == 1 and children[0][1] == 1:
                 cache[cur] = cache[children[0][0]]
             else:
-                cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
-                                             for w2, c2 in cache[cw].items()))
+                cache[cur] = _nf_sum({}, children, cache.__getitem__)
             if record is not None:
                 record[cur] = tuple([cw for cw, _ in children])
-            del pending[cur]
             stack.pop()
         return cache[w]
 
     def nf_terms(self, pairs) -> dict:
         """The normal form of the sum of c * w over the (word, c) pairs as a
-        new dict, in the field of the c and of the rules.  Each word is
-        reduced when its pair is reached, and the terms accumulate in that
-        order."""
-        nf_word = self.nf_word
-        return accumulate({}, ((w, c * cw) for word, c in pairs
-                               for w, cw in nf_word(word).items()))
+        new dict, in the field of the c and of the rules, made by _nf_sum:
+        each word is reduced when its pair is reached, and the terms
+        accumulate in that order."""
+        return _nf_sum({}, pairs, self.nf_word)
 
     def nf_times(self, groups) -> dict:
         """The normal form of the sum of P_v * v over groups = {v: P_v} as a
         new dict, each P_v a dict over normal words, by Horner's scheme on the
         suffixes of the v: longest v first, in insertion order, P_v times the
         first letter of v is reduced (NF(n + letter) for each word n) and
-        added after the terms of the group of the rest of v.  So only a
-        normal word times one letter is reduced, and groups that share a
-        suffix merge before their next letter.  No P_v is written into."""
-        nf_word, groups = self.nf_word, dict(groups)
+        added (_nf_sum) after the terms of the group of the rest of v.  So
+        only a normal word times one letter is reduced, and groups that share
+        a suffix merge before their next letter, in place into a group built
+        here, else into a copy: no P_v or cached dict is written into."""
+        nf_word, groups, built = self.nf_word, dict(groups), set()
         for size in range(max(map(len, groups), default=0), 0, -1):
             for v in [v for v in groups if len(v) == size]:
-                prod = accumulate({}, ((w, c * cw) for n, c in groups.pop(v).items()
-                                       for w, cw in nf_word(n + v[0]).items()))
-                old = groups.get(v[1:])
-                groups[v[1:]] = prod if old is None else accumulate(dict(old), prod.items())
-        return dict(groups.get("", {}))
+                prod, rest = _nf_sum({}, groups.pop(v).items(), nf_word, v[0]), v[1:]
+                old = groups.get(rest)
+                groups[rest] = prod if old is None else accumulate(
+                    old if rest in built else dict(old), prod.items())
+                built.add(rest)
+        return groups[""] if "" in built else dict(groups.get("", {}))
 
     def normal_form(self, f: NcPoly) -> NcPoly:
         """Fully reduce the NcPoly f: the sum of c * NF(w) over its terms c * w."""
@@ -258,6 +259,14 @@ class RuleSystem:
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
+
+
+def _nf_sum(acc: dict, pairs, nf_of, last="") -> dict:
+    """Add c * NF(w + last) into acc for each (w, c) of pairs, in their order,
+    straight from the cached dict nf_of(w + last), which is only read."""
+    for w, c in pairs:
+        accumulate_scaled(acc, c, nf_of(w + last))
+    return acc
 
 
 @cache

@@ -15,6 +15,12 @@ a record again whenever a new rule drops one of its branch words from the
 carried cache, resolved or not, the reference for rewrite.complete, which
 keeps every resolved entry.  trivial_coaction is the value 1-bar (x) NF(f)
 that galois._is_trivial compares the coaction with, as a TensorPoly.
+GeneratorFedSystem is the RuleSystem whose three sums of scaled normal
+forms (nf_word's cache fill, nf_terms and the Horner step of nf_times) each
+feed accumulate a generator of (word, c * c') pairs, every word's normal
+form multiplied out, an irreducible word's {w: 1} too, and whose nf_times
+merges a group into a copy of the one it joins: the reference for the
+scaled sums of rewrite.RuleSystem.
 units_bounded_check searches for an inverse supported on the pattern
 words up to a length bound, as an exact linear system solved by
 hopf._solve_sparse; units_by_search is the units report with every
@@ -217,6 +223,76 @@ def complete_redropping_resolved(rs, is_target, max_rules=64):
         records += [_Record(current, amb) for lhs in current._rhs for pair in
                     {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]
         records.sort(key=lambda rec: rec.amb.key)
+
+
+class GeneratorFedSystem(RuleSystem):
+    """RuleSystem with nf_word, nf_terms and nf_times summing generators of
+    products, each word reduced in the same order."""
+
+    def nf_word(self, w: str) -> dict:
+        cache = self._nf_cache
+        hit = cache.get(w)
+        if hit is not None:
+            return hit
+        record = self._children
+        budget = self.fuel
+        steps = 0
+        pending = {}
+        stack = [w]
+        while stack:
+            steps += 1
+            if steps > budget:
+                raise FuelExhausted(NcPoly.word(w), steps - 1, budget)
+            cur = stack[-1]
+            if cur in cache:
+                stack.pop()
+                continue
+            children = pending.get(cur)
+            if children is None:
+                head = cur[:-1]
+                head_nf = cache.get(head)
+                if head_nf is None:
+                    stack.append(head)
+                    continue
+                if head not in head_nf:  # the head is reducible
+                    last = cur[-1]
+                    children = [(n + last, c) for n, c in head_nf.items()]
+                elif (m := self.match(cur)) is None:
+                    cache[cur] = {cur: 1}
+                    stack.pop()
+                    continue
+                else:  # the match ends at the last letter
+                    children = [(cur[:m[0]] + t, c) for t, c in self._rhs[m[1]]]
+                pending[cur] = children
+            missing = [cw for cw, _ in children if cw not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            if len(children) == 1 and children[0][1] == 1:
+                cache[cur] = cache[children[0][0]]
+            else:
+                cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
+                                             for w2, c2 in cache[cw].items()))
+            if record is not None:
+                record[cur] = tuple([cw for cw, _ in children])
+            del pending[cur]
+            stack.pop()
+        return cache[w]
+
+    def nf_terms(self, pairs) -> dict:
+        nf_word = self.nf_word
+        return accumulate({}, ((w, c * cw) for word, c in pairs
+                               for w, cw in nf_word(word).items()))
+
+    def nf_times(self, groups) -> dict:
+        nf_word, groups = self.nf_word, dict(groups)
+        for size in range(max(map(len, groups), default=0), 0, -1):
+            for v in [v for v in groups if len(v) == size]:
+                prod = accumulate({}, ((w, c * cw) for n, c in groups.pop(v).items()
+                                       for w, cw in nf_word(n + v[0]).items()))
+                old = groups.get(v[1:])
+                groups[v[1:]] = prod if old is None else accumulate(dict(old), prod.items())
+        return dict(groups.get("", {}))
 
 
 def trivial_coaction(f, alg) -> TensorPoly:

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from curveform.errors import ArityMismatch
-from curveform.freealg import ALPHABET, NcPoly, Sparse, TensorPoly, accumulate, word_key
-from curveform.scalar import ONE, Scalar
+from curveform.freealg import (ALPHABET, NcPoly, Sparse, TensorPoly, accumulate,
+                               accumulate_scaled, word_key)
+from curveform.scalar import ONE, R, Scalar
 
 words = st.text(alphabet=ALPHABET, max_size=5)
 coeffs = st.sampled_from([Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 1), Scalar(-3, 2)])
@@ -57,6 +58,46 @@ def test_accumulate_order_and_cancellation():
                           ("z", Scalar(0)), ("y", ONE), ("x", Scalar(5))])
     # a cancelled key is removed and comes back last; a zero never lands
     assert list(acc.items()) == [("y", Scalar(3)), ("x", Scalar(5))]
+
+
+# the two coefficient forms of the field form (scalar.field): ints, and
+# Scalars, some integral; few keys, so that sums cancel and keys come back
+scaled_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([Scalar(1), Scalar(-2), R, ONE - R, Scalar(1, -1), Scalar(-1, 1)]))
+scaled_dicts = st.dictionaries(st.sampled_from(["", "x", "xy", "a"]), scaled_coeffs, max_size=4)
+
+
+def typed_items(acc):
+    return [(k, type(c), c) for k, c in acc.items()]
+
+
+@given(scaled_dicts, st.lists(st.tuples(st.one_of(scaled_coeffs, st.just(0)), scaled_dicts),
+                              max_size=5))
+# x cancels at the second scaled dict and comes back last at the third
+@example({"x": 1, "a": 2}, [(1, {"x": -1}), (2, {"a": 1}), (Scalar(3), {"x": R})])
+def test_accumulate_scaled_equals_accumulate_of_the_products(start, scaled):
+    # the same dict in the same key order, value types included, as
+    # accumulate fed the generator of products; the scaled dicts are only read
+    got, want = dict(start), dict(start)
+    for c, terms in scaled:
+        before = list(terms.items())
+        assert accumulate_scaled(got, c, terms) is got
+        accumulate(want, ((k, c * v) for k, v in terms.items()))
+        assert list(terms.items()) == before
+        assert typed_items(got) == typed_items(want)
+
+
+@given(scaled_dicts, scaled_dicts)
+def test_accumulate_scaled_by_zero_stores_nothing(start, terms):
+    # no key lands, none is dropped and every value stays equal (a value
+    # that meets a key of terms is stored again as old + 0, a Scalar when
+    # that zero is)
+    for zero in (0, Scalar(0)):
+        acc = dict(start)
+        assert accumulate_scaled({}, zero, terms) == {}
+        accumulate_scaled(acc, zero, terms)
+        assert list(acc.items()) == list(start.items())
 
 
 def test_accumulate_polynomial_coefficients():

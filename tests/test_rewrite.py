@@ -16,7 +16,7 @@ from curveform.hopf import StructureMaps, check_welldefined, tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
-from reference_checks import (carry_by_step, complete_redropping_resolved,
+from reference_checks import (GeneratorFedSystem, carry_by_step, complete_redropping_resolved,
                               pair_ambiguities_by_scan)
 from reference_reduction import apply_at, match_directional, normal_form_strategy, reduce_once
 
@@ -607,6 +607,88 @@ class TestNfTimes:
         del rs.nf_word
         assert all(w and rs.nf_word(w[:-1]) == {w[:-1]: 1} for w in reduced)
         assert reduced or not any(v and p for v, p in groups.items())
+
+
+# the reduce-stream benchmark's coefficients, and integral ones
+STREAM_COEFFS = [Scalar(Fraction(1, 2)), Scalar(Fraction(-3, 4)), Scalar(Fraction(2, 3), 1), R,
+                 Scalar(5, Fraction(-2, 7)), Scalar(Fraction(-7, 5)), ONE - R,
+                 Scalar(Fraction(-5, 3), Fraction(1, 2)), ONE, Scalar(-1), Scalar(2)]
+
+
+def stream_products(seed, n):
+    """n products f * g as the reduce-stream benchmark draws them: f and g
+    each 1 to 3 words of length at most 6, each with a coefficient of
+    STREAM_COEFFS."""
+    rng = random.Random(seed)
+
+    def element():
+        return NcPoly({"".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6))):
+                       rng.choice(STREAM_COEFFS) for _ in range(rng.randint(1, 3))})
+
+    return [element() * element() for _ in range(n)]
+
+
+def typed(terms: dict):
+    return [(k, type(c), c) for k, c in terms.items()]
+
+
+def scaled_sum_rules(name):
+    t, _, removed = name.partition(" without ")
+    rules = build_algebra(curve_point_from_t(Fraction(t))).system.rules
+    kept = [rule for rule in rules if rule.lhs != removed]
+    assert len(kept) == len(rules) - bool(removed)
+    return kept
+
+
+def reduce_all(rs, products):
+    """Each product's normal form, its terms reduced in the field form by
+    nf_terms, and nf_times over groups of them, each a cached dict or a sum;
+    each result as typed terms, a FuelExhausted as its word, steps and
+    budget."""
+    out = []
+    for i, p in enumerate(products):
+        try:
+            groups = {"xa"[:i % 3]: rs.nf_word(min(p.terms)), "gax"[i % 3:]: rs.nf_terms(
+                p.field_terms()), "ba": rs.normal_form(p).terms}
+            before = {v: typed(nf) for v, nf in groups.items()}
+            out.append([typed(nf) for nf in groups.values()] + [typed(rs.nf_times(groups))])
+            assert {v: typed(nf) for v, nf in groups.items()} == before
+        except FuelExhausted as e:
+            out.append((str(e.partial), e.steps, e.budget))
+    return out
+
+
+class TestScaledSums:
+    """The sums of scaled normal forms equal the generator-fed sums that
+    multiply every term out, the irreducible words' too: every result and
+    cached dict, with its value types and its order, and every fuel
+    outcome."""
+
+    @pytest.mark.parametrize("name", ["2", "7/5", "-1/2", "7/5 without gx"])
+    def test_caches_equal_the_generator_fed_reference(self, name):
+        rules, products = scaled_sum_rules(name), stream_products(35, 80)
+        fast, slow = RuleSystem(rules), GeneratorFedSystem(rules)
+        assert reduce_all(fast, products) == reduce_all(slow, products)
+        cached = [(w, typed(nf)) for w, nf in fast._nf_cache.items()]
+        assert len(cached) > 1000
+        assert cached == [(w, typed(nf)) for w, nf in slow._nf_cache.items()]
+        # both types occur off the integral point, and words longer than a
+        # letter are irreducible
+        kinds = {kind for _, terms in cached for _, kind, _ in terms}
+        assert kinds == ({int} if name == "2" else {int, Scalar})
+        assert any(w in nf and len(w) > 1 for w, nf in fast._nf_cache.items())
+
+    @pytest.mark.parametrize("name", ["7/5", "7/5 without gx"])
+    def test_starved_systems_run_out_at_the_same_word(self, name):
+        rules, products = scaled_sum_rules(name), stream_products(36, 15)
+        outcomes = set()
+        for fuel in range(1, 21):
+            fast, slow = RuleSystem(rules, fuel), GeneratorFedSystem(rules, fuel)
+            got = reduce_all(fast, products)
+            assert got == reduce_all(slow, products)
+            assert list(fast._nf_cache) == list(slow._nf_cache)
+            outcomes.update(type(r) for r in got)
+        assert outcomes == {tuple, list}
 
 
 # -- completion in the field of definition, its last round the diamond check
