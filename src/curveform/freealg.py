@@ -9,11 +9,12 @@ deterministic.
 
 Every sparse map in the package (polynomials, tensors, quotient classes,
 coaction values, reduction caches, elimination rows) is summed by
-accumulate(), or by accumulate_scaled(), its form for c times a dict, which
-adds c itself for a value 1 (as an irreducible word's normal form {w: 1}
-in rewrite), so the rule "add into an entry, drop it at zero" lives here
-alone.  Dict insertion order is part of the contract: a new key goes last,
-a surviving key keeps its place and a cancelled key is removed.
+accumulate(), or by its forms for c times dicts, accumulate_scaled(),
+accumulate_joined() and accumulate_outer(), which add c itself for a value
+1 (as an irreducible word's normal form {w: 1} in rewrite), so the rule
+"add into an entry, drop it at zero" lives here alone.  Dict insertion
+order is part of the contract: a new key goes last, a surviving key keeps
+its place and a cancelled key is removed.
 """
 
 from __future__ import annotations
@@ -69,6 +70,39 @@ def accumulate_scaled(acc: dict, c, terms: dict) -> dict:
             acc[key] = v
         elif old is not None:
             del acc[key]
+    return acc
+
+
+def accumulate_joined(acc: dict, c, terms: dict, head=(), tail=()) -> dict:
+    """accumulate_scaled(acc, c, terms), each tuple key k stored as head + k + tail."""
+    for key, v in terms.items():
+        v = c if v is _INT_ONE else c * v
+        key = head + key + tail
+        old = acc.get(key)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[key] = v
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def accumulate_outer(acc: dict, c, left: dict, right: dict) -> dict:
+    """accumulate(acc, (((s, t), c * cs * ct) for s, cs in left.items() for t,
+    ct in right.items())), read and skipped as in accumulate_scaled."""
+    for s, cs in left.items():
+        cs = c if cs is _INT_ONE else c * cs
+        for t, v in right.items():
+            v = cs if v is _INT_ONE else cs * v
+            key = (s, t)
+            old = acc.get(key)
+            if old is not None:
+                v = old + v
+            if v:
+                acc[key] = v
+            elif old is not None:
+                del acc[key]
     return acc
 
 

@@ -14,7 +14,7 @@ The recovery and witness checks each return a report.Report.
 from __future__ import annotations
 
 from .freealg import NcPoly, Sparse, TensorPoly, accumulate, word_key
-from .hopf import StructureMaps, _counit_word, _delta_word, apply_counit
+from .hopf import StructureMaps, _counit_word, _delta_sum, apply_counit
 from .nodal import b_decompose, is_b_word, pattern_words, split_pattern_word
 from .report import Report, attempt
 
@@ -43,15 +43,11 @@ def project_pi(f: NcPoly, maps: StructureMaps) -> CPoly:
 def _coaction_terms(pairs, maps: StructureMaps) -> dict:
     """lambda of the sum of c * w over the (w, c) pairs, as a dict
     {(tail class, word): coefficient} in the field of the c and of the
-    rules.  The left legs of delta are normal-form words already, so pi
-    splits each one without reducing it."""
-    def terms():
-        for w, c in pairs:
-            for (u, v), cd in _delta_word(w, maps).items():
-                prefix, tail = split_pattern_word(u)
-                yield (tail, v), c * cd * _counit_word(prefix, maps)
-
-    return accumulate({}, terms())
+    rules, from delta of the sum.  The left legs of delta are normal-form
+    words already, so pi splits each one without reducing it."""
+    return accumulate({}, (((tail, v), c * _counit_word(prefix, maps))
+                           for (u, v), c in _delta_sum(pairs, maps).items()
+                           for prefix, tail in [split_pattern_word(u)]))
 
 
 def coaction(f: NcPoly, maps: StructureMaps) -> TensorPoly:

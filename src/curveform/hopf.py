@@ -21,12 +21,15 @@ on.  The word maps and axiom residuals run on dicts in that form.  The
 word maps and the antipode residuals reduce their products one letter at
 a time: S and the residuals by RuleSystem.nf_times, delta as
 NF(u u2) (x) NF(v v2) for each term u (x) v of delta(w[:i]) and u2 (x) v2
-of delta(w[i]), whose legs have at most one letter.  units_suite settles
-each unit candidate by a proof and searches for no inverse; the solver
-_solve_sparse serves the tests' bounded search (tests/reference_checks.py)
-and the benchmark's tracer.  What the module returns holds Scalars only:
-apply_delta, apply_antipode, apply_counit, tensor_nf, every report
-residual and the units witness.
+of delta(w[i]), whose legs have at most one letter.  A cached value (the
+normal form of such a leg, delta or S of a word) is read by a dict lookup,
+and the map is called only on a miss: cached dicts are never written into,
+and fuel counts only words not cached yet, so no fuel outcome moves.
+units_suite settles each unit candidate by a proof and searches for no
+inverse; the solver _solve_sparse serves the tests' bounded search
+(tests/reference_checks.py) and the benchmark's tracer.  What the module
+returns holds Scalars only: apply_delta, apply_antipode, apply_counit,
+tensor_nf, every report residual and the units witness.
 Every check returns a report.Report whose entries are named residuals.  A
 sub-check that cannot finish (report.attempt) fails the entries it was
 computing, with the error as their residual, and the check goes on; in
@@ -37,10 +40,10 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from itertools import chain
 from math import gcd, lcm
 
-from .freealg import ALPHABET, NcPoly, TensorPoly, accumulate, accumulate_scaled, concat_product
+from .freealg import (ALPHABET, NcPoly, TensorPoly, accumulate, accumulate_joined,
+                      accumulate_outer, accumulate_scaled, concat_product)
 from .nodal import (NodalAlgebra, is_b_word, is_basis_word, pattern_words, random_poly,
                     sample_coefficients)
 from .parser import parse_expr
@@ -94,26 +97,38 @@ def tensor_nf(tp: TensorPoly, alg: NodalAlgebra) -> TensorPoly:
 def _delta_word(w: str, maps: StructureMaps) -> dict:
     """delta on a word as a dict {(u, v): coefficient} over the rules' field,
     multiplicatively: delta(w) = delta(w[:-1]) delta(w[-1]), built up from
-    the longest cached prefix of w, caching every longer one.  Each product
-    of terms is reduced leg by leg, each leg a normal word times at most one
-    letter."""
+    the longest cached prefix of w, caching every longer one.  Each leg of
+    a product of terms, a normal word times at most one letter, is read
+    from the nf cache without a call, by nf_word only on a miss: cached
+    dicts are never written into, and fuel counts only uncached words."""
     cache = maps._delta_cache
     n = len(w)
     while w[:n] not in cache:
         n -= 1
-    hit, gens, nf_word = cache[w[:n]], maps.delta_terms, maps.alg.system.nf_word
+    hit, gens, system = cache[w[:n]], maps.delta_terms, maps.alg.system
+    lookup, nf_word = system._nf_cache.get, system.nf_word
     for i in range(n, len(w)):
-        cache[w[:i + 1]] = hit = accumulate({}, (
-            ((s, t), cc * cs * ct) for (u, v), c in hit.items() for (u2, v2), c2 in gens[w[i]]
-            for left, right, cc in [(nf_word(u + u2), nf_word(v + v2), c * c2)]
-            for s, cs in left.items() for t, ct in right.items()))
+        acc = {}
+        for (u, v), c in hit.items():
+            for (u2, v2), c2 in gens[w[i]]:
+                left, right = u + u2, v + v2
+                accumulate_outer(acc, c * c2, lookup(left) or nf_word(left),
+                                 lookup(right) or nf_word(right))
+        cache[w[:i + 1]] = hit = acc
     return hit
+
+
+def _delta_sum(pairs, maps: StructureMaps) -> dict:
+    """delta of the sum of c * w over the (word, c) pairs, from the cached delta(w)."""
+    acc, cached = {}, maps._delta_cache.get
+    for w, c in pairs:
+        accumulate_scaled(acc, c, cached(w) or _delta_word(w, maps))
+    return acc
 
 
 def apply_delta(f: NcPoly, maps: StructureMaps) -> TensorPoly:
     """Coproduct of f, with both tensor legs reduced to normal form."""
-    return TensorPoly(2, ((k, c * cd) for w, c in f.terms.items()
-                          for k, cd in _delta_word(w, maps).items()))
+    return TensorPoly(2, _delta_sum(f.terms.items(), maps))
 
 
 def _counit_word(w: str, maps: StructureMaps):
@@ -212,22 +227,22 @@ def _hopf_residuals(f: NcPoly, maps: StructureMaps):
     v and u S(v) by the words s of S(v), and RuleSystem.nf_times reduces
     each only once both are built."""
     nf_terms, nf_times = maps.alg.system.nf_terms, maps.alg.system.nf_times
+    delta, antipode = maps._delta_cache.get, maps._antipode_cache.get
     terms = f.field_terms()
-    d = accumulate({}, ((k, c * cd) for w, c in terms
-                        for k, cd in _delta_word(w, maps).items())).items()
+    d = _delta_sum(terms, maps).items()
     minus_f = [(w, -c) for w, c in nf_terms(terms).items()]
     minus_eps = [("", -sum(c * _counit_word(w, maps) for w, c in terms))]
-    coassoc = accumulate({}, chain(
-        (((u1, u2, v), c * cu) for (u, v), c in d
-         for (u1, u2), cu in _delta_word(u, maps).items()),
-        (((u, v1, v2), -c * cv) for (u, v), c in d
-         for (v1, v2), cv in _delta_word(v, maps).items())))
+    coassoc = {}
+    for (u, v), c in d:
+        accumulate_joined(coassoc, c, delta(u) or _delta_word(u, maps), tail=(v,))
+    for (u, v), c in d:
+        accumulate_joined(coassoc, -c, delta(v) or _delta_word(v, maps), head=(u,))
     counit_l = accumulate({}, ((v, c * _counit_word(u, maps)) for (u, v), c in d))
     counit_r = accumulate({}, ((u, c * _counit_word(v, maps)) for (u, v), c in d))
     antipode_l, right = defaultdict(dict), defaultdict(list)
     for (u, v), c in d:
-        accumulate_scaled(antipode_l[v], c, _antipode_word(u, maps))
-        for s, cs in _antipode_word(v, maps).items():
+        accumulate_scaled(antipode_l[v], c, antipode(u) or _antipode_word(u, maps))
+        for s, cs in (antipode(v) or _antipode_word(v, maps)).items():
             right[s].append((u, c * cs))
     antipode_r = {s: accumulate({}, pairs) for s, pairs in right.items()}
     return [TensorPoly(3, coassoc),

@@ -25,9 +25,10 @@ integral point reduces on ints alone, and an element's own Scalar
 coefficients multiply the cached normal forms of its words.  A word
 rewritten by a rule whose rhs is a single word with coefficient 1 shares
 that word's cached normal form instead of a copy.  Every sum of c * NF(w)
-(nf_word's cache fill, nf_terms, each letter of nf_times) is made by
-_nf_sum from the cached dicts with freealg.accumulate_scaled, so an
-irreducible word, whose NF is {w: 1}, adds c itself, unmultiplied.
+(nf_word's cache fill, nf_terms, each letter of nf_times) is made from the
+cached dicts with freealg.accumulate_scaled, so an irreducible word, whose
+NF is {w: 1}, adds c itself, unmultiplied; nf_times reads a cached NF(w)
+without calling nf_word.
 nf_terms reduces normal forms of elements and branch differences of
 ambiguities (only the difference becomes an NcPoly of Scalars).  A sum of
 normal forms times words, as the Hopf layer's antipode makes, is reduced
@@ -231,15 +232,20 @@ class RuleSystem:
         """The normal form of the sum of P_v * v over groups = {v: P_v} as a
         new dict, each P_v a dict over normal words, by Horner's scheme on the
         suffixes of the v: longest v first, in insertion order, P_v times the
-        first letter of v is reduced (NF(n + letter) for each word n) and
-        added (_nf_sum) after the terms of the group of the rest of v.  So
-        only a normal word times one letter is reduced, and groups that share
-        a suffix merge before their next letter, in place into a group built
-        here, else into a copy: no P_v or cached dict is written into."""
-        nf_word, groups, built = self.nf_word, dict(groups), set()
+        first letter of v is reduced and added after the terms of the group of
+        the rest of v: NF(n + letter) for each word n, read from the cache
+        without a call, by nf_word only on a miss (fuel counts only words not
+        cached yet, so no fuel outcome moves).  So only a normal word times
+        one letter is reduced, and groups that share a suffix merge before
+        their next letter, in place into a group built here, else into a
+        copy: no P_v or cached dict is written into."""
+        lookup, nf_word, groups, built = self._nf_cache.get, self.nf_word, dict(groups), set()
         for size in range(max(map(len, groups), default=0), 0, -1):
             for v in [v for v in groups if len(v) == size]:
-                prod, rest = _nf_sum({}, groups.pop(v).items(), nf_word, v[0]), v[1:]
+                prod, first, rest = {}, v[0], v[1:]
+                for n, c in groups.pop(v).items():
+                    w = n + first
+                    accumulate_scaled(prod, c, lookup(w) or nf_word(w))
                 old = groups.get(rest)
                 groups[rest] = prod if old is None else accumulate(
                     old if rest in built else dict(old), prod.items())
@@ -261,11 +267,11 @@ class RuleSystem:
         return [r.to_json() for r in self.rules]
 
 
-def _nf_sum(acc: dict, pairs, nf_of, last="") -> dict:
-    """Add c * NF(w + last) into acc for each (w, c) of pairs, in their order,
-    straight from the cached dict nf_of(w + last), which is only read."""
+def _nf_sum(acc: dict, pairs, nf_of) -> dict:
+    """Add c * NF(w) into acc for each (w, c) of pairs, in their order,
+    straight from the cached dict nf_of(w), which is only read."""
     for w, c in pairs:
-        accumulate_scaled(acc, c, nf_of(w + last))
+        accumulate_scaled(acc, c, nf_of(w))
     return acc
 
 

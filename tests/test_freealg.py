@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from curveform.errors import ArityMismatch
 from curveform.freealg import (ALPHABET, NcPoly, Sparse, TensorPoly, accumulate,
-                               accumulate_scaled, word_key)
+                               accumulate_joined, accumulate_outer, accumulate_scaled, word_key)
 from curveform.scalar import ONE, R, Scalar
 
 words = st.text(alphabet=ALPHABET, max_size=5)
@@ -97,6 +97,67 @@ def test_accumulate_scaled_by_zero_stores_nothing(start, terms):
         acc = dict(start)
         assert accumulate_scaled({}, zero, terms) == {}
         accumulate_scaled(acc, zero, terms)
+        assert list(acc.items()) == list(start.items())
+
+
+# tuple keys, the legs of a tensor: pairs and the triples a pair extends to
+pairs = st.tuples(st.sampled_from(["", "x"]), st.sampled_from(["", "a"]))
+pair_dicts = st.dictionaries(pairs, scaled_coeffs, max_size=4)
+triple_dicts = st.dictionaries(st.tuples(st.sampled_from(["", "x"]), st.sampled_from(["", "a"]),
+                                         st.sampled_from(["", "a"])), scaled_coeffs, max_size=4)
+legs = st.sampled_from(["", "x", "a"]).map(lambda w: (w,))
+# (head, tail): a pair extended on the left or on the right, or left as it is
+joins = st.one_of(st.tuples(legs, st.just(())), st.tuples(st.just(()), legs),
+                  st.just(((), ())))
+
+
+@given(triple_dicts, st.lists(st.tuples(st.one_of(scaled_coeffs, st.just(0)), pair_dicts, joins),
+                              max_size=5))
+# ("x", "", "a") cancels at the first scaled dict and comes back last at the third
+@example({("x", "", "a"): 1, ("a", "x", ""): 2},
+         [(1, {("", "a"): -1}, (("x",), ())), (2, {("x", ""): 1}, ((), ("",))),
+          (Scalar(3), {("x", ""): R}, ((), ("a",)))])
+def test_accumulate_joined_equals_accumulate_of_the_products(start, scaled):
+    got, want = dict(start), dict(start)
+    for c, terms, (head, tail) in scaled:
+        before = list(terms.items())
+        assert accumulate_joined(got, c, terms, head, tail) is got
+        accumulate(want, ((head + k + tail, c * v) for k, v in terms.items()))
+        assert list(terms.items()) == before
+        assert typed_items(got) == typed_items(want)
+
+
+@given(triple_dicts, pair_dicts, joins)
+def test_accumulate_joined_by_zero_stores_nothing(start, terms, join):
+    for zero in (0, Scalar(0)):
+        acc = dict(start)
+        assert accumulate_joined({}, zero, terms, *join) == {}
+        accumulate_joined(acc, zero, terms, *join)
+        assert list(acc.items()) == list(start.items())
+
+
+@given(pair_dicts, st.lists(st.tuples(st.one_of(scaled_coeffs, st.just(0)), scaled_dicts,
+                                      scaled_dicts), max_size=4))
+# ("x", "a") cancels at the first product and comes back last at the third
+@example({("x", "a"): 1, ("", "a"): 2},
+         [(1, {"x": 1}, {"a": -1}), (2, {"": 1}, {"": 1}), (Scalar(3), {"x": R}, {"a": 1})])
+def test_accumulate_outer_equals_accumulate_of_the_products(start, scaled):
+    got, want = dict(start), dict(start)
+    for c, left, right in scaled:
+        before = list(left.items()), list(right.items())
+        assert accumulate_outer(got, c, left, right) is got
+        accumulate(want, (((s, t), c * cs * ct) for s, cs in left.items()
+                          for t, ct in right.items()))
+        assert (list(left.items()), list(right.items())) == before
+        assert typed_items(got) == typed_items(want)
+
+
+@given(pair_dicts, scaled_dicts, scaled_dicts)
+def test_accumulate_outer_by_zero_stores_nothing(start, left, right):
+    for zero in (0, Scalar(0)):
+        acc = dict(start)
+        assert accumulate_outer({}, zero, left, right) == {}
+        accumulate_outer(acc, zero, left, right)
         assert list(acc.items()) == list(start.items())
 
 

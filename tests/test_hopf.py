@@ -765,3 +765,73 @@ class TestUnitsFuel:
         assert isinstance(failed[0]["error"], FuelExhausted)
         assert failed[0]["invertible"] is None and failed[0]["witness"] is None
         assert "budget 24" in report.to_json()["entries"][1]["error"]
+
+
+# The structure-map mutants, each with the entry kinds it turns red: the
+# delta, eps and S entries of welldefined and the axioms of hopf_axioms.  A
+# mutant is (map, letter, change): for delta and S, the change is the index
+# of a generator coefficient, which moves up by 1, or a term added with
+# coefficient 1; for the counit, the value of the letter moves up by 1.  A
+# mutant that no report catches stays in the list with an empty set: the
+# record of a check that cannot fail.
+_DELTA_RED = {"delta", "counit-left", "counit-right", "antipode-left", "antipode-right"}
+_COASSOC_RED = _DELTA_RED | {"coassoc"}
+_ANTIPODE_RED = {"S", "antipode-left", "antipode-right"}
+_COUNIT_RED = {"eps", "counit-left", "counit-right", "antipode-left", "antipode-right"}
+STRUCTURE_MAP_MUTANTS = {
+    # delta(x) = 1 (x) x + (c - q) 1 (x) a + x (x) a is coassociative for any c
+    ("delta", "x", 0): _COASSOC_RED, ("delta", "x", 1): _DELTA_RED,
+    ("delta", "x", 2): _COASSOC_RED, ("delta", "x", ("x", "x")): _COASSOC_RED,
+    ("delta", "y", 0): _COASSOC_RED, ("delta", "y", 1): _DELTA_RED,
+    ("delta", "y", 2): _COASSOC_RED,
+    ("delta", "a", 0): _COASSOC_RED, ("delta", "g", 0): _DELTA_RED,
+    ("delta", "b", 0): _COASSOC_RED,
+    ("antipode", "x", 0): _ANTIPODE_RED, ("antipode", "x", 1): _ANTIPODE_RED,
+    ("antipode", "x", 2): _ANTIPODE_RED, ("antipode", "x", "xx"): _ANTIPODE_RED,
+    ("antipode", "y", 0): _ANTIPODE_RED, ("antipode", "y", 1): _ANTIPODE_RED,
+    ("antipode", "y", 2): _ANTIPODE_RED,
+    ("antipode", "a", 0): _ANTIPODE_RED, ("antipode", "g", 0): _ANTIPODE_RED,
+    ("antipode", "b", 0): _ANTIPODE_RED,
+    **{("counit", letter, None): _COUNIT_RED for letter in "xyagb"},
+}
+# the report each entry kind belongs to
+_REPORT_OF_KIND = {**dict.fromkeys(("delta", "eps", "S"), "welldefined"),
+                   **dict.fromkeys(hopf.HOPF_AXIOMS, "hopf_axioms")}
+
+
+def mutated(maps, kind, letter, change):
+    """maps with the mutant (kind, letter, change) of STRUCTURE_MAP_MUTANTS."""
+    if kind == "counit":
+        maps.counit_values[letter] = field(maps.counit_values[letter] + 1)
+        return maps
+    table = maps.delta_terms if kind == "delta" else maps.antipode_terms
+    terms = list(table[letter])
+    if type(change) is int:
+        key, c = terms[change]
+        terms[change] = (key, field(c + 1))
+    else:
+        terms.append((change, 1))
+    table[letter] = terms
+    return maps
+
+
+class TestMutationGate:
+    @pytest.mark.parametrize("t", POINTS[:2], ids=["t=2", "t=7/5"])
+    def test_each_structure_map_mutant_turns_its_reports_red(self, t):
+        # without samples; each mutant on fresh maps over one algebra
+        alg = fresh(t)
+        maps = StructureMaps(alg)
+        coefficients = {(kind, letter, i) for kind, table in
+                        (("delta", maps.delta_terms), ("antipode", maps.antipode_terms))
+                        for letter, terms in table.items() for i in range(len(terms))}
+        assert coefficients | {("counit", letter, None) for letter in maps.counit_values} \
+            <= STRUCTURE_MAP_MUTANTS.keys()
+        assert check_welldefined(maps).ok and check_hopf_axioms(maps, samples=0).ok
+        for mutant, red_kinds in STRUCTURE_MAP_MUTANTS.items():
+            maps = mutated(StructureMaps(alg), *mutant)
+            reports = [check_welldefined(maps), check_hopf_axioms(maps, samples=0)]
+            red = {e.name.split("(")[0].split(" ")[0] for r in reports for e in r.entries
+                   if not e.ok}
+            assert red == red_kinds, mutant
+            assert {r.check for r in reports if not r.ok} == {
+                _REPORT_OF_KIND[kind] for kind in red_kinds}, mutant
