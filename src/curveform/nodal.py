@@ -249,7 +249,7 @@ def freeness_check(alg: NodalAlgebra, max_len: int) -> Report:
     for bw in b_words:
         for t in tails:
             nf_tails, error = attempt(lambda: {
-                split_pattern_word(w)[1] for w in alg.nf(NcPoly.word(t + bw)).terms})
+                split_pattern_word(w)[1] for w in alg.system.nf_word(t + bw)})
             if error:
                 failures.append({"kind": "right_product", "b": bw, "tail": t, "error": error})
                 count += 1

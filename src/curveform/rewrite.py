@@ -29,11 +29,13 @@ that word's cached normal form instead of a copy.  Every sum of c * NF(w)
 cached dicts with freealg.accumulate_scaled, so an irreducible word, whose
 NF is {w: 1}, adds c itself, unmultiplied; nf_times reads a cached NF(w)
 without calling nf_word.
-nf_terms reduces normal forms of elements and branch differences of
-ambiguities (only the difference becomes an NcPoly of Scalars).  A sum of
-normal forms times words, as the Hopf layer's antipode makes, is reduced
-by nf_times one letter at a time, so that only words of the form normal
-word times one letter are reduced and cached.
+nf_terms reduces normal forms of elements and the branches of ambiguities;
+a branch that is one word with coefficient 1 reads that word's cached dict
+instead.  A resolved ambiguity costs one comparison of its two branch
+normal forms; only a nonzero difference is summed and becomes an NcPoly of
+Scalars.  A sum of normal forms times words, as the Hopf layer's antipode
+makes, is reduced by nf_times one letter at a time, so that only words of
+the form normal word times one letter are reduced and cached.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -129,6 +131,10 @@ class Ambiguity:
     @cached_property
     def key(self):  # graded-lex in witnesses and in tied lhs, prefixes of one another
         return (word_key(self.witness), self.pos_right, self.kind, self.left, self.right)
+
+    @cached_property
+    def name(self):  # of its diamond entry
+        return f"{self.kind} {self.witness} ({self.left}@0, {self.right}@{self.pos_right})"
 
 
 class RuleSystem:
@@ -294,14 +300,26 @@ def _branches(rs: RuleSystem, amb: Ambiguity):
             for pos, lhs in ((0, amb.left), (amb.pos_right, amb.right))]
 
 
+def _branch_nf(rs: RuleSystem, branch) -> dict:
+    """The normal form of a branch, only read: a single word with
+    coefficient 1 is its cached dict, any other branch an nf_terms sum."""
+    if len(branch) == 1 and branch[0][1] == 1:
+        return rs.nf_word(branch[0][0])
+    return rs.nf_terms(branch)
+
+
 def branch_difference(rs: RuleSystem, amb: Ambiguity, branches=None) -> NcPoly:
     """NF(left branch) - NF(right branch), the branches _branches(rs, amb).
 
     Both branches are reduced over the rules' field of definition, the left
-    one first, and the difference becomes an NcPoly of Scalars only at the
-    end; its terms come in the order of NF(left) - NF(right) on NcPolys."""
-    left, right = (rs.nf_terms(branch) for branch in branches or _branches(rs, amb))
-    return NcPoly(accumulate(left, ((w2, -c) for w2, c in right.items())))
+    one first.  Equal normal forms, a resolved entry, cost one comparison of
+    the two dicts; only a nonzero difference is summed, on a copy, and
+    becomes an NcPoly of Scalars, its terms in the order of NF(left) -
+    NF(right) on NcPolys."""
+    left, right = (_branch_nf(rs, branch) for branch in branches or _branches(rs, amb))
+    if left == right:
+        return NcPoly.zero()
+    return NcPoly(accumulate(dict(left), ((w2, -c) for w2, c in right.items())))
 
 
 class _Record:
@@ -322,10 +340,8 @@ def _diamond(rs: RuleSystem, records) -> Report:
     entry, the same object, without reducing anything."""
     for rec in records:
         if rec.entry is None:
-            amb = rec.amb
-            name = f"{amb.kind} {amb.witness} ({amb.left}@0, {amb.right}@{amb.pos_right})"
-            diff, error = attempt(lambda: branch_difference(rs, amb, rec.branches))
-            rec.entry = Entry(name, error or diff)
+            diff, error = attempt(lambda: branch_difference(rs, rec.amb, rec.branches))
+            rec.entry = Entry(rec.amb.name, error or diff)
     entries = [rec.entry for rec in records]
     return Report("diamond", {"rules": len(rs.rules), "ambiguities": len(entries),
                               "unresolved": sum(1 for e in entries if not e.ok),
@@ -432,14 +448,19 @@ def _carry(rs: RuleSystem, cache: dict, children: dict) -> dict:
     rs computes the same: a word is dropped when it holds the new lhs, or when
     its head or one of its prefix-first children was dropped.  Words are
     cached after their head and children, so one pass in insertion order finds
-    them, children only once some word was dropped.  A kept word holds no new
+    them, and no word before the first one that ends with the new lhs is
+    dropped, so the scan tests only that up to it.  A kept word holds no new
     lhs, so its stored children are those rs makes."""
     lhs = rs.rules[-1].lhs
-    dropped = set()
-    for w, nf in cache.items():
+    dropped, words = set(), iter(cache.items())
+    for w, _ in words:
+        if w.endswith(lhs):
+            dropped.add(w)
+            break
+    for w, nf in words:  # the rest, after the first drop
         if w.endswith(lhs) or w[:-1] in dropped:
             dropped.add(w)
-        elif dropped and w not in nf and not dropped.isdisjoint(children[w]):  # w reducible
+        elif w not in nf and not dropped.isdisjoint(children[w]):  # w reducible
             dropped.add(w)
     for w in dropped:
         del cache[w]

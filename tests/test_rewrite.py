@@ -232,6 +232,19 @@ class TestDiamond:
         assert obj["status"] == "pass" and obj["unresolved"] == 0
         assert obj["ambiguities"] == len(report.entries)
 
+    def test_entries_are_named_by_kind_witness_and_positions(self, alg):
+        rs = RuleSystem([Rule("ab", NcPoly.word("x")), Rule("ba", NcPoly.word("y")),
+                         Rule("xyx", NcPoly.word("a")), Rule("y", NcPoly.word("b"))])
+        assert [e["name"] for e in check_diamond(rs).to_json()["entries"]] == [
+            "inclusion xyx (xyx@0, y@1)", "overlap aba (ab@0, ba@1)",
+            "overlap bab (ba@0, ab@1)", "overlap xyxyx (xyx@0, xyx@2)"]
+        # the name is made once per ambiguity, which every system shares
+        ambiguities = alg.system.find_ambiguities()
+        assert [e.name for e in alg.diamond_report.entries] == [
+            f"{amb.kind} {amb.witness} ({amb.left}@0, {amb.right}@{amb.pos_right})"
+            for amb in ambiguities]
+        assert all(amb.name is amb.name for amb in ambiguities)
+
 
 class TestOrientation:
     def test_orients_toward_pattern(self):
@@ -593,20 +606,24 @@ class TestNfTimes:
     @settings(max_examples=40, deadline=None)
     @given(t=st.sampled_from(["2", "7/5"]), spec=group_specs)
     @example(t="2", spec=SHARED_SUFFIXES).via("shared suffixes")
+    @example(t="2", spec={"a": "ag"}).via("NF(a) cached by the group's own word")
+    @example(t="2", spec={"": "a", "a": ""}).via("NF(a) cached by another group")
     def test_reduces_only_a_normal_word_times_one_letter(self, systems_by_t, t, spec):
         rs = RuleSystem(systems_by_t[t].rules)
         groups = times_groups(rs, spec)
         reduced, nf_word = [], rs.nf_word
 
         def recording(w):
-            reduced.append(w)
+            reduced.append((w, rs._nf_cache.get(w)))
             return nf_word(w)
 
         rs.nf_word = recording
         rs.nf_times(groups)
         del rs.nf_word
-        assert all(w and rs.nf_word(w[:-1]) == {w[:-1]: 1} for w in reduced)
-        assert reduced or not any(v and p for v, p in groups.items())
+        assert all(w and rs.nf_word(w[:-1]) == {w[:-1]: 1} for w, _ in reduced)
+        # a cached NF(n + letter) is read without a call, unless it is the
+        # empty dict, which the lookup cannot tell from a miss
+        assert all(cached is None or cached == {} for _, cached in reduced)
 
 
 # the reduce-stream benchmark's coefficients, and integral ones
@@ -919,6 +936,32 @@ class TestIncrementalCompletion:
         made.update(branches=0, keys=0)
         rounds = completion_rounds(monkeypatch, Fraction(7, 5))
         assert made["branches"] == len(rounds[-1][1]) == 51 and made["keys"] == 0
+
+    @pytest.mark.parametrize("t", ["2", "7/5"])
+    def test_only_a_nonzero_difference_becomes_an_ncpoly(self, monkeypatch, t):
+        # of the 70 entries a build reduces, the 51 that resolve cost one
+        # comparison of their branch normal forms and build no NcPoly: the
+        # only ones built are the 19 nonzero differences, each the residual
+        # of an unresolved entry
+        built, algebras = [], []
+
+        class Counting:
+            def __call__(self, terms):
+                built.append(NcPoly(terms))
+                return built[-1]
+
+            def __getattr__(self, name):
+                return getattr(NcPoly, name)
+
+        monkeypatch.setattr(rewrite, "NcPoly", Counting())
+        rounds = recorded_rounds(monkeypatch, lambda: algebras.append(
+            build_algebra(curve_point_from_t(Fraction(t)))))
+        entries = [e for *_, report in rounds for e in report.entries]
+        assert sum(reduced for _, reduced, _ in algebras[0].completion_log.counts) == 70
+        assert len(built) == 19
+        assert {id(p) for p in built} == {id(e.residual) for e in entries if not e.ok}
+        assert all(type(e.residual) is NcPoly and not e.residual.terms
+                   for e in entries if e.ok)
 
     @pytest.mark.parametrize("t", [*POINTS, "0", "1"])
     def test_carry_equals_the_reference_carry(self, monkeypatch, t):
