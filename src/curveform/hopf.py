@@ -26,7 +26,8 @@ normal form of such a leg, delta or S of a word) is read by a dict lookup,
 and the map is called only on a miss: cached dicts are never written into,
 and fuel counts only words not cached yet, so no fuel outcome moves.
 units_suite settles each unit candidate by a proof and searches for no
-inverse; the solver _solve_sparse serves the tests' bounded search
+inverse; _solve_sparse, plain sparse Gauss-Jordan elimination over the
+coefficients' field, serves the tests' bounded search
 (tests/reference_checks.py) and the benchmark's tracer.  What the module
 returns holds Scalars only: apply_delta, apply_antipode, apply_counit,
 tensor_nf, every report residual and the units witness.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from math import gcd, lcm
 
 from .freealg import (ALPHABET, NcPoly, TensorPoly, accumulate, accumulate_joined,
                       accumulate_outer, accumulate_scaled, concat_product)
@@ -48,7 +48,7 @@ from .nodal import (NodalAlgebra, is_b_word, is_basis_word, pattern_words, rando
                     sample_coefficients)
 from .parser import parse_expr
 from .report import Report, attempt
-from .scalar import ONE, R, Scalar, ZERO, denominator, field, reciprocal
+from .scalar import ONE, R, Scalar, ZERO, field, reciprocal
 
 
 class StructureMaps:
@@ -321,49 +321,27 @@ def check_alt_presentation(alg: NodalAlgebra) -> Report:
 
 # -- units ---------------------------------------------------------------
 
-def _divide_content(row, b):
-    """Divide the row (a dict) and its right-hand side b in place by the gcd
-    of their entries when all are ints; return b."""
-    try:
-        g = gcd(b, *row.values())
-    except TypeError:  # a Scalar entry, which has no gcd
-        return b
-    if g > 1:
-        for k, v in row.items():
-            row[k] = v // g
-        b //= g
-    return b
-
-
 def _solve_sparse(columns, target):
     """Solve sum_j u_j * columns[j] = target over the field of the
     coefficients: ints and Scalars, the field form of scalar.field, or Fractions.
 
-    columns: list of dicts {row_key: coefficient}; target likewise.  Returns
-    the coefficient list or None if the system is infeasible.  Sparse
-    fraction-free elimination (Bareiss 1968) with the rows indexed by the
-    columns they hold.  Each row is cleared of denominators once.  Column j
-    pivots on the row holding j with the fewest entries, the earliest row
-    on a tie, and only the rows holding j are eliminated: a row whose entry
-    is f, against the pivot entry pv, becomes (pv/g) row - (f/g) pivot row
-    with g = gcd(pv, f), and is then divided by the gcd of its entries;
-    where an r-part enters, that gcd is not taken (g = 1).  So every row
-    stays integral, and the one division per pivot is made in back
-    substitution.
-    The index only grows; a row that no longer holds j is skipped.
+    columns: list of dicts {row_key: coefficient}; target likewise; neither
+    is written.  Returns the coefficient list, a free unknown 0, or None if
+    the system is infeasible.  Sparse Gauss-Jordan elimination with the rows
+    indexed by the columns they hold.  Column j pivots on the row holding j
+    with the fewest entries, the earliest row on a tie, and only the rows
+    holding j are eliminated: a row whose entry is f, against the pivot
+    entry pv, becomes row - (f/pv) pivot row.  Back substitution divides by
+    pv once more.  The index only grows; a row that no longer holds j is
+    skipped.
     """
     keyed = {}
     for j, col in enumerate(columns):
         for key, val in col.items():
             keyed.setdefault(key, {})[j] = val
-    rows, rhs = [], []
-    for key in [*keyed, *(key for key in target if key not in keyed)]:
-        row, b = keyed.get(key, {}), target.get(key, 0)
-        m = lcm(denominator(b), *map(denominator, row.values()))
-        if m != 1:
-            row, b = {j: field(v * m) for j, v in row.items()}, field(b * m)
-        rows.append(row)
-        rhs.append(_divide_content(row, b))
+    keys = [*keyed, *(key for key in target if key not in keyed)]
+    rows = [keyed.get(key, {}) for key in keys]
+    rhs = [target.get(key, 0) for key in keys]
     holding = [set() for _ in columns]  # column -> rows that have held it
     for i, row in enumerate(rows):
         for j in row:
@@ -374,30 +352,21 @@ def _solve_sparse(columns, target):
         if not live:
             continue
         p = min(live, key=lambda i: (len(rows[i]), i))
-        prow, prhs = rows[p], rhs[p]
-        pv = prow[j]
+        prow, prhs, inv = rows[p], rhs[p], reciprocal(rows[p][j])
         rows[p] = None
         for i in live:
             if i != p:
-                row = rows[i]
-                s, f = pv, row[j]
-                if type(s) is int and type(f) is int:
-                    g = gcd(s, f)
-                    s, f = s // g, f // g
-                if s != 1:
-                    for k, v in row.items():
-                        row[k] = s * v
-                accumulate(row, ((k, -f * v) for k, v in prow.items()))
-                rhs[i] = _divide_content(row, s * rhs[i] - f * prhs)
+                f = rows[i][j] * inv
+                accumulate(rows[i], ((k, -f * v) for k, v in prow.items()))
+                rhs[i] -= f * prhs
                 for k in prow:
                     holding[k].add(i)
-        eliminated.append((j, prow, prhs))
+        eliminated.append((j, prow, prhs, inv))
     if any(row == {} and rhs[i] for i, row in enumerate(rows)):
         return None  # inconsistent
     assignments = [0] * len(columns)
-    for j, prow, prhs in reversed(eliminated):
-        assignments[j] = reciprocal(prow[j]) * (
-            prhs - sum(v * assignments[k] for k, v in prow.items() if k != j))
+    for j, prow, prhs, inv in reversed(eliminated):
+        assignments[j] = inv * (prhs - sum(v * assignments[k] for k, v in prow.items() if k != j))
     return assignments
 
 

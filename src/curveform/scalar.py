@@ -13,7 +13,7 @@ reads the slots.  Public polynomials hold Scalars; the reducer and the Hopf
 word maps run on the field form: an int when integral, else a Scalar.
 Fraction, three times as slow per add or mul, stays at the text boundary
 (the views, printing and the parser).  field(c) is the one conversion to
-it; reciprocal and denominator are its helpers.
+it, and reciprocal(c) gives 1/c in it.
 
 A Scalar is a value: its slots are written once, where it is made, and
 never after.  No __setattr__ guards them, since a guard would turn each
@@ -230,11 +230,6 @@ def field(c):
 def reciprocal(c):
     """1/c, for c and the result in the field form."""
     return field(_coerce(c).inverse())
-
-
-def denominator(c):
-    """The least n > 0 with n * c integral; for a Scalar, in both coordinates."""
-    return c.d if type(c) is Scalar else c.denominator
 
 
 class CurvePoint:

@@ -3,9 +3,10 @@
 census_by_scan is the basis census over all 5^L words of each length, with
 no pruning.  pattern_words_by_index lists the pattern words from their
 index tuples (i, j, l, m, n), the words x^i y^j (ax)^l a^m b^n.  solve_gauss_jordan is the sparse Gauss-Jordan elimination over
-the field of the coefficients that the units check used before its
-elimination became fraction-free: every pivot row is normalised to a
-leading 1, so its entries are Fractions.  pair_ambiguities_by_scan
+the field of the coefficients, written apart from hopf._solve_sparse
+with the same pivots: every pivot row is normalised to a leading 1, so
+its entries are Fractions, where hopf._solve_sparse keeps the pivot row
+as it is and divides by its pivot.  pair_ambiguities_by_scan
 enumerates the ambiguities of two lhs afresh on every call, the unmemoised
 reference for rewrite._pair_ambiguities, and carry_by_step cuts a
 completion round's nf cache by deriving each word's children again from
@@ -98,7 +99,8 @@ def _inverse(c):
 
 def solve_gauss_jordan(columns, target):
     """The solution list of sum_j u_j * columns[j] = target, or None if the
-    system is infeasible; the pivot choice is that of hopf._solve_sparse."""
+    system is infeasible; the pivot choice is that of hopf._solve_sparse,
+    and each pivot row is scaled to a leading 1 before it eliminates."""
     keyed = {}
     for j, col in enumerate(columns):
         for key, val in col.items():
