@@ -358,6 +358,13 @@ class TestSolver:
         total = sol[0] + Scalar(2) * sol[1]
         assert total == Scalar(4)
 
+    def test_free_unknowns_are_zero(self):
+        cols = [{"u": ONE}, {"u": Scalar(2)}, {"v": Fraction(1, 3)}, {"v": 1, "w": 2}]
+        before = [dict(col) for col in cols]
+        sol = _solve_sparse(cols, {"u": Scalar(4), "v": 1, "w": 4})
+        assert sol == [4, 0, -3, 2]
+        assert cols == before
+
     @settings(max_examples=200, deadline=None)
     @given(sparse_systems())
     @example(([{"u": Fraction(1, 2), "v": 3}, {"u": 2, "v": Fraction(4, 3)}, {"w": 5}],
