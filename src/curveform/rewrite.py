@@ -19,8 +19,8 @@ reduction order gives a reduct; on a confluent system the normal form does
 not depend on it.
 
 Normal forms are K-linear in the reduced element, so the word-level
-reduction runs on the field form of scalar.field: each rule's rhs is taken
-once, an int where a coefficient is integral and a Scalar elsewhere, so an
+reduction runs on the field form of scalar.field, which each Rule makes of
+its rhs once: an int where a coefficient is integral, else a Scalar, so an
 integral point reduces on ints alone, and an element's own Scalar
 coefficients multiply the cached normal forms of its words.  A word
 rewritten by a rule whose rhs is a single word with coefficient 1 shares
@@ -52,9 +52,11 @@ under more (Bergman 1978).  An unresolved entry, with the rank of its
 difference, is kept while its branch words stay cached.  So the final
 report holds entries of earlier rounds, each equal to the one a fresh check
 of the completed system computes, and each new rule adds the records of its
-own pairs.  Two memos live as long as the process, as their values depend
-on words alone: word_matrix, and _pair_ambiguities, whose ambiguities and
-sort keys every system shares.
+own pairs.  Five memos live as long as the process, as they read words
+alone: word_matrix, _pair_ambiguities (with their sort keys), _ambiguities
+of an lhs set, _added_ambiguities of a new lhs and _word_rank of a
+difference's words.  No memo key or value holds a coefficient, so the
+carry, the branches and the residuals stay per build.
 
 Termination is proved by one well-founded order, a matrix interpretation
 (Hofbauer & Waldmann 2006): a word maps to the product of its letters'
@@ -86,9 +88,9 @@ DEFAULT_FUEL = 100_000
 
 
 class Rule:
-    """An oriented monic rewrite rule lhs -> rhs."""
+    """An oriented monic rewrite rule lhs -> rhs; field_rhs is its field form."""
 
-    __slots__ = ("lhs", "rhs", "origin")
+    __slots__ = ("lhs", "rhs", "origin", "field_rhs")
 
     def __init__(self, lhs: str, rhs: NcPoly, origin: str = "given"):
         if not lhs:
@@ -101,6 +103,7 @@ class Rule:
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "field_rhs", tuple(rhs.field_terms()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Rule is immutable")
@@ -152,7 +155,7 @@ class RuleSystem:
         for r in self.rules:
             if r.lhs in self._rhs:
                 raise ValueError(f"duplicate rule lhs {r.lhs!r}")
-            self._rhs[r.lhs] = r.rhs.field_terms()
+            self._rhs[r.lhs] = r.field_rhs
         # alternatives are tried in order, so longest first; (?!) never matches
         self._lhs_re = re.compile("|".join(sorted(self._rhs, key=len, reverse=True)) or "(?!)")
         self._nf_cache = {"": {"": 1}}
@@ -266,8 +269,7 @@ class RuleSystem:
 
     def find_ambiguities(self):
         """All overlap and inclusion ambiguities, in deterministic order."""
-        return sorted((amb for li in self._rhs for lj in self._rhs
-                       for amb in _pair_ambiguities(li, lj)), key=lambda amb: amb.key)
+        return list(_ambiguities(frozenset(self._rhs)))
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
@@ -290,6 +292,20 @@ def _pair_ambiguities(li: str, lj: str) -> tuple:
               for k in range(1, min(len(li), len(lj))) if li.endswith(lj[:k])),
             *(Ambiguity("inclusion", li, lj, li, pos) for pos in range(len(li) - len(lj) + 1)
               if len(lj) < len(li) and li.startswith(lj, pos)))
+
+
+@cache
+def _ambiguities(lhs: frozenset) -> tuple:
+    """The ambiguities of the rules with these lhs, sorted by key; memoised."""
+    return tuple(sorted((amb for li in lhs for lj in lhs for amb in _pair_ambiguities(li, lj)),
+                        key=lambda amb: amb.key))
+
+
+@cache
+def _added_ambiguities(lhs: frozenset, new: str) -> tuple:
+    """The ambiguities of the lhs set that involve its member new; memoised."""
+    return tuple(amb for li in lhs for pair in {(li, new), (new, li)}
+                 for amb in _pair_ambiguities(*pair))
 
 
 def _branches(rs: RuleSystem, amb: Ambiguity):
@@ -407,10 +423,19 @@ def rank(diff: NcPoly, is_target, witness=None):
     The rule is impure iff its rhs leaves the target span.  Pure rules rank
     first, as the ones the final system may keep; impure ones usually
     become derivable once the pure ones have landed."""
-    lhs = maximum(diff.terms)
-    if not lhs or is_target(lhs):
+    ranked = _word_rank(frozenset(diff.terms), is_target)
+    if ranked is None:
         raise NonOrientable(diff, witness)
-    return (any(not is_target(w) for w in diff.terms if w != lhs), len(lhs), lhs)
+    return ranked
+
+
+@cache
+def _word_rank(words: frozenset, is_target):
+    """rank of a difference with these words, None if it has none; memoised."""
+    lhs = maximum(words)
+    if not lhs or is_target(lhs):
+        return None
+    return (any(not is_target(w) for w in words if w != lhs), len(lhs), lhs)
 
 
 def orient(diff: NcPoly, is_target) -> Rule:
@@ -528,6 +553,6 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
             if not rec.entry.ok and not all(w in carried for branch in rec.branches
                                             for w, _ in branch):
                 rec.entry = rec.rank = None
-        records += [_Record(current, amb) for lhs in current._rhs for pair in
-                    {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]
+        records += [_Record(current, amb)
+                    for amb in _added_ambiguities(frozenset(current._rhs), rule.lhs)]
         records.sort(key=lambda rec: rec.amb.key)

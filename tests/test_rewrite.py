@@ -754,6 +754,15 @@ def entry_terms(report):
     return [(e.name, e.ok, list(e.residual.terms.items())) for e in report.entries]
 
 
+# the memos that live as long as the process, their keys and values words
+WORD_ONLY_MEMOS = (rewrite.word_matrix, rewrite._pair_ambiguities, rewrite._ambiguities,
+                   rewrite._added_ambiguities, rewrite._word_rank)
+
+
+def memo_sizes():
+    return {memo.__name__: memo.cache_info().currsize for memo in WORD_ONLY_MEMOS}
+
+
 POINTS = ["2", "3", "7/5", "-1/2"]
 # the points whose rules --json digests tests/test_cli.py pins
 PINNED_RULES_POINTS = ["2", "3", "1", "0", "7/5", "-1/2"]
@@ -907,10 +916,12 @@ class TestIncrementalCompletion:
         # one branch pair per ambiguity, 51 in all, and one rank per entry
         # with a nonzero difference, however many rounds see it: each added
         # rule is made from its record's rank.  The ambiguities of an lhs
-        # pair, with their sort keys, are made once per process, so a cold
-        # memo makes 51 keys in the first build and none in a build at
-        # another point, whose lhs are the same words
-        rewrite._pair_ambiguities.cache_clear()
+        # pair, with their sort keys, are made once per process, so cold
+        # memos make 51 keys in the first build and none in a build at
+        # another point, whose lhs are the same words; nor does that build
+        # add an entry to any word-only memo
+        for memo in WORD_ONLY_MEMOS:
+            memo.cache_clear()
         made = {"branches": 0, "keys": 0, "ranks": []}
         branches, word_key = rewrite._branches, rewrite.word_key
         rank = rewrite.rank
@@ -934,8 +945,10 @@ class TestIncrementalCompletion:
         assert len(made["ranks"]) == len(nonzero) == 19
         assert {id(d) for d in made["ranks"]} == nonzero
         made.update(branches=0, keys=0)
+        sizes = memo_sizes()
         rounds = completion_rounds(monkeypatch, Fraction(7, 5))
         assert made["branches"] == len(rounds[-1][1]) == 51 and made["keys"] == 0
+        assert memo_sizes() == sizes
 
     @pytest.mark.parametrize("t", ["2", "7/5"])
     def test_only_a_nonzero_difference_becomes_an_ncpoly(self, monkeypatch, t):
@@ -1002,3 +1015,60 @@ class TestIncrementalCompletion:
         alg = build_algebra(curve_point_from_t(t))
         fresh = RuleSystem(alg.system.rules, alg.system.fuel)
         assert alg.completion_log.diamond.to_json() == check_diamond(fresh).to_json()
+
+
+def direct_rank(diff, is_target):
+    """rank's formula on diff, unmemoised: None where rank raises."""
+    lhs = maximum(diff.terms)
+    if not lhs or is_target(lhs):
+        return None
+    return (any(not is_target(w) for w in diff.terms if w != lhs), len(lhs), lhs)
+
+
+def oneshot_points(seed):
+    """The 100 curve points of bench/workloads.py's oneshot-query workload at
+    seed: 50 integers in [-9, 9] and 50 rationals with denominators 2 to 7."""
+    rng = random.Random(seed)
+    points = [Fraction(rng.randint(-9, 9)) for _ in range(50)]
+    while len(points) < 100:
+        t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((2, 3, 4, 5, 7)))
+        if t.denominator != 1:
+            points.append(t)
+    return points
+
+
+class TestWordOnlyMemos:
+    """The ranks, ambiguity lists and pair ambiguities that completion reads
+    are memoised for the process, keyed by words alone: no coefficient
+    enters a key, so every curve point shares them."""
+
+    @pytest.mark.parametrize("t", ["2", "7/5", "0", "1", "-1"])
+    def test_rank_equals_the_direct_formula(self, monkeypatch, t):
+        diffs = [e.residual for *_, report in completion_rounds(monkeypatch, Fraction(t))
+                 for e in report.entries if not e.ok]
+        assert len(diffs) > 4
+        for diff in diffs:
+            assert rank(diff, is_basis_word) == direct_rank(diff, is_basis_word)
+
+    def test_a_memo_hit_raises_with_its_own_difference_and_witness(self):
+        # x and a are incomparable in the order, so a difference of the two is
+        # non-orientable whatever its coefficients; the second call is a hit
+        first, second = (NcPoly({"x": ONE, "a": c}) for c in (ONE, Scalar(-2)))
+        with pytest.raises(NonOrientable) as exc:
+            rank(first, is_basis_word, "xa")
+        assert exc.value.difference is first and exc.value.witness == "xa"
+        hits = rewrite._word_rank.cache_info().hits
+        with pytest.raises(NonOrientable) as exc:
+            rank(second, is_basis_word, "ax")
+        assert rewrite._word_rank.cache_info().hits == hits + 1
+        assert exc.value.difference is second and exc.value.witness == "ax"
+
+    def test_memo_sizes_after_the_oneshot_query_points(self):
+        # 25 rank supports: 18 at generic points, 7 more at the node t = 1;
+        # one lhs set, the seed's, and the four rules completion adds to it
+        for memo in WORD_ONLY_MEMOS:
+            memo.cache_clear()
+        for t in oneshot_points(1):
+            build_algebra(curve_point_from_t(t))
+        assert memo_sizes() == {"word_matrix": 68, "_pair_ambiguities": 17 * 17,
+                                "_ambiguities": 1, "_added_ambiguities": 4, "_word_rank": 25}
