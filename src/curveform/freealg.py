@@ -35,7 +35,8 @@ def word_key(w: str):
 
 
 def check_word(w: str) -> str:
-    if any(ch not in ALPHABET for ch in w):
+    """w itself; a ValueError when w is not a str over ALPHABET."""
+    if type(w) is not str or w.strip(ALPHABET):
         raise ValueError(f"word {w!r} uses letters outside {ALPHABET!r}")
     return w
 
@@ -116,19 +117,23 @@ class Sparse:
     """Immutable finite Scalar combination of keys; no zero stored.
 
     Subclasses add their products, constructors and formatting.  Equality is
-    type-specific.  Results of operations are built by _new straight from a
-    canonical dict, bypassing the coercing constructor.
+    type-specific.  The constructor checks each key by _key (a word, unless
+    overridden) and coerces each coefficient to a Scalar; results of
+    operations are built by _new straight from a canonical dict.
     """
 
     __slots__ = ("terms",)
+
+    _key = staticmethod(check_word)
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", accumulate({}, self._pairs(terms or ())))
 
     def _pairs(self, terms):
-        """Constructor input as (key, Scalar) pairs."""
+        """Constructor input as (checked key, Scalar) pairs."""
         pairs = terms.items() if isinstance(terms, dict) else terms
-        return ((k, c if isinstance(c, Scalar) else Scalar(c)) for k, c in pairs)
+        key = self._key
+        return ((key(k), c if isinstance(c, Scalar) else Scalar(c)) for k, c in pairs)
 
     def _new(self, terms):
         """An element of the same type as self holding the canonical dict terms."""
@@ -195,7 +200,7 @@ class NcPoly(Sparse):
 
     @classmethod
     def word(cls, w, coeff=ONE):
-        return cls({check_word(w): coeff})
+        return cls({w: coeff})
 
     @classmethod
     def scalar(cls, c):
@@ -255,12 +260,11 @@ class TensorPoly(Sparse):
         object.__setattr__(self, "arity", arity)
         super().__init__(terms)
 
-    def _pairs(self, terms):
-        for key, c in super()._pairs(terms):
-            key = tuple(key)
-            if len(key) != self.arity:
-                raise ArityMismatch(f"tuple {key} does not have arity {self.arity}")
-            yield key, c
+    def _key(self, key):
+        key = tuple(map(check_word, key))
+        if len(key) != self.arity:
+            raise ArityMismatch(f"tuple {key} does not have arity {self.arity}")
+        return key
 
     def _new(self, terms):
         new = super()._new(terms)

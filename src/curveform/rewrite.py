@@ -22,20 +22,20 @@ Normal forms are K-linear in the reduced element, so the word-level
 reduction runs on the field form of scalar.field, which each Rule makes of
 its rhs once: an int where a coefficient is integral, else a Scalar, so an
 integral point reduces on ints alone, and an element's own Scalar
-coefficients multiply the cached normal forms of its words.  A word
-rewritten by a rule whose rhs is a single word with coefficient 1 shares
-that word's cached normal form instead of a copy.  Every sum of c * NF(w)
-(nf_word's cache fill, nf_terms, each letter of nf_times) is made from the
-cached dicts with freealg.accumulate_scaled, so an irreducible word, whose
-NF is {w: 1}, adds c itself, unmultiplied; nf_times reads a cached NF(w)
-without calling nf_word.
-nf_terms reduces normal forms of elements and the branches of ambiguities;
-a branch that is one word with coefficient 1 reads that word's cached dict
-instead.  A resolved ambiguity costs one comparison of its two branch
-normal forms; only a nonzero difference is summed and becomes an NcPoly of
-Scalars.  A sum of normal forms times words, as the Hopf layer's antipode
-makes, is reduced by nf_times one letter at a time, so that only words of
-the form normal word times one letter are reduced and cached.
+coefficients multiply the cached normal forms of its words.  The sharing
+rule: a word that one step rewrites to one word with coefficient 1 is
+cached as that word's dict, and a lone (word, int 1) pair in nf_terms is
+that word's cached dict; both are only read.  Every other sum of c * NF(w)
+(nf_word's cache fill, nf_terms, each letter of nf_times) is a new dict
+made from the cached dicts with freealg.accumulate_scaled, so an
+irreducible word, whose NF is {w: 1}, adds c itself, unmultiplied;
+nf_times reads a cached NF(w) without calling nf_word.
+nf_terms reduces normal forms of elements and the branches of ambiguities.
+A resolved ambiguity costs one comparison of its two branch normal forms;
+only a nonzero difference is summed and becomes an NcPoly of Scalars.  A
+sum of normal forms times words, as the Hopf layer's antipode makes, is
+reduced by nf_times one letter at a time, so that only words of the form
+normal word times one letter are reduced and cached.
 
 Completion and the diamond check are one computation: each completion
 round makes the diamond report of the current system, and the last round,
@@ -81,7 +81,7 @@ from functools import cache, cached_property
 from operator import ge
 
 from .errors import FuelExhausted, LimitExceeded, NonOrientable
-from .freealg import NcPoly, accumulate, accumulate_scaled, check_word, word_key
+from .freealg import NcPoly, _INT_ONE, accumulate, accumulate_scaled, check_word, word_key
 from .report import Entry, Report, attempt
 
 DEFAULT_FUEL = 100_000
@@ -177,12 +177,11 @@ class RuleSystem:
         NF(head) times its last letter, else the word rewritten at its match;
         while completion runs, self._children is a dict, and a reducible
         word's child words are stored there as a tuple when it is cached.  A
-        word that one step rewrites to a single word with coefficient 1 is
-        cached as that word's dict itself, so cached dicts are shared and must
-        never be mutated once inserted; any other, as the _nf_sum of its
-        children.  Reducing a word that is not cached yet may visit at most
-        self.fuel words; the words cached on the way cost later calls
-        nothing."""
+        word is cached as the sum of c * NF(child) over its children, or, by
+        the sharing rule of the module docstring, as its one child's dict, so
+        cached dicts are shared and must never be mutated once inserted.
+        Reducing a word that is not cached yet may visit at most self.fuel
+        words; the words cached on the way cost later calls nothing."""
         cache = self._nf_cache
         hit = cache.get(w)
         if hit is not None:
@@ -224,18 +223,29 @@ class RuleSystem:
             if len(children) == 1 and children[0][1] == 1:
                 cache[cur] = cache[children[0][0]]
             else:
-                cache[cur] = _nf_sum({}, children, cache.__getitem__)
+                nf = {}
+                for cw, c in children:
+                    accumulate_scaled(nf, c, cache[cw])
+                cache[cur] = nf
             if record is not None:
                 record[cur] = tuple([cw for cw, _ in children])
             stack.pop()
         return cache[w]
 
     def nf_terms(self, pairs) -> dict:
-        """The normal form of the sum of c * w over the (word, c) pairs as a
-        new dict, in the field of the c and of the rules, made by _nf_sum:
-        each word is reduced when its pair is reached, and the terms
-        accumulate in that order."""
-        return _nf_sum({}, pairs, self.nf_word)
+        """The normal form of the sum of c * w over the (word, c) pairs, in
+        the field of the c and of the rules.  A lone pair (w, int 1) is
+        NF(w), the cached dict, by the sharing rule of the module docstring;
+        any other sum is a new dict, each word reduced when its pair is
+        reached and the terms accumulated in that order.  The int 1 is told
+        by identity, so a Scalar 1, as a public NcPoly holds, still gets a
+        new dict of Scalars."""
+        pairs, nf_word, acc = list(pairs), self.nf_word, {}
+        if len(pairs) == 1 and pairs[0][1] is _INT_ONE:
+            return nf_word(pairs[0][0])
+        for w, c in pairs:
+            accumulate_scaled(acc, c, nf_word(w))
+        return acc
 
     def nf_times(self, groups) -> dict:
         """The normal form of the sum of P_v * v over groups = {v: P_v} as a
@@ -246,9 +256,9 @@ class RuleSystem:
         without a call, by nf_word only on a miss (fuel counts only words not
         cached yet, so no fuel outcome moves).  So only a normal word times
         one letter is reduced, and groups that share a suffix merge before
-        their next letter, in place into a group built here, else into a
-        copy: no P_v or cached dict is written into."""
-        lookup, nf_word, groups, built = self._nf_cache.get, self.nf_word, dict(groups), set()
+        their next letter, a finished group into a copy of the group it
+        joins: no P_v or cached dict is written into."""
+        lookup, nf_word, groups = self._nf_cache.get, self.nf_word, dict(groups)
         for size in range(max(map(len, groups), default=0), 0, -1):
             for v in [v for v in groups if len(v) == size]:
                 prod, first, rest = {}, v[0], v[1:]
@@ -256,10 +266,8 @@ class RuleSystem:
                     w = n + first
                     accumulate_scaled(prod, c, lookup(w) or nf_word(w))
                 old = groups.get(rest)
-                groups[rest] = prod if old is None else accumulate(
-                    old if rest in built else dict(old), prod.items())
-                built.add(rest)
-        return groups[""] if "" in built else dict(groups.get("", {}))
+                groups[rest] = prod if old is None else accumulate(dict(old), prod.items())
+        return dict(groups.get("", {}))
 
     def normal_form(self, f: NcPoly) -> NcPoly:
         """Fully reduce the NcPoly f: the sum of c * NF(w) over its terms c * w."""
@@ -273,14 +281,6 @@ class RuleSystem:
 
     def to_json(self):
         return [r.to_json() for r in self.rules]
-
-
-def _nf_sum(acc: dict, pairs, nf_of) -> dict:
-    """Add c * NF(w) into acc for each (w, c) of pairs, in their order,
-    straight from the cached dict nf_of(w), which is only read."""
-    for w, c in pairs:
-        accumulate_scaled(acc, c, nf_of(w))
-    return acc
 
 
 @cache
@@ -316,23 +316,16 @@ def _branches(rs: RuleSystem, amb: Ambiguity):
             for pos, lhs in ((0, amb.left), (amb.pos_right, amb.right))]
 
 
-def _branch_nf(rs: RuleSystem, branch) -> dict:
-    """The normal form of a branch, only read: a single word with
-    coefficient 1 is its cached dict, any other branch an nf_terms sum."""
-    if len(branch) == 1 and branch[0][1] == 1:
-        return rs.nf_word(branch[0][0])
-    return rs.nf_terms(branch)
-
-
 def branch_difference(rs: RuleSystem, amb: Ambiguity, branches=None) -> NcPoly:
     """NF(left branch) - NF(right branch), the branches _branches(rs, amb).
 
-    Both branches are reduced over the rules' field of definition, the left
-    one first.  Equal normal forms, a resolved entry, cost one comparison of
-    the two dicts; only a nonzero difference is summed, on a copy, and
-    becomes an NcPoly of Scalars, its terms in the order of NF(left) -
-    NF(right) on NcPolys."""
-    left, right = (_branch_nf(rs, branch) for branch in branches or _branches(rs, amb))
+    Both branches are reduced by nf_terms over the rules' field of
+    definition, the left one first, so a branch that is one word with
+    coefficient 1 is that word's cached dict.  Equal normal forms, a
+    resolved entry, cost one comparison of the two dicts; only a nonzero
+    difference is summed, on a copy, and becomes an NcPoly of Scalars, its
+    terms in the order of NF(left) - NF(right) on NcPolys."""
+    left, right = (rs.nf_terms(branch) for branch in branches or _branches(rs, amb))
     if left == right:
         return NcPoly.zero()
     return NcPoly(accumulate(dict(left), ((w2, -c) for w2, c in right.items())))
@@ -411,7 +404,7 @@ def greater(u: str, v: str) -> bool:
 def maximum(words):
     """The word of words above every other one in the order, or None when no
     word is: the one with the largest top-right entry, if it dominates."""
-    top = max(words, key=lambda w: word_matrix(w)[2])
+    top = max(words, key=lambda w: word_matrix(w)[2], default=None)
     return top if all(w == top or greater(top, w) for w in words) else None
 
 

@@ -193,14 +193,14 @@ def _text(v):
                             "digits to print") from None
 
 
-def _rational(v):
+def _rational(v, name="Scalar coordinates"):
     """v as an int or Fraction.  Accepts int, Fraction and their str forms
     ("-2/3"); refuses float, whose binary value is rarely the rational
-    meant."""
+    meant, by a TypeError that names v as name."""
     if type(v) is int or type(v) is Fraction:
         return v
     if isinstance(v, float):
-        raise TypeError(f"Scalar coordinates must be exact, got float {v!r}")
+        raise TypeError(f"{name} must be exact, got float {v!r}")
     return Fraction(v)
 
 
@@ -259,7 +259,7 @@ class CurvePoint:
 
 def curve_point_from_t(t) -> CurvePoint:
     """The rational parametrization of the nodal cubic: t -> (t^2 - 1, t(t^2 - 1))."""
-    t = Fraction(t)
+    t = _rational(t, "t")
     q = t * t - 1
     return CurvePoint(Scalar(q), Scalar(t * q))
 

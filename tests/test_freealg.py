@@ -179,6 +179,22 @@ def test_shared_base_keeps_types_apart():
         NcPoly(terms).terms = {}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: NcPoly({"z": ONE}), lambda: NcPoly({"a b": 1}), lambda: NcPoly.word("xq"),
+    lambda: NcPoly([(("x",), ONE)]), lambda: TensorPoly(2, {("x", "z"): ONE}),
+    lambda: TensorPoly(1, [("a*", 2)])])
+def test_constructors_refuse_letters_outside_the_alphabet(make):
+    with pytest.raises(ValueError, match="outside 'xyagb'"):
+        make()
+
+
+def test_cpoly_refuses_letters_outside_the_alphabet():
+    from curveform.galois import CPoly
+
+    with pytest.raises(ValueError, match="'z'"):
+        CPoly({"z": ONE})
+
+
 def test_constructor_coerces():
     f = NcPoly({"x": 2, "": 0})
     assert f.terms == {"x": Scalar(2)} and isinstance(f.terms["x"], Scalar)

@@ -1,7 +1,9 @@
+import importlib.util
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -296,6 +298,17 @@ class TestOrientation:
         with pytest.raises(NonOrientable):
             rank(NcPoly.scalar(3), lambda w: False)
 
+    def test_the_zero_difference_is_non_orientable(self):
+        # no word is the maximum of none, and the error carries its context
+        assert maximum(()) is None
+        zero = NcPoly.zero()
+        with pytest.raises(NonOrientable) as exc:
+            rank(zero, is_basis_word, "xy")
+        assert exc.value.difference is zero and exc.value.witness == "xy"
+        with pytest.raises(NonOrientable) as exc:
+            orient(zero, is_basis_word)
+        assert exc.value.difference is zero and exc.value.witness is None
+
 
 words = st.text(ALPHABET, max_size=6)
 
@@ -459,6 +472,16 @@ def cached_coeffs(rs):
     return [c for nf in rs._nf_cache.values() for c in nf.values()]
 
 
+@cache
+def _oracle():
+    """bench/oracle.py, the benchmark's known answers, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def alg75():
     return build_algebra(curve_point_from_t(Fraction(7, 5)))
@@ -519,6 +542,22 @@ class TestFieldOfDefinition:
         terms = alg.nf(NcPoly.word("bx")).terms
         assert terms == {"xb": ONE}
         assert not any(terms is nf for nf in rs._nf_cache.values())
+
+    @pytest.mark.parametrize("t", ["2", "7/5"])
+    def test_only_a_lone_int_one_pair_shares_the_cached_dict(self, algebras, alg75, t):
+        # the int 1 is tested by identity: a Scalar 1, as a public NcPoly
+        # holds, gets a new dict of Scalars, whose c0 and c1 the benchmark
+        # reads off alg.nf and alg.parse_nf
+        alg = algebras[2] if t == "2" else alg75
+        rs = alg.system
+        for w in ("".join(p) for n in range(5) for p in product(ALPHABET, repeat=n)):
+            nf = rs.nf_word(w)
+            assert rs.nf_terms([(w, 1)]) is nf
+            scaled = rs.nf_terms([(w, ONE)])
+            assert scaled == nf and scaled is not nf
+            assert all(type(c) is Scalar for c in alg.nf(NcPoly.word(w)).terms.values())
+        for expr in _oracle().QUERIES:
+            assert all(type(c) is Scalar for c in alg.parse_nf(expr).terms.values())
 
 
 # -- prefix-first reduction ------------------------------------------------

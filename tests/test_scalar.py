@@ -79,6 +79,14 @@ def test_refuses_float():
         Scalar(1) + 0.5
 
 
+def test_curve_point_refuses_float_t():
+    # 0.1 would build q from its binary value, not from 1/10
+    with pytest.raises(TypeError, match=r"\bt must be exact, got float 0\.1"):
+        curve_point_from_t(0.1)
+    assert curve_point_from_t("1/10") == curve_point_from_t(StdFraction(1, 10))
+    assert curve_point_from_t("2") == curve_point_from_t(2)
+
+
 def test_accepts_rational_strings():
     assert Scalar("1/2", "-3") == Scalar(StdFraction(1, 2), -3)
     assert type(Scalar("4/2").c0) is int
