@@ -67,5 +67,18 @@ class NonOrientable(CurveformError, RuntimeError):
         super().__init__(f"no monomial of {difference} is eligible as a rule lhs")
 
 
+class NotAUnit(CurveformError, ArithmeticError):
+    """A coefficient with no inverse in its ring: a QPoly that is not a
+    nonzero constant, met as the leading coefficient of a completed rule.
+    Carries the value and the witness of the ambiguity it came from (None
+    when inverse was called directly)."""
+
+    def __init__(self, value, witness=None):
+        self.value = value
+        self.witness = witness
+        super().__init__(f"{value} is not a unit" + (
+            f": the leading coefficient of the difference at {witness}" if witness else ""))
+
+
 class LimitExceeded(CurveformError, RuntimeError):
     pass

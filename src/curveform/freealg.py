@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch
-from .scalar import ONE, Scalar, field
+from .scalar import ONE, QPoly, Scalar, field
 
 ALPHABET = "xyagb"
 _ORD = str.maketrans(ALPHABET, "01234")
@@ -113,13 +113,17 @@ def concat_product(left, right) -> dict:
     return accumulate({}, ((u + v, cu * cv) for u, cu in left for v, cv in right))
 
 
+_COEFFICIENTS = (Scalar, QPoly)
+
+
 class Sparse:
     """Immutable finite Scalar combination of keys; no zero stored.
 
     Subclasses add their products, constructors and formatting.  Equality is
     type-specific.  The constructor checks each key by _key (a word, unless
-    overridden) and coerces each coefficient to a Scalar; results of
-    operations are built by _new straight from a canonical dict.
+    overridden) and coerces each coefficient to a Scalar, keeping a QPoly as
+    it is (a coefficient over Q[q, p]); results of operations are built by
+    _new straight from a canonical dict.
     """
 
     __slots__ = ("terms",)
@@ -130,10 +134,10 @@ class Sparse:
         object.__setattr__(self, "terms", accumulate({}, self._pairs(terms or ())))
 
     def _pairs(self, terms):
-        """Constructor input as (checked key, Scalar) pairs."""
+        """Constructor input as (checked key, Scalar or QPoly) pairs."""
         pairs = terms.items() if isinstance(terms, dict) else terms
         key = self._key
-        return ((key(k), c if isinstance(c, Scalar) else Scalar(c)) for k, c in pairs)
+        return ((key(k), c if isinstance(c, _COEFFICIENTS) else Scalar(c)) for k, c in pairs)
 
     def _new(self, terms):
         """An element of the same type as self holding the canonical dict terms."""
@@ -156,7 +160,7 @@ class Sparse:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar(c)
+        c = c if isinstance(c, _COEFFICIENTS) else Scalar(c)
         if not c:
             return self._new({})
         return self._new({k: c * ck for k, ck in self.terms.items()})
@@ -240,7 +244,7 @@ class NcPoly(Sparse):
         return [{"coeff": c.to_json(), "word": w} for w, c in reversed(self.sorted_terms())]
 
 
-_SCALARS = (Scalar, int, Fraction)
+_SCALARS = (Scalar, QPoly, int, Fraction)
 _ZERO_POLY = NcPoly()
 _ONE_POLY = NcPoly({"": ONE})
 
@@ -261,6 +265,10 @@ class TensorPoly(Sparse):
         super().__init__(terms)
 
     def _key(self, key):
+        if type(key) is str:  # one word, never a sequence of one-letter legs
+            if self.arity != 1:
+                raise ArityMismatch(f"word key {key!r} given for arity {self.arity}")
+            key = (key,)
         key = tuple(map(check_word, key))
         if len(key) != self.arity:
             raise ArityMismatch(f"tuple {key} does not have arity {self.arity}")

@@ -8,6 +8,13 @@ The pattern is the regular expression PATTERN, one group per factor, and
 the basis words are listed by walking its language (pattern_words).
 The census, growth and freeness checks each return a report.Report, and
 freeness takes its verdict from the census.
+
+The seeds are completed once per process, at the generic point, over
+Q[q, p]: every coefficient of the completed rules is a polynomial in the
+point, and the rules are monic, so by Bergman's diamond lemma, which holds
+over any commutative base ring, the template is confluent at every point.
+build_algebra substitutes its point into the template and checks the
+diamond there.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from .errors import NotPatternWord
 from .freealg import ALPHABET, NcPoly
 from .parser import parse_expr
 from .report import Report, attempt
-from .scalar import CurvePoint, ONE, Scalar
-from .rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
+from .scalar import GENERIC, CurvePoint, ONE, QPoly, Scalar
+from .rewrite import DEFAULT_FUEL, CompletionLog, Rule, RuleSystem, complete
 
 
 # groups: x^i, y^j, (ax)^l, a^m or g^-m, b^n
@@ -101,21 +108,48 @@ class NodalAlgebra:
 
 
 def build_algebra(point: CurvePoint, fuel=DEFAULT_FUEL) -> NodalAlgebra:
-    """Seed, complete, and verify the rule system at a point.
+    """Substitute the point into the completed template and check its diamond.
 
-    fuel is the reduction budget of the rule system, spent by its completion
-    and every later reduction in the algebra.  The diamond report is the
-    last completion round, log.diamond: every ambiguity of the completed
-    system reduced along both branches over the rules' field of definition,
-    with no second pass over the witnesses.
-    Raises ValueError if some completed rhs leaves the pattern span.
+    The template is the completion of seed_rules(GENERIC) over Q[q, p],
+    made once per process (_template).  Each rule is monic, so Bergman's
+    diamond lemma, which holds over any commutative base ring, carries its
+    confluence to every point.  The build still checks it: complete on the
+    substituted rules returns after its first round, which reduces every
+    ambiguity along both branches from a cold nf cache, and that round is
+    the diamond report.  fuel is the reduction budget of the rule system,
+    spent by that check and every later reduction in the algebra; the
+    template is made at DEFAULT_FUEL.  The log is the template's, its
+    added rules the system's own specialised ones.
     """
-    completed, log = complete(RuleSystem(seed_rules(point), fuel), is_basis_word)
-    for rule in completed.rules:
+    rules, log = _template(tuple((r.lhs, tuple(r.rhs.terms.items()), r.origin)
+                                 for r in seed_rules(GENERIC)))
+    system, check = complete(RuleSystem([_at(rule, point) for rule in rules], fuel),
+                             is_basis_word)
+    added = list(zip([w for w, _ in log.added], system.rules[len(rules) - len(log.added):]))
+    return NodalAlgebra(point, system, CompletionLog(added, check.diamond, log.counts))
+
+
+@cache
+def _template(seeds: tuple):
+    """The rules and log of the completion of the seeds, each given as
+    (lhs, rhs terms, origin), at DEFAULT_FUEL; memoised, so the completion
+    of seed_rules(GENERIC) runs once per process, and seeds of other
+    coefficients, a mutant's, are completed as given.  Raises ValueError if
+    some completed rhs leaves the pattern span, which no substitution into
+    it can enter."""
+    system, log = complete(RuleSystem([Rule(lhs, NcPoly(terms), origin)
+                                       for lhs, terms, origin in seeds]), is_basis_word)
+    for rule in system.rules:
         bad = [w for w in rule.rhs.terms if not is_basis_word(w)]
         if bad:
             raise ValueError(f"rule {rule.lhs!r} has non-pattern rhs words {bad}")
-    return NodalAlgebra(point, completed, log)
+    return system.rules, log
+
+
+def _at(rule: Rule, point: CurvePoint) -> Rule:
+    """rule with each Q[q, p] coefficient of its rhs valued at point."""
+    return Rule(rule.lhs, NcPoly([(w, c.at(point) if type(c) is QPoly else c)
+                                  for w, c in rule.rhs.terms.items()]), rule.origin)
 
 
 # -- census and growth ---------------------------------------------------

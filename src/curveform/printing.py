@@ -20,9 +20,10 @@ def format_word(w: str) -> str:
 
 
 def _coeff_parts(c):
-    """(sign, body) of str(c): body without a leading minus, or in parentheses."""
+    """(sign, body) of str(c): body without a leading minus, or in parentheses
+    when c is a sum (a Scalar c0 + c1*r or a QPoly of several terms)."""
     text = str(c)
-    if c.c1 and c.c0:
+    if "+" in text[1:] or "-" in text[1:]:
         return "+", f"({text})"
     if text.startswith("-"):
         return "-", text[1:]

@@ -30,6 +30,9 @@ that word's cached dict; both are only read.  Every other sum of c * NF(w)
 made from the cached dicts with freealg.accumulate_scaled, so an
 irreducible word, whose NF is {w: 1}, adds c itself, unmultiplied;
 nf_times reads a cached NF(w) without calling nf_word.
+The reducer only adds, multiplies, compares and tests the truth of
+coefficients, so it runs unchanged over scalar.QPoly, the polynomial ring
+Q[q, p], where nodal.build_algebra completes the seeds once.
 nf_terms reduces normal forms of elements and the branches of ambiguities.
 A resolved ambiguity costs one comparison of its two branch normal forms;
 only a nonzero difference is summed and becomes an NcPoly of Scalars.  A
@@ -42,10 +45,9 @@ round makes the diamond report of the current system, and the last round,
 where every difference vanishes, is the diamond report of the completed
 system.  Rounds are incremental: when a rule with lhs L is added, the nf
 cache drops in place the words that hold L or whose head or prefix-first
-children were dropped, the child words nf_word stored as it cached each
-word (while completion runs only: the completed system stores none).  Each
-ambiguity is one record for the whole build, its branches made once.  A
-resolved entry is kept for the rest of the build: rules are only added,
+children, derived again under the new rules, were dropped.  Each
+ambiguity is one record for the whole completion, its branches made once.
+A resolved entry is kept for the rest of the completion: rules are only added,
 never inter-reduced, so the reductions that resolved it stay reductions of
 every later system, and an ambiguity resolvable under some rules stays so
 under more (Bergman 1978).  An unresolved entry, with the rank of its
@@ -56,7 +58,9 @@ own pairs.  Five memos live as long as the process, as they read words
 alone: word_matrix, _pair_ambiguities (with their sort keys), _ambiguities
 of an lhs set, _added_ambiguities of a new lhs and _word_rank of a
 difference's words.  No memo key or value holds a coefficient, so the
-carry, the branches and the residuals stay per build.
+carry, the branches and the residuals stay per completion.  A completion
+divides only by the coefficient of a difference's maximum word; over
+Q[q, p] one that is not a nonzero constant raises NotAUnit.
 
 Termination is proved by one well-founded order, a matrix interpretation
 (Hofbauer & Waldmann 2006): a word maps to the product of its letters'
@@ -80,7 +84,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import ge
 
-from .errors import FuelExhausted, LimitExceeded, NonOrientable
+from .errors import FuelExhausted, LimitExceeded, NonOrientable, NotAUnit
 from .freealg import NcPoly, _INT_ONE, accumulate, accumulate_scaled, check_word, word_key
 from .report import Entry, Report, attempt
 
@@ -159,7 +163,6 @@ class RuleSystem:
         # alternatives are tried in order, so longest first; (?!) never matches
         self._lhs_re = re.compile("|".join(sorted(self._rhs, key=len, reverse=True)) or "(?!)")
         self._nf_cache = {"": {"": 1}}
-        self._children = None  # a dict while completion runs: see nf_word
 
     # -- matching --------------------------------------------------------
 
@@ -174,10 +177,8 @@ class RuleSystem:
     def nf_word(self, w: str) -> dict:
         """Normal form of a single word as a dict {word: coefficient} over the
         rules' field; cached, with every prefix of w.  A word's children are
-        NF(head) times its last letter, else the word rewritten at its match;
-        while completion runs, self._children is a dict, and a reducible
-        word's child words are stored there as a tuple when it is cached.  A
-        word is cached as the sum of c * NF(child) over its children, or, by
+        NF(head) times its last letter, else the word rewritten at its match.
+        A word is cached as the sum of c * NF(child) over its children, or, by
         the sharing rule of the module docstring, as its one child's dict, so
         cached dicts are shared and must never be mutated once inserted.
         Reducing a word that is not cached yet may visit at most self.fuel
@@ -186,7 +187,7 @@ class RuleSystem:
         hit = cache.get(w)
         if hit is not None:
             return hit
-        record, budget, lookup = self._children, self.fuel, cache.get
+        budget, lookup = self.fuel, cache.get
         match, rhs = self.match, self._rhs
         steps = 0
         pending = {}
@@ -227,8 +228,6 @@ class RuleSystem:
                 for cw, c in children:
                     accumulate_scaled(nf, c, cache[cw])
                 cache[cur] = nf
-            if record is not None:
-                record[cur] = tuple([cw for cw, _ in children])
             stack.pop()
         return cache[w]
 
@@ -362,8 +361,9 @@ def check_diamond(rs: RuleSystem) -> Report:
     iff all differences vanish (local confluence).  Each entry is named by
     its ambiguity; one whose reduction cannot finish fails with the error
     as its residual.  complete's last round makes the same report
-    for the system it returns, partly from earlier rounds' entries, so
-    build_algebra does not call this."""
+    for the system it returns, partly from earlier rounds' entries; on a
+    confluent system its only round is this check, the one build_algebra
+    makes at each point."""
     return _diamond(rs, [_Record(rs, amb) for amb in rs.find_ambiguities()])
 
 
@@ -437,10 +437,15 @@ def orient(diff: NcPoly, is_target) -> Rule:
     return _monic(diff, rank(diff, is_target)[-1])
 
 
-def _monic(diff: NcPoly, lhs: str) -> Rule:
-    """The completed rule lhs -> rhs with lhs - rhs a multiple of diff."""
-    return Rule(lhs, NcPoly.word(lhs) - diff.scale(diff.terms[lhs].inverse()),
-                origin="completed")
+def _monic(diff: NcPoly, lhs: str, witness=None) -> Rule:
+    """The completed rule lhs -> rhs with lhs - rhs a multiple of diff;
+    NotAUnit, naming the witness diff came from, when the coefficient of
+    lhs has no inverse (a QPoly that is not constant)."""
+    try:
+        inverse = diff.terms[lhs].inverse()
+    except NotAUnit as exc:
+        raise NotAUnit(exc.value, witness) from None
+    return Rule(lhs, NcPoly.word(lhs) - diff.scale(inverse), origin="completed")
 
 
 @dataclass
@@ -460,15 +465,15 @@ class CompletionLog:
                 "added": [{"witness": w, "rule": r.to_json()} for w, r in self.added]}
 
 
-def _carry(rs: RuleSystem, cache: dict, children: dict) -> dict:
-    """Cuts cache, the nf cache of rs before its last rule was added, and
-    children, the child words nf_word stored for its words, in place to what
-    rs computes the same: a word is dropped when it holds the new lhs, or when
-    its head or one of its prefix-first children was dropped.  Words are
-    cached after their head and children, so one pass in insertion order finds
-    them, and no word before the first one that ends with the new lhs is
-    dropped, so the scan tests only that up to it.  A kept word holds no new
-    lhs, so its stored children are those rs makes."""
+def _carry(rs: RuleSystem, cache: dict) -> dict:
+    """Cuts cache, the nf cache of rs before its last rule was added, in
+    place to what rs computes the same: a word is dropped when it holds the
+    new lhs, or when its head or one of its prefix-first children, as rs
+    makes them (see nf_word), was dropped.  Words are cached after their
+    head and children, so one pass in insertion order finds them, and no
+    word before the first one that ends with the new lhs is dropped, so the
+    scan tests only that up to it.  A kept word holds no new lhs, so rs
+    matches it where the system before did."""
     lhs = rs.rules[-1].lhs
     dropped, words = set(), iter(cache.items())
     for w, _ in words:
@@ -478,11 +483,17 @@ def _carry(rs: RuleSystem, cache: dict, children: dict) -> dict:
     for w, nf in words:  # the rest, after the first drop
         if w.endswith(lhs) or w[:-1] in dropped:
             dropped.add(w)
-        elif w not in nf and not dropped.isdisjoint(children[w]):  # w reducible
-            dropped.add(w)
+        elif w not in nf:  # w reducible: its children are NF(head).last, else its match's
+            head_nf = cache[w[:-1]]
+            if w[:-1] not in head_nf:
+                children = [n + w[-1] for n in head_nf]
+            else:
+                pos, match = rs.match(w)
+                children = [w[:pos] + t for t, _ in rs._rhs[match]]
+            if not dropped.isdisjoint(children):
+                dropped.add(w)
     for w in dropped:
         del cache[w]
-        children.pop(w, None)
     return cache
 
 
@@ -493,7 +504,9 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
     nonzero differences by the rule orient makes of each, its lhs the
     maximum word of the difference (NonOrientable, with the witness, when
     there is none, or when it is a target word); only the smallest rule,
-    ties broken by the ambiguity key, is made from its rank and added.  So
+    ties broken by the ambiguity key, is made from its rank and added,
+    monic (NotAUnit, with the witness, when the coefficient of its lhs has
+    no inverse).  So
     every rule added decreases under the order, and when the rules of rs do
     too, every intermediate system terminates.  Rounds are incremental, as
     the module docstring says: a resolved entry is never reduced again, and
@@ -510,12 +523,14 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
 
     complete returns only from a round that finds every difference zero:
     its report, log.diamond, passes and is the diamond check of the result.
+    So on a system that is already confluent it returns after its first
+    round, which reduces every ambiguity from a cold cache, as check_diamond
+    does: a build checks its point that way (nodal.build_algebra).
 
     Returns (RuleSystem, CompletionLog).
     """
     log = CompletionLog()
     current = RuleSystem(rs.rules, rs.fuel)
-    current._children = children = {}
     records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
         log.counts.append((len(records), sum(rec.entry is None for rec in records),
@@ -532,16 +547,14 @@ def complete(rs: RuleSystem, is_target, max_rules=64):
                 candidates.append(rec)
         if not candidates:
             log.diamond = report
-            current._children = None
             return current, log
         if len(current.rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
         best = min(candidates, key=lambda rec: (rec.rank, rec.amb.key))
-        rule = _monic(best.entry.residual, best.rank[-1])
+        rule = _monic(best.entry.residual, best.rank[-1], best.amb.witness)
         log.added.append((best.amb.witness, rule))
         current, old = RuleSystem((*current.rules, rule), rs.fuel), current
-        current._nf_cache = carried = _carry(current, old._nf_cache, children)
-        current._children = children
+        current._nf_cache = carried = _carry(current, old._nf_cache)
         for rec in records:
             if not rec.entry.ok and not all(w in carried for branch in rec.branches
                                             for w, _ in branch):

@@ -15,6 +15,12 @@ Fraction, three times as slow per add or mul, stays at the text boundary
 (the views, printing and the parser).  field(c) is the one conversion to
 it, and reciprocal(c) gives 1/c in it.
 
+QPoly is the polynomial ring Q[q, p], the coefficients at GENERIC, the
+point whose coordinates are the indeterminates.  It mixes with ints,
+Fractions and rational Scalars in either order (a Scalar hands it any
+operand it does not know, by NotImplemented), is its own field form, and
+QPoly.at(point) substitutes a curve point.
+
 A Scalar is a value: its slots are written once, where it is made, and
 never after.  No __setattr__ guards them, since a guard would turn each
 plain slot store into a call, on every arithmetic result.
@@ -26,7 +32,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero, LimitExceeded, ParameterOffCurve
+from .errors import DivisionByZero, LimitExceeded, NotAUnit, ParameterOffCurve
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -61,7 +67,9 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = _coerce(other)
+            if not isinstance(other, _RATIONAL_TYPES):
+                return NotImplemented  # so that a QPoly adds it
+            other = Scalar(other)
         d, e = self.d, other.d
         if d == e:
             n0, n1 = self.n0 + other.n0, self.n1 + other.n1
@@ -99,8 +107,10 @@ class Scalar:
         elif type(other) is int or type(other) is Fraction:
             k = other.numerator
             n0, n1, d = self.n0 * k, self.n1 * k, self.d * other.denominator
+        elif isinstance(other, _RATIONAL_TYPES):
+            return self * Scalar(other)
         else:
-            return self * _coerce(other)
+            return NotImplemented
         if d != 1:
             g = gcd(n0, n1, d)
             if g != 1:
@@ -205,7 +215,8 @@ def _rational(v, name="Scalar coordinates"):
 
 
 def _coerce(v):
-    if isinstance(v, Scalar):
+    """v as a Scalar; a QPoly as it is."""
+    if isinstance(v, (Scalar, QPoly)):
         return v
     if isinstance(v, _RATIONAL_TYPES):
         return Scalar(v)
@@ -217,14 +228,130 @@ ONE = Scalar(1)
 R = Scalar(0, 1)
 
 
+# -- Q[q, p] -----------------------------------------------------------------
+
+class QPoly:
+    """An element of Q[q, p]: a dict from exponent pairs (i, j), the monomial
+    q^i p^j, to nonzero int or Fraction coefficients.
+
+    The coefficients of completion at the generic point, where q and p are
+    indeterminates.  It adds, multiplies and compares with ints, Fractions
+    and rational Scalars, a constant equal to and hashed as its value, so
+    that the reducer runs on it as on the field form; at(point) is its value
+    at a curve point, in the field form.  Only a nonzero constant has an
+    inverse: any other leading coefficient is NotAUnit.  A value, as a
+    Scalar is.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        terms = _poly_terms(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+        return QPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = _poly_terms(other)
+        if terms is None:
+            return NotImplemented
+        out = {}
+        for (i, j), c in self.terms.items():
+            for (k, m), d in terms.items():
+                e = (i + k, j + m)
+                out[e] = out.get(e, 0) + c * d
+        return QPoly(out)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.terms.keys() - {(0, 0)}:
+            raise NotAUnit(self)
+        if not self.terms:
+            raise DivisionByZero("division by zero QPoly")
+        return QPoly({(0, 0): 1 / Fraction(self.terms[(0, 0)])})
+
+    def at(self, point):
+        """The value at point, a CurvePoint with Scalar coordinates, in the
+        field form."""
+        total = 0
+        for (i, j), c in self.terms.items():
+            m = Scalar(c)
+            for _ in range(i):
+                m = m * point.q
+            for _ in range(j):
+                m = m * point.p
+            total = m + total
+        return field(total)
+
+    def __eq__(self, other):
+        terms = _poly_terms(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def __hash__(self):  # a constant as its value, as it equals it
+        terms = self.terms
+        if not terms.keys() - {(0, 0)}:
+            return hash(terms.get((0, 0), 0))
+        return hash(frozenset(terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __str__(self):
+        out = ""
+        for (i, j), c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0][1])):
+            mono = "*".join(f"{v}^{n}" if n > 1 else v for v, n in (("q", i), ("p", j)) if n)
+            text = _text(c) if not mono else (
+                mono if c == 1 else f"-{mono}" if c == -1 else f"{_text(c)}*{mono}")
+            out += text if not out or text.startswith("-") else f"+{text}"
+        return out or "0"
+
+    def __repr__(self):
+        return f"QPoly({self})"
+
+    def to_json(self):
+        return str(self)
+
+
+def _poly_terms(v):
+    """The terms of v as a QPoly's, or None for a type Q[q, p] does not hold
+    (a float, or a Scalar with an r-part)."""
+    if type(v) is QPoly:
+        return v.terms
+    if type(v) is Scalar:
+        if v.n1:
+            return None
+        v = v.c0
+    elif not isinstance(v, _RATIONAL_TYPES):
+        return None
+    return {(0, 0): v} if v else {}
+
+
 # -- the field form --------------------------------------------------------
 
 def field(c):
     """c, an int, Fraction or Scalar, in the field form: an int when
-    integral, else a Scalar."""
+    integral, else a Scalar.  A QPoly is its own field form."""
     if type(c) is Scalar:
         return c.n0 if c.d == 1 and not c.n1 else c
-    return c if type(c) is int else field(Scalar(c))
+    return c if type(c) is int or type(c) is QPoly else field(Scalar(c))
 
 
 def reciprocal(c):
@@ -255,6 +382,12 @@ class CurvePoint:
 
     def to_json(self):
         return {"q": self.q.to_json(), "p": self.p.to_json()}
+
+
+# the generic point: q and p are the indeterminates of Q[q, p], bound by no
+# curve relation, so that what holds at it holds at every point, on the
+# curve or off it
+GENERIC = CurvePoint(QPoly({(1, 0): 1}), QPoly({(0, 1): 1}))
 
 
 def curve_point_from_t(t) -> CurvePoint:

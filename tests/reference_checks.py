@@ -10,11 +10,14 @@ as it is and divides by its pivot.  pair_ambiguities_by_scan
 enumerates the ambiguities of two lhs afresh on every call, the unmemoised
 reference for rewrite._pair_ambiguities, and carry_by_step cuts a
 completion round's nf cache by deriving each word's children again from
-the new system, the reference for rewrite._carry, which reads the children
-nf_word stored.  complete_redropping_resolved is completion that reduces
+the new system, the reference for rewrite._carry, which tests only the
+new lhs up to the first word it drops.  complete_redropping_resolved is completion that reduces
 a record again whenever a new rule drops one of its branch words from the
 carried cache, resolved or not, the reference for rewrite.complete, which
-keeps every resolved entry.  trivial_coaction is the value 1-bar (x) NF(f)
+keeps every resolved entry.  complete_at is the completion of the seeds
+at a point in its own coordinates, the pointwise reference for
+nodal.build_algebra, which substitutes the point into one completion over
+Q[q, p].  trivial_coaction is the value 1-bar (x) NF(f)
 that galois._is_trivial compares the coaction with, as a TensorPoly.
 GeneratorFedSystem is the RuleSystem whose three sums of scaled normal
 forms (nf_word's cache fill, nf_terms and the Horner step of nf_times) each
@@ -34,10 +37,10 @@ from itertools import product
 
 from curveform.freealg import ALPHABET, NcPoly, TensorPoly, accumulate, concat_product, word_key
 from curveform.hopf import EXPECTED_UNITS, _solve_sparse, alt_generators
-from curveform.nodal import count_basis_words, is_basis_word, pattern_words
+from curveform.nodal import count_basis_words, is_basis_word, pattern_words, seed_rules
 from curveform.errors import FuelExhausted, LimitExceeded
-from curveform.rewrite import (Ambiguity, CompletionLog, RuleSystem, _carry, _diamond, _monic,
-                               _pair_ambiguities, _Record, rank)
+from curveform.rewrite import (DEFAULT_FUEL, Ambiguity, CompletionLog, RuleSystem, _carry,
+                               _diamond, _monic, _pair_ambiguities, _Record, complete, rank)
 from curveform.parser import parse_expr
 from curveform.report import Report, attempt
 from curveform.scalar import Scalar
@@ -192,7 +195,6 @@ def complete_redropping_resolved(rs, is_target, max_rules=64):
     (RuleSystem, CompletionLog) as complete does."""
     log = CompletionLog()
     current = RuleSystem(rs.rules, rs.fuel)
-    current._children = children = {}
     records = [_Record(current, amb) for amb in current.find_ambiguities()]
     while True:
         log.counts.append((len(records), sum(rec.entry is None for rec in records),
@@ -209,7 +211,6 @@ def complete_redropping_resolved(rs, is_target, max_rules=64):
                 candidates.append(rec)
         if not candidates:
             log.diamond = report
-            current._children = None
             return current, log
         if len(current.rules) >= max_rules:
             raise LimitExceeded(f"completion exceeded max_rules={max_rules}")
@@ -217,14 +218,19 @@ def complete_redropping_resolved(rs, is_target, max_rules=64):
         rule = _monic(best.entry.residual, best.rank[-1])
         log.added.append((best.amb.witness, rule))
         current, old = RuleSystem((*current.rules, rule), rs.fuel), current
-        current._nf_cache = carried = _carry(current, old._nf_cache, children)
-        current._children = children
+        current._nf_cache = carried = _carry(current, old._nf_cache)
         for rec in records:
             if not all(w in carried for branch in rec.branches for w, _ in branch):
                 rec.entry = rec.rank = None
         records += [_Record(current, amb) for lhs in current._rhs for pair in
                     {(lhs, rule.lhs), (rule.lhs, lhs)} for amb in _pair_ambiguities(*pair)]
         records.sort(key=lambda rec: rec.amb.key)
+
+
+def complete_at(point, fuel=DEFAULT_FUEL):
+    """(RuleSystem, CompletionLog) of the completion of seed_rules(point) in
+    the point's own coordinates, at fuel."""
+    return complete(RuleSystem(seed_rules(point), fuel), is_basis_word)
 
 
 class GeneratorFedSystem(RuleSystem):
@@ -236,7 +242,6 @@ class GeneratorFedSystem(RuleSystem):
         hit = cache.get(w)
         if hit is not None:
             return hit
-        record = self._children
         budget = self.fuel
         steps = 0
         pending = {}
@@ -275,8 +280,6 @@ class GeneratorFedSystem(RuleSystem):
             else:
                 cache[cur] = accumulate({}, ((w2, c * c2) for cw, c in children
                                              for w2, c2 in cache[cw].items()))
-            if record is not None:
-                record[cur] = tuple([cw for cw, _ in children])
             del pending[cur]
             stack.pop()
         return cache[w]

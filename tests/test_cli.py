@@ -405,8 +405,8 @@ class TestArgHandling:
         entries = json.loads(out)["reports"][1]["entries"]
         assert code == 0 and len(entries) == 5 * 5
 
-    # building the algebra takes 82 steps (words carried from one completion
-    # round to the next cost none), reducing b^6*x^6 on it takes 412
+    # building the algebra takes 100 steps (those of the diamond check of
+    # the completed rules from a cold cache), reducing b^6*x^6 on it takes 412
     def test_fuel_bounds_every_reduction(self, capsys):
         code, out, err = run(capsys, "nf", "b^6*x^6", "--fuel", "200")
         assert code == 2 and out == ""
@@ -458,10 +458,10 @@ class TestArgHandling:
                      "110 steps taken, budget 110"}]
 
     def test_units_pass_at_the_smallest_build_fuel(self, capsys):
-        # the build needs 82 steps, and no candidate's inverse needs more
+        # the build needs 100 steps, and no candidate's inverse needs more
         for t in ("2", "7/5"):
             _, full, _ = run(capsys, "suite", "units", "--t", t, "--json")
-            code, out, err = run(capsys, "suite", "units", "--t", t, "--fuel", "82", "--json")
+            code, out, err = run(capsys, "suite", "units", "--t", t, "--fuel", "100", "--json")
             assert code == 0 and err == ""
             (starved,), (ref,) = json.loads(out)["reports"], json.loads(full)["reports"]
             assert ref["status"] == starved["status"] == "pass"

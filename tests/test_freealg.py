@@ -224,6 +224,13 @@ class TestTensorPoly:
             TensorPoly(2, {("x",): ONE})
         assert TensorPoly(2) != TensorPoly(3)
 
+    def test_a_str_key_is_one_word(self):
+        # never a sequence of one-letter legs, even where their count matches
+        assert TensorPoly(1, {"xa": ONE}).terms == {("xa",): ONE}
+        for arity, key in ((2, "xa"), (3, "xay"), (2, "")):
+            with pytest.raises(ArityMismatch, match=repr(key)):
+                TensorPoly(arity, {key: ONE})
+
     @given(polys, polys)
     def test_legs_commute(self, f, h):
         left = TensorPoly(2, {(u, ""): c for u, c in f.terms.items()})

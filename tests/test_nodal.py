@@ -1,12 +1,15 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveform import nodal
-from curveform.errors import CurveformError, NonOrientable, NotPatternWord
+from curveform.errors import CurveformError, NonOrientable, NotAUnit, NotPatternWord
 from curveform.freealg import ALPHABET, NcPoly, accumulate, word_key
 from curveform.galois import recovery_check, witness_check
 from curveform.hopf import StructureMaps, check_coideal
@@ -15,10 +18,11 @@ from curveform.nodal import (NodalAlgebra, b_decompose, basis_census, build_alge
                              is_basis_word, pattern_words, random_poly, seed_rules,
                              split_pattern_word)
 from curveform.report import Report
-from curveform.rewrite import DEFAULT_FUEL, Rule, RuleSystem, complete
-from curveform.scalar import ONE, Scalar, curve_point_from_t
+from curveform.rewrite import DEFAULT_FUEL, Rule, RuleSystem, check_diamond, complete
+from curveform.scalar import GENERIC, ONE, QPoly, Scalar, curve_point_from_t
 
-from reference_checks import census_by_scan, index_word, pattern_words_by_index
+from reference_checks import census_by_scan, complete_at, index_word, pattern_words_by_index
+from reference_reduction import apply_at, normal_form_strategy
 
 
 class TestPattern:
@@ -323,20 +327,24 @@ class TestOneRuleRemoved:
 # -- completion at rational points -----------------------------------------
 
 def completion_state(system, log, report):
-    """Everything a build returns, in order and with coefficient types: the
-    rules, the log (JSON, per-round counts, added rules as the system's own),
-    the diamond report and the nf cache, with the words that share a dict."""
-    cache = system._nf_cache
-    shared = {}
-    for w, nf in cache.items():
-        shared.setdefault(id(nf), []).append(w)
+    """What a build returns, in order and with coefficient types: the
+    rules, the log (JSON, added rules as the system's own) and the diamond
+    report."""
     seeds = len(system.rules) - len(log.added)
     return {"fuel": system.fuel,
             "rules": [(r.lhs, list(r.rhs.terms.items()), r.origin) for r in system.rules],
-            "log": log.to_json(), "counts": log.counts,
+            "log": log.to_json(),
             "added_are_rules": [rule is system.rules[seeds + k] for k, (_, rule) in enumerate(log.added)],
-            "diamond": report.to_json(),
-            "cache": [(w, [(v, c, type(c)) for v, c in nf.items()]) for w, nf in cache.items()],
+            "diamond": report.to_json()}
+
+
+def cache_state(system):
+    """The nf cache with coefficient types, and the words that share a dict."""
+    shared = {}
+    for w, nf in system._nf_cache.items():
+        shared.setdefault(id(nf), []).append(w)
+    return {"cache": [(w, [(v, c, type(c)) for v, c in nf.items()])
+                      for w, nf in system._nf_cache.items()],
             "shared": sorted(shared.values())}
 
 
@@ -363,6 +371,14 @@ def built(point, fuel=DEFAULT_FUEL):
     return alg.system, alg.completion_log, alg.diamond_report
 
 
+def checked(rules, fuel=DEFAULT_FUEL):
+    """The rules at fuel after complete's first round from a cold cache,
+    the diamond check of a confluent system."""
+    system, log = complete(RuleSystem(rules, fuel), is_basis_word)
+    assert log.rounds == 1
+    return system
+
+
 SEVEN_FIFTHS = curve_point_from_t(Fraction(7, 5))
 # each seed coefficient at t = 7/5 plus 1, as (rule index, rhs word)
 MUTANTS = [(i, w) for i, rule in enumerate(seed_rules(SEVEN_FIFTHS)) for w in rule.rhs.terms]
@@ -376,32 +392,42 @@ def mutated_seed(i, word):
 
 
 class TestRescaledCompletion:
-    """A rational point completes in its own coordinates, as an integral
-    point does: the build is the plain completion of the seed, its errors
-    included.  (The name is that of the rescaled completion these tests
-    were written for.)"""
+    """A build at a rational point equals the plain completion of the seed
+    in the point's own coordinates, its errors included, and its nf cache
+    is that of one diamond check of the completed rules from a cold cache.
+    (The name is that of the rescaled completion these tests were written
+    for.)"""
 
     @pytest.mark.parametrize("t", ["7/5", "-1/2", "5/3", "11/7", "-9/7", "1/2"])
     def test_equals_the_plain_completion(self, t):
         point = curve_point_from_t(Fraction(t))
-        want = outcome(lambda: plain(seed_rules(point)))
-        assert outcome(lambda: built(point)) == want
+        want = plain(seed_rules(point))
+        assert outcome(lambda: built(point)) == completion_state(*want)
+        got = cache_state(build_algebra(point).system)
+        assert got == cache_state(checked(want[0].rules))
         # non-integral rational coefficients are kept in the cache, as Scalars
         assert any(kind is Scalar and not c.c1 and type(c.c0) is Fraction
-                   for _, terms in want["cache"] for _, c, kind in terms)
+                   for _, terms in got["cache"] for _, c, kind in terms)
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(-9, 9), n=st.integers(2, 7))
     def test_equals_the_plain_completion_at_any_rational_point(self, m, n):
+        # the rules with their coefficient types, the log and the diamond
         point = curve_point_from_t(Fraction(m, n))
-        assert outcome(lambda: built(point)) == outcome(lambda: plain(seed_rules(point)))
+        system, log = complete_at(point)
+        assert outcome(lambda: built(point)) == completion_state(system, log, log.diamond)
 
-    @pytest.mark.parametrize("fuel", [1, 40, 80, 81, 82, 83])
+    @pytest.mark.parametrize("fuel", [1, 40, 98, 99, 100, 101])
     def test_fails_at_the_same_budgets(self, fuel):
-        # the build at t = 7/5 needs 82 steps, as at t = 2
-        want = outcome(lambda: plain(seed_rules(SEVEN_FIFTHS), fuel))
-        assert outcome(lambda: built(SEVEN_FIFTHS, fuel)) == want
-        assert (want.get("error") == "FuelExhausted") == (fuel < 82)
+        # the build at t = 7/5 needs 100 steps, as at t = 2 and 0: those of
+        # the diamond check of the completed rules from a cold cache
+        want = plain(seed_rules(SEVEN_FIFTHS))
+        got = outcome(lambda: built(SEVEN_FIFTHS, fuel))
+        if fuel < 100:
+            assert got == outcome(lambda: plain(want[0].rules, fuel))
+            assert got["error"] == "FuelExhausted"
+        else:
+            assert got == {**completion_state(*want), "fuel": fuel}
 
     @pytest.mark.parametrize("i, word", MUTANTS)
     def test_a_mutant_seed_fails_in_the_given_coordinates(self, monkeypatch, i, word):
@@ -409,6 +435,9 @@ class TestRescaledCompletion:
         want = outcome(lambda: plain(rules))
         monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
         assert outcome(lambda: built(SEVEN_FIFTHS)) == want
+        if "error" not in want:
+            assert cache_state(build_algebra(SEVEN_FIFTHS).system) == cache_state(
+                checked(plain(rules)[0].rules))
 
     def test_a_non_orientable_mutant_names_the_plain_witness(self, monkeypatch):
         # the build's difference is the plain one term for term,
@@ -433,8 +462,11 @@ class TestRescaledCompletion:
         assert raised == 18
 
     @pytest.mark.parametrize("fuel, mutant", [(DEFAULT_FUEL, m) for m in MUTANTS]
-                             + [(fuel, None) for fuel in (1, 40, 80, 81, 82, 83)])
+                             + [(fuel, None) for fuel in (1, 40, 98, 99, 100, 101)])
     def test_a_build_completes_once(self, monkeypatch, fuel, mutant):
+        # the first build of a seed completes it and checks the point; a
+        # later one only checks its point.  A seed whose completion fails
+        # makes no template, so each of its builds fails at its completion
         calls = []
 
         def counted(*args, **kwargs):
@@ -442,11 +474,31 @@ class TestRescaledCompletion:
             return complete(*args, **kwargs)
 
         monkeypatch.setattr(nodal, "complete", counted)
+        monkeypatch.setattr(nodal, "_template", cache(nodal._template.__wrapped__))
         if mutant is not None:
             rules = mutated_seed(*mutant)
             monkeypatch.setattr(nodal, "seed_rules", lambda point: rules)
-        outcome(lambda: built(SEVEN_FIFTHS, fuel))
-        assert len(calls) == 1
+        for _ in range(2):
+            first = outcome(lambda: built(SEVEN_FIFTHS, fuel))
+        assert len(calls) == (2 if first.get("error") == "NonOrientable" else 3)
+
+    def test_the_memo_keeps_no_nf_cache(self, monkeypatch):
+        # it holds the template's rules and log; the completed system, with
+        # its nf cache, is freed
+        systems = []
+
+        def watched(*args, **kwargs):
+            system, log = complete(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system, log
+
+        memo = cache(nodal._template.__wrapped__)
+        monkeypatch.setattr(nodal, "complete", watched)
+        monkeypatch.setattr(nodal, "_template", memo)
+        build_algebra(SEVEN_FIFTHS)
+        gc.collect()
+        assert len(systems) == 2 and memo.cache_info().currsize == 1
+        assert systems[0]() is None
 
     def test_the_diamond_report_is_the_last_round(self, algebras, monkeypatch):
         built_mutants = []
@@ -473,3 +525,118 @@ class TestRescaledCompletion:
                     and not c.c1 and type(c.c0) is int] == [], t
             scalars += sum(type(c) is Scalar for c in coeffs)
         assert scalars
+
+
+
+def generic_completion():
+    """(RuleSystem, CompletionLog) of the seeds completed over Q[q, p]."""
+    return complete_at(GENERIC)
+
+
+def typed_nf(nf):
+    return {w: (c, type(c)) for w, c in nf.items()}
+
+
+def with_aaa_coefficient(point, extra):
+    """The seeds with extra added to the a^3 coefficient of the aax rule."""
+    rules = seed_rules(point)
+    i = [rule.lhs for rule in rules].index("aax")
+    rules[i] = Rule("aax", rules[i].rhs + NcPoly.word("aaa", extra(point)), rules[i].origin)
+    return rules
+
+
+class TestGenericCompletion:
+    """The seeds complete once over Q[q, p], q and p indeterminates; a build
+    substitutes its point into that template and checks the diamond."""
+
+    def test_the_template_is_17_rules_51_ambiguities_0_unresolved(self):
+        system, log = generic_completion()
+        fields = log.diamond.fields
+        assert (log.diamond.ok, fields["rules"], fields["ambiguities"], fields["unresolved"]) == (
+            True, 17, 51, 0)
+        assert log.rounds == 5 and [w for w, _ in log.added] == ["ayx", "gaax", "gxaag", "gxag"]
+        # the four completed rules, with k = 1 + 3q
+        k = 1 + 3 * GENERIC.q
+        assert [(r.lhs, r.rhs.terms) for _, r in log.added] == [
+            ("axy", {"yax": ONE}),
+            ("gxaa", {"ax": -ONE, "xa": -ONE, "a": -ONE, "aa": k}),
+            ("gxa", {"axg": -ONE, "x": -ONE, "": -ONE, "a": k}),
+            ("gx", {"axgg": -ONE, "xg": -ONE, "g": -ONE, "": k})]
+        assert [type(r.rhs.terms[w]) for r, w in zip(system.rules[-3:], ("aa", "a", ""))] == [
+            QPoly] * 3
+        memo_rules, memo_log = nodal._template(tuple(
+            (r.lhs, tuple(r.rhs.terms.items()), r.origin) for r in seed_rules(GENERIC)))
+        assert [(r.lhs, r.rhs) for r in memo_rules] == [(r.lhs, r.rhs) for r in system.rules]
+        assert memo_log.to_json() == log.to_json()
+
+    def test_a_changed_gx_constant_leaves_ambiguities_unresolved(self):
+        # gx -> ... + 1 + 4q: 18 of the 51 ambiguities stay unresolved under
+        # prefix-first reduction.  The count of a system that is not
+        # confluent depends on the reduction order: a leftmost reducer, as
+        # the independent checker of ROADMAP item 4 uses, leaves 14
+        rules = list(generic_completion()[0].rules)
+        terms = dict(rules[-1].rhs.terms)
+        terms[""] = 1 + 4 * GENERIC.q
+        rules[-1] = Rule("gx", NcPoly(terms), "completed")
+        report = check_diamond(RuleSystem(rules))
+        assert (report.ok, report.fields["ambiguities"], report.fields["unresolved"]) == (
+            False, 51, 18)
+        assert "q" in str(report.to_json())  # residuals print over Q[q, p]
+        rs = RuleSystem(rules)
+        leftmost = sum(bool(normal_form_strategy(rs, apply_at(rs, amb.witness, 0, amb.left))
+                            - normal_form_strategy(rs, apply_at(rs, amb.witness, amb.pos_right,
+                                                                amb.right)))
+                       for amb in rs.find_ambiguities())
+        assert leftmost == 14
+
+    def test_a_non_unit_leading_coefficient_names_its_witness(self):
+        # yyx: (yy)x = x^3 and y(yx) = q yxy = q^2 x^3, so the difference is
+        # (1 - q^2) x^3, whose leading coefficient has no inverse
+        q = GENERIC.q
+        rs = RuleSystem([Rule("yx", NcPoly({"xy": q})), Rule("yy", NcPoly.word("xx"))])
+        with pytest.raises(NotAUnit) as exc:
+            complete(rs, lambda w: False)
+        assert exc.value.witness == "yyx" and exc.value.value == 1 - q * q
+        assert str(exc.value) == "1-q^2 is not a unit: the leading coefficient of the difference at yyx"
+
+    def test_a_template_difference_prints_over_q_q_p(self, monkeypatch):
+        # ag -> q: the difference (-1 + q) a has no eligible lhs, a raised
+        # in the template, whatever the point
+        def seeds(point):
+            rules = seed_rules(point)
+            rules[0] = Rule("ag", NcPoly.scalar(point.q))
+            return rules
+
+        monkeypatch.setattr(nodal, "seed_rules", seeds)
+        with pytest.raises(NonOrientable) as exc:
+            build_algebra(SEVEN_FIFTHS)
+        assert str(exc.value) == "no monomial of (-1+q)*a is eligible as a rule lhs"
+        assert exc.value.witness == "aga"
+
+    @pytest.mark.parametrize("t", ["2", "7/5", "0"])
+    def test_specialised_normal_forms_equal_the_pointwise_ones(self, t):
+        # on every word of length <= 5: the build's, and the generic normal
+        # form with the point substituted
+        point = curve_point_from_t(Fraction(t))
+        generic, built, pointwise = (generic_completion()[0], build_algebra(point).system,
+                                     complete_at(point)[0])
+        for length in range(6):
+            for w in map("".join, product(ALPHABET, repeat=length)):
+                want = typed_nf(pointwise.nf_word(w))
+                assert typed_nf(built.nf_word(w)) == want, w
+                valued = accumulate({}, ((v, c.at(point) if type(c) is QPoly else c)
+                                         for v, c in generic.nf_word(w).items()))
+                assert typed_nf(valued) == want, w
+
+    def test_the_memo_does_not_hide_mutated_seeds(self, monkeypatch):
+        # a seed set with other coefficients makes its own template, and the
+        # true seeds still build their own algebra afterwards
+        true = completion_state(*built(SEVEN_FIFTHS))
+        monkeypatch.setattr(nodal, "seed_rules",
+                            lambda point: with_aaa_coefficient(point, lambda pt: pt.q))
+        mutant = outcome(lambda: built(SEVEN_FIFTHS))
+        assert mutant == outcome(lambda: plain(with_aaa_coefficient(SEVEN_FIFTHS,
+                                                                    lambda pt: pt.q)))
+        assert "error" not in mutant and mutant["rules"] != true["rules"]
+        monkeypatch.undo()
+        assert completion_state(*built(SEVEN_FIFTHS)) == true

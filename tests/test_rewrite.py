@@ -8,18 +8,18 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from curveform import rewrite
+from curveform import nodal, rewrite
 from curveform.errors import FuelExhausted, LimitExceeded, NonOrientable
 from curveform.freealg import ALPHABET, NcPoly
 from curveform.rewrite import (Rule, RuleSystem, branch_difference, check_diamond, complete,
                                greater, maximum, orient, rank, word_matrix)
-from curveform.scalar import ONE, R, Scalar, curve_point_from_t
+from curveform.scalar import GENERIC, ONE, R, Scalar, curve_point_from_t
 from curveform.hopf import StructureMaps, check_welldefined, tensor_nf
 from curveform.freealg import TensorPoly
 from curveform.nodal import build_algebra, is_basis_word, seed_rules
 from curveform.parser import parse_expr
-from reference_checks import (GeneratorFedSystem, carry_by_step, complete_redropping_resolved,
-                              pair_ambiguities_by_scan)
+from reference_checks import (GeneratorFedSystem, carry_by_step, complete_at,
+                              complete_redropping_resolved, pair_ambiguities_by_scan)
 from reference_reduction import apply_at, match_directional, normal_form_strategy, reduce_once
 
 
@@ -779,8 +779,9 @@ def recorded_rounds(monkeypatch, run):
 
 
 def completion_rounds(monkeypatch, t):
-    """The rounds of the completion at t, as recorded_rounds gives them."""
-    return recorded_rounds(monkeypatch, lambda: build_algebra(curve_point_from_t(t)))
+    """The rounds of the completion of the seeds at t in its own coordinates,
+    as recorded_rounds gives them."""
+    return recorded_rounds(monkeypatch, lambda: complete_at(curve_point_from_t(t)))
 
 
 def check_diamond_over(rs, ambiguities):
@@ -930,8 +931,8 @@ class TestIncrementalCompletion:
     def test_a_resolved_entry_is_kept_to_the_final_report(self, monkeypatch, t):
         built = []
         rounds = recorded_rounds(monkeypatch, lambda: built.append(
-            build_algebra(curve_point_from_t(Fraction(t)))))
-        assert rounds[-1][-1] is built[0].completion_log.diamond
+            complete_at(curve_point_from_t(Fraction(t)))))
+        assert rounds[-1][-1] is built[0][1].diamond
         kept = 0
         for i, (_, ambiguities, _, _, report) in enumerate(rounds):
             for amb, entry in zip(ambiguities, report.entries):
@@ -942,7 +943,7 @@ class TestIncrementalCompletion:
         assert kept
 
     def test_round_counts(self):
-        log = build_algebra(curve_point_from_t(2)).completion_log
+        log = complete_at(curve_point_from_t(2))[1]
         ambiguities, reduced, cache_words = map(list, zip(*log.counts))
         assert ambiguities == [26, 31, 39, 47, 51]
         assert reduced == [26, 6, 9, 15, 14]
@@ -1007,45 +1008,31 @@ class TestIncrementalCompletion:
 
         monkeypatch.setattr(rewrite, "NcPoly", Counting())
         rounds = recorded_rounds(monkeypatch, lambda: algebras.append(
-            build_algebra(curve_point_from_t(Fraction(t)))))
+            complete_at(curve_point_from_t(Fraction(t)))))
         entries = [e for *_, report in rounds for e in report.entries]
-        assert sum(reduced for _, reduced, _ in algebras[0].completion_log.counts) == 70
+        assert sum(reduced for _, reduced, _ in algebras[0][1].counts) == 70
         assert len(built) == 19
         assert {id(p) for p in built} == {id(e.residual) for e in entries if not e.ok}
         assert all(type(e.residual) is NcPoly and not e.residual.terms
                    for e in entries if e.ok)
 
-    @pytest.mark.parametrize("t", [*POINTS, "0", "1"])
+    @pytest.mark.parametrize("t", [*POINTS, "0", "1", "generic"])
     def test_carry_equals_the_reference_carry(self, monkeypatch, t):
-        # every round's carry keeps the words, in their order, that a carry
-        # deriving each word's children again keeps, and the stored children
-        # are those of the carried reducible words
+        # every round's carry keeps the words, in their order, that the
+        # reference carry keeps, over the rationals and over Q[q, p]
         carry, seen = rewrite._carry, []
 
-        def checked(rs, cache, children):
+        def checked(rs, cache):
             expected = list(carry_by_step(rs, dict(cache)))
-            carried = carry(rs, cache, children)
+            carried = carry(rs, cache)
             seen.append((list(carried), expected))
-            assert set(children) == {w for w, nf in carried.items() if w not in nf}
             return carried
 
         monkeypatch.setattr(rewrite, "_carry", checked)
-        build_algebra(curve_point_from_t(Fraction(t)))
+        complete_at(GENERIC if t == "generic" else curve_point_from_t(Fraction(t)))
         assert len(seen) == 4 and all(len(carried) > 1 for carried, _ in seen)
         for carried, expected in seen:
             assert carried == expected
-
-    def test_children_are_stored_only_while_completing(self):
-        rng = random.Random(0)
-        alg = build_algebra(curve_point_from_t(2))
-        direct = RuleSystem(alg.system.rules)
-        assert alg.system._children is None and direct._children is None
-        for _ in range(50):
-            f, g = (NcPoly.word("".join(rng.choices("xyagb", k=rng.randint(1, 5))))
-                    for _ in "fg")
-            alg.nf(f * g)
-            direct.normal_form(f * g)
-        assert alg.system._children is None and direct._children is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_final_report_equals_a_fresh_check(self, seed):
@@ -1102,12 +1089,15 @@ class TestWordOnlyMemos:
         assert rewrite._word_rank.cache_info().hits == hits + 1
         assert exc.value.difference is second and exc.value.witness == "ax"
 
-    def test_memo_sizes_after_the_oneshot_query_points(self):
-        # 25 rank supports: 18 at generic points, 7 more at the node t = 1;
-        # one lhs set, the seed's, and the four rules completion adds to it
+    def test_memo_sizes_after_the_oneshot_query_points(self, monkeypatch):
+        # the builds complete once, over Q[q, p]: 18 rank supports, the
+        # seed's lhs set and the four rules completion adds to it; each
+        # build enumerates the ambiguities of the completed lhs set, a
+        # second lhs set
         for memo in WORD_ONLY_MEMOS:
             memo.cache_clear()
+        monkeypatch.setattr(nodal, "_template", cache(nodal._template.__wrapped__))
         for t in oneshot_points(1):
             build_algebra(curve_point_from_t(t))
         assert memo_sizes() == {"word_matrix": 68, "_pair_ambiguities": 17 * 17,
-                                "_ambiguities": 1, "_added_ambiguities": 4, "_word_rank": 25}
+                                "_ambiguities": 2, "_added_ambiguities": 4, "_word_rank": 18}

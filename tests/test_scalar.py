@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import curveform
-from curveform.errors import DivisionByZero, ParameterOffCurve
-from curveform.scalar import (ONE, R, Scalar, ZERO, CurvePoint,
+from curveform.errors import DivisionByZero, NotAUnit, ParameterOffCurve
+from curveform.scalar import (GENERIC, ONE, R, QPoly, Scalar, ZERO, CurvePoint,
                               curve_point_from_t, curve_point_validate, field)
 
 rationals = st.builds(StdFraction,
@@ -323,3 +323,59 @@ def test_fraction_stays_out_of_the_kernel():
              or (isinstance(node, ast.alias) and node.name in ("Fraction", "fractions"))
              or (isinstance(node, ast.ImportFrom) and node.module == "fractions")]
     assert named == []
+
+
+class TestPolynomialCoefficients:
+    """QPoly, an element of Q[q, p], mixes with Scalars in both orders: a
+    Scalar hands an operand it does not know to the other type."""
+
+    q, p = GENERIC.q, GENERIC.p
+
+    def test_mixed_arithmetic_in_both_orders(self):
+        q, half = self.q, Scalar(StdFraction(1, 2))
+        assert half + q == q + half == QPoly({(0, 0): StdFraction(1, 2), (1, 0): 1})
+        assert half * q == q * half == QPoly({(1, 0): StdFraction(1, 2)})
+        assert half - q == -(q - half) and type(half - q) is QPoly
+        assert ONE + 3 * q - 3 * q == ONE and ONE == ONE + 3 * q - 3 * q
+        assert Scalar(2) * (self.p - self.p) == 0 and not Scalar(2) * (self.p - self.p)
+
+    def test_scalar_returns_not_implemented_for_a_type_it_does_not_know(self):
+        q = self.q
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__eq__"):
+            assert getattr(ONE, op)(q) is NotImplemented, op
+            assert getattr(ONE, op)(0.5) is NotImplemented, op
+
+    def test_an_r_part_is_not_in_q_q_p(self):
+        with pytest.raises(TypeError):
+            R + self.q
+        with pytest.raises(TypeError):
+            self.q * R
+        assert self.q != R and R != self.q
+
+    def test_a_constant_equals_and_hashes_as_its_value(self):
+        c = 3 * self.q - 3 * self.q + StdFraction(2, 3)
+        assert c == StdFraction(2, 3) == Scalar(StdFraction(2, 3))
+        assert hash(c) == hash(StdFraction(2, 3)) == hash(Scalar(StdFraction(2, 3)))
+        assert {c: 1}[StdFraction(2, 3)] == 1
+
+    def test_inverse_of_a_constant_only(self):
+        assert (0 * self.q + 4).inverse() == StdFraction(1, 4)
+        assert (0 * self.q + StdFraction(-2, 3)).inverse() == StdFraction(-3, 2)
+        with pytest.raises(NotAUnit) as exc:
+            (1 + 3 * self.q).inverse()
+        assert exc.value.value == 1 + 3 * self.q and exc.value.witness is None
+        with pytest.raises(DivisionByZero):
+            (self.q - self.q).inverse()
+
+    @given(rationals)
+    def test_value_at_a_point(self, t):
+        point = curve_point_from_t(t)
+        f = (2 + 3 * self.q) * self.q - StdFraction(1, 2) * self.p * self.p
+        want = (2 + 3 * point.q) * point.q - StdFraction(1, 2) * point.p * point.p
+        assert f.at(point) == want and field(want) == f.at(point)
+        assert type(f.at(point)) is type(field(want))
+
+    def test_text(self):
+        q, p = self.q, self.p
+        assert [str(f) for f in (1 + 3 * q, (2 + 3 * q) * q, 2 * p, q * p - p, q - q)] == [
+            "1+3*q", "2*q+3*q^2", "2*p", "-p+q*p", "0"]
